@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
-from repro.atpg.implication import Conflict, ImplicationEngine
+from repro.atpg.implication import Conflict, imply
 from repro.atpg.fault import StuckAtFault
 
 _GOOD = "g::"
@@ -155,12 +155,18 @@ def _satisfy(
         if remaining is not None:
             limit = min(limit, remaining)
 
-    def search(engine: ImplicationEngine) -> Optional[Dict[str, bool]]:
+    state = imply(circuit, [objective])
+    if state is None:
+        return AtpgResult(test=None, complete=True, backtracks=0)
+    values = state.values
+    pi_ids = [state.compiled.index[pi] for pi in pis]
+
+    def search() -> Optional[Dict[str, bool]]:
         nonlocal backtracks, aborted
-        free = [pi for pi in pis if engine.value(pi) is None]
+        free = [pi for pi in pi_ids if values[pi] is None]
         if not free:
             # Fully assigned: implications have evaluated everything.
-            return {pi: engine.value(pi) for pi in pis}
+            return {pi: values[sid] for pi, sid in zip(pis, pi_ids)}
         pivot = free[0]
         for value in (True, False):
             if backtracks > limit or (
@@ -168,26 +174,22 @@ def _satisfy(
             ):
                 aborted = True
                 return None
-            fork = engine.fork()
+            mark = state.mark()
             try:
-                fork.assign(pivot, value)
-                fork.propagate()
+                state.assign(pivot, value)
+                state.propagate()
             except Conflict:
+                state.undo(mark)
                 backtracks += 1
                 continue
-            result = search(fork)
+            result = search()
             if result is not None:
                 return result
+            state.undo(mark)
             backtracks += 1
         return None
 
-    engine = ImplicationEngine(circuit)
-    try:
-        engine.assign(*objective)
-        engine.propagate()
-    except Conflict:
-        return AtpgResult(test=None, complete=True, backtracks=0)
-    test = search(engine)
+    test = search()
     result = AtpgResult(
         test=test,
         complete=not aborted and backtracks <= limit,

@@ -14,9 +14,8 @@ from typing import List, Optional, Set, Tuple
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
-from repro.atpg.implication import Conflict, ImplicationEngine
+from repro.atpg.implication import imply
 from repro.atpg.fault import StuckAtFault, all_wire_faults, mandatory_assignments
-from repro.atpg.learning import learn_implications
 from repro.obs.tracer import as_tracer
 
 
@@ -30,17 +29,8 @@ def wire_is_redundant(
 
     Sound but incomplete: False only means redundancy was not proven.
     """
-    engine = ImplicationEngine(circuit)
-    try:
-        engine.assign_many(
-            mandatory_assignments(circuit, fault, observables)
-        )
-        engine.propagate()
-        if learn_depth > 0:
-            learn_implications(engine, learn_depth)
-    except Conflict:
-        return True
-    return False
+    assignments = mandatory_assignments(circuit, fault, observables)
+    return imply(circuit, assignments, learn_depth) is None
 
 
 def wire_is_redundant_exact(

@@ -18,6 +18,7 @@ class Circuit:
         self.name = name
         self.gates: Dict[str, Gate] = {}
         self._fanouts: Optional[Dict[str, List[str]]] = None
+        self._compiled: Optional["CompiledCircuit"] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -27,6 +28,7 @@ class Circuit:
             raise ValueError(f"duplicate gate name {gate.name!r}")
         self.gates[gate.name] = gate
         self._fanouts = None
+        self._compiled = None
         return gate
 
     def add_pi(self, name: str) -> Gate:
@@ -41,10 +43,12 @@ class Circuit:
     def remove_gate(self, name: str) -> None:
         del self.gates[name]
         self._fanouts = None
+        self._compiled = None
 
     def invalidate(self) -> None:
         """Call after mutating a gate's input list in place."""
         self._fanouts = None
+        self._compiled = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -58,6 +62,12 @@ class Circuit:
                         table[signal].append(gate.name)
             self._fanouts = table
         return self._fanouts
+
+    def compiled(self) -> "CompiledCircuit":
+        """This structural state as int-indexed arrays (cached)."""
+        if self._compiled is None:
+            self._compiled = CompiledCircuit(self)
+        return self._compiled
 
     def pis(self) -> List[str]:
         return [
@@ -139,3 +149,73 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit({self.name!r}, gates={len(self.gates)})"
+
+
+class CompiledCircuit:
+    """One structural state of a :class:`Circuit` as int-indexed arrays.
+
+    This is what the implication engine (:mod:`repro.atpg.implication`)
+    runs on.  Signal ids are the gates in ``circuit.gates`` order, then
+    every undriven signal some gate reads, in order of first reference.
+    Per id:
+
+    * ``inputs`` — for an AND/OR gate, one ``(input id, controlling)``
+      pair per input edge, where ``controlling`` is the input signal's
+      value that makes the edge's literal the gate's controlling value
+      (so a negated edge into an AND is controlling at 1); ``()``
+      otherwise;
+    * ``ctrl`` — the gate's controlling value (AND 0, OR 1), ``None``
+      for PIs, constants and undriven signals;
+    * ``touch`` — the AND/OR gates to re-examine when the signal gets a
+      value: its own gate, then one entry per fanout edge in
+      ``fanouts()`` order (a gate reading the signal twice appears
+      twice).  An undriven signal has no fanout entries, exactly as in
+      ``fanouts()``, so its touch list is empty.
+
+    ``base_values`` holds the constants' values and ``constants`` their
+    ids in gate order: the facts every implication run starts from.
+    """
+
+    __slots__ = (
+        "names", "index", "inputs", "ctrl", "touch", "base_values",
+        "constants",
+    )
+
+    def __init__(self, circuit: Circuit):
+        names: List[str] = list(circuit.gates)
+        index: Dict[str, int] = {name: i for i, name in enumerate(names)}
+        n_gates = len(names)
+        inputs: List[Tuple[Tuple[int, bool], ...]] = [()] * n_gates
+        ctrl: List[Optional[bool]] = [None] * n_gates
+        fanouts: List[List[int]] = [[] for _ in range(n_gates)]
+        base_values: List[Optional[bool]] = [None] * n_gates
+        constants: List[int] = []
+        for gid, gate in enumerate(circuit.gates.values()):
+            kind = gate.kind
+            if kind is GateKind.AND or kind is GateKind.OR:
+                c = kind is GateKind.OR
+                ctrl[gid] = c
+                edges = []
+                for signal, phase in gate.inputs:
+                    sid = index.get(signal)
+                    if sid is None:
+                        sid = index[signal] = len(names)
+                        names.append(signal)
+                    elif sid < n_gates:
+                        fanouts[sid].append(gid)
+                    edges.append((sid, phase == c))
+                inputs[gid] = tuple(edges)
+            elif kind is GateKind.CONST0 or kind is GateKind.CONST1:
+                base_values[gid] = kind is GateKind.CONST1
+                constants.append(gid)
+        undriven = len(names) - n_gates
+        self.names = names
+        self.index = index
+        self.inputs = inputs + [()] * undriven
+        self.ctrl = ctrl + [None] * undriven
+        self.touch = [
+            ((gid,) if ctrl[gid] is not None else ()) + tuple(fanouts[gid])
+            for gid in range(n_gates)
+        ] + [()] * undriven
+        self.base_values = base_values + [None] * undriven
+        self.constants = tuple(constants)

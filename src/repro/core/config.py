@@ -143,9 +143,11 @@ class DivisionConfig:
     #: in-process (debugging and the commit-protocol tests — no
     #: pickling across processes, same snapshot/commit semantics);
     #: "auto" (the default) picks "process" when the machine has more
-    #: than one CPU and the in-process engine otherwise — on a single
-    #: core a pool can only add scheduling overhead, and the protocol
-    #: and its output are identical either way.
+    #: than one CPU and the first pass has enough candidate pairs to
+    #: repay the pool's start-up
+    #: (:data:`repro.parallel.executor.AUTO_POOL_MIN_PAIRS`), and the
+    #: in-process engine otherwise — the protocol and its output are
+    #: identical either way.
     parallel_backend: str = "auto"
 
     #: Wall-clock budget for one :func:`substitute_network` run, in

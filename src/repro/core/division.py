@@ -44,8 +44,7 @@ from repro.twolevel.cover import Cover
 from repro.twolevel.complement import complement
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
-from repro.atpg.implication import Conflict, ImplicationEngine
-from repro.atpg.learning import learn_implications
+from repro.atpg.implication import imply
 from repro.network.factor import factored_literals
 from repro.network.network import Network
 from repro.core.config import DivisionConfig
@@ -192,8 +191,18 @@ def build_analysis_circuit(
     return circuit
 
 
-class _RegionRemover:
-    """The wire/cube redundancy-removal loop over the ``F1`` region."""
+class RegionRemover:
+    """The wire/cube redundancy-removal loop over the ``F1`` region.
+
+    Each region cube gets an AND gate in *circuit*; a literal (cube) is
+    dropped when the stuck-at-1 (stuck-at-0) fault on its wire has
+    conflicting mandatory assignments: the faulty cube's other
+    literals at 1, every other region cube and every remainder signal
+    at 0, and *divisor_assignment* when one is given.  Without a
+    divisor assignment this is plain excitation-only removal on a
+    cover, which is how the simulation-guided engine cleans its
+    candidates.
+    """
 
     def __init__(
         self,
@@ -202,7 +211,7 @@ class _RegionRemover:
         shared: List[str],
         region: Dict[int, Cube],
         remainder_signals: List[str],
-        divisor_assignment: Tuple[str, bool],
+        divisor_assignment: Optional[Tuple[str, bool]],
         config: DivisionConfig,
         budget=None,
     ):
@@ -246,7 +255,9 @@ class _RegionRemover:
 
     # -- fault checks ---------------------------------------------------
     def _base_assignments(self, active: int) -> List[Tuple[str, bool]]:
-        assignments = [self.divisor_assignment]
+        assignments = []
+        if self.divisor_assignment is not None:
+            assignments.append(self.divisor_assignment)
         for j in self.region:
             if j != active:
                 assignments.append(
@@ -257,15 +268,8 @@ class _RegionRemover:
         return assignments
 
     def _conflicts(self, assignments: List[Tuple[str, bool]]) -> bool:
-        engine = ImplicationEngine(self.circuit)
-        try:
-            engine.assign_many(assignments)
-            engine.propagate()
-            if self.config.learn_depth > 0:
-                learn_implications(engine, self.config.learn_depth)
-        except Conflict:
-            return True
-        return False
+        state = imply(self.circuit, assignments, self.config.learn_depth)
+        return state is None
 
     def _literal_removable(self, index: int, var: int, phase: bool) -> bool:
         """Stuck-at-1 test of one literal wire of a region cube."""
@@ -487,7 +491,7 @@ def _boolean_divide_impl(
 
         region = {i: dividend_s.cubes[i] for i in region_ids}
         remainder_cubes = [dividend_s.cubes[i] for i in remainder_ids]
-        remover = _RegionRemover(
+        remover = RegionRemover(
             circuit=work,
             f_name=f_name,
             shared=shared,

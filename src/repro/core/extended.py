@@ -38,8 +38,7 @@ from repro.twolevel.cover import Cover
 from repro.twolevel.complement import complement
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
-from repro.atpg.implication import Conflict, ImplicationEngine
-from repro.atpg.learning import learn_implications
+from repro.atpg.implication import imply
 from repro.network.network import Network
 from repro.core.config import DivisionConfig
 from repro.core.division import (
@@ -226,13 +225,8 @@ def _vote_for_wire(
         if j != cube_index:
             assignments.append((cube_signal(f_name, j), False))
 
-    engine = ImplicationEngine(circuit)
-    try:
-        engine.assign_many(assignments)
-        engine.propagate()
-        if config.learn_depth > 0:
-            learn_implications(engine, config.learn_depth)
-    except Conflict:
+    state = imply(circuit, assignments, config.learn_depth)
+    if state is None:
         return VoteEntry(cube_index, var, phase, {}, already_redundant=True)
 
     candidates: Dict[str, FrozenSet[int]] = {}
@@ -240,7 +234,7 @@ def _vote_for_wire(
         zeros = frozenset(
             j
             for j in range(len(cover.cubes))
-            if engine.value(d_signal(d_name, j)) is False
+            if state.value(d_signal(d_name, j)) is False
         )
         # Feasibility (Table I(b)): the candidate must be an SOS of the
         # wire's own cube, i.e. some implied-zero divisor cube must

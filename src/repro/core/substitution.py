@@ -277,8 +277,13 @@ def _try_extended(
         ]
         if not divisors:
             return False
-    table = build_vote_table(network, f_name, divisors, config, form=form)
-    choice = choose_core_divisor(table, config)
+    with tracer.span("vote", f=f_name, form=form) as vote_span:
+        table = build_vote_table(network, f_name, divisors, config, form=form)
+        choice = choose_core_divisor(table, config)
+        vote_span.annotate(
+            wires=len(table.entries),
+            candidates=sum(1 for entry in table.entries if entry.candidates),
+        )
     if choice is None:
         return False
     d_name = choice.divisor_name
@@ -500,7 +505,14 @@ def _run_pass(
         if node.is_pi or node.is_constant() or node.cover is None:
             continue
         with tracer.span("enumerate", f=f_name) as enum_span:
-            divisors = _candidate_divisors(network, f_name, config)
+            divisors = None
+            if store is not None and stats.accepted == accepted_before:
+                # Nothing committed this pass yet (a rejected rewrite is
+                # restored): the network is the one the speculative
+                # enumeration listed candidates on.
+                divisors = store.divisors.get(f_name)
+            if divisors is None:
+                divisors = _candidate_divisors(network, f_name, config)
             enum_span.annotate(divisors=len(divisors))
         if not divisors:
             continue

@@ -25,6 +25,7 @@ PROFILE_PHASES = (
     "speculate",
     "worker_batch",
     "pair",
+    "vote",
     "divide",
     "atpg",
     "sat_solve",

@@ -51,6 +51,7 @@ SPAN_KINDS = frozenset(
         "enumerate",  # candidate-pair enumeration (serial or engine)
         "speculate",  # engine: evaluate all pairs against the snapshot
         "pair",       # one (dividend, divisor) candidate
+        "vote",       # extended division: vote table + core choice
         "divide",     # one boolean_divide invocation
         "atpg",       # one redundancy-removal loop (region or generic)
         "commit",     # apply + accept bookkeeping of one rewrite

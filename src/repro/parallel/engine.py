@@ -126,6 +126,10 @@ class SpeculativeStore:
         #: match these (instead of the pass-start snapshot).
         self._expected: Dict[Pair, Tuple[NodeState, NodeState]] = {}
         self._dispatcher: Optional["ShardDispatcher"] = None
+        #: Each dividend's enumerated divisor candidates: what the
+        #: serial loop would list for it while the network is still the
+        #: pass-start one.
+        self.divisors: Dict[str, List[str]] = {}
         self.reused = 0
         self.invalidated = 0
 
@@ -500,6 +504,8 @@ class SpeculativeEngine:
             "dispatch_wait": 0.0,
         }
         self.network: Optional[Network] = None
+        #: The concrete executor backend, resolved on the first pass.
+        self.backend: Optional[str] = None
         self.executor = None
         self._shm = None
         self._shm_serial = 0
@@ -529,10 +535,15 @@ class SpeculativeEngine:
             return ()
         return (self._cumulative,)
 
-    def _establish(self, network: Network, sim_filter, tracer) -> None:
+    def _establish(
+        self, network: Network, pairs: int, sim_filter, tracer
+    ) -> None:
         """First pass (or after a teardown): ship the base snapshot and
-        spawn the persistent executor."""
+        spawn the persistent executor.  The backend is resolved once,
+        from the first pass's *pairs* count."""
         config = self.config
+        if self.backend is None:
+            self.backend = resolve_backend(config.parallel_backend, pairs)
         sim_ref = None
         if sim_filter is not None:
             sim_ref = self._share_signatures(sim_filter.sim, tracer)
@@ -549,7 +560,7 @@ class SpeculativeEngine:
         self.executor = make_executor(
             payload,
             config.n_jobs,
-            config.parallel_backend,
+            self.backend,
             injection=inject.active(),
             max_retries=config.max_shard_retries,
             stall_timeout=config.stall_timeout_seconds,
@@ -566,7 +577,7 @@ class SpeculativeEngine:
         falls back to the inline snapshot dict."""
         if not self.config.share_signatures:
             return None
-        if resolve_backend(self.config.parallel_backend) != "process":
+        if self.backend != "process":
             # In-process backends read the parent's memory anyway; a
             # segment would only add lifecycle risk.
             return None
@@ -692,6 +703,8 @@ class SpeculativeEngine:
         with tracer.span("enumerate", scope="speculative") as enum_span:
             pairs = enumerate_candidate_pairs(network, config)
             enum_span.annotate(pairs=len(pairs))
+        for f_name, d_name in pairs:
+            store.divisors.setdefault(f_name, []).append(d_name)
         if not pairs:
             return store
         batches = shard_pairs(pairs, config.batch_size)
@@ -701,7 +714,7 @@ class SpeculativeEngine:
             try:
                 ship_start = time.perf_counter()
                 if self.executor is None:
-                    self._establish(network, sim_filter, tracer)
+                    self._establish(network, len(pairs), sim_filter, tracer)
                 else:
                     self._ship_delta(network, tracer)
                 self.phase_seconds["snapshot_ship"] += (

@@ -445,18 +445,50 @@ class ProcessExecutor:
         return out
 
 
-def resolve_backend(backend: str) -> str:
+#: The pool's fixed cost and its saving per first-pass candidate pair,
+#: against a serial run at ``n_jobs=2`` on a 2-vCPU host: the
+#: least-squares line through (pairs, serial - pool wall time) over 12
+#: ext-preset circuits of 68-1561 pairs (suite circuits and generated
+#: ``planted_network`` circuits, medians of 5-7 interleaved runs), as
+#: ``scripts/measure_pool_cutoff.py`` measures it.  Of the fixed cost,
+#: spawning two workers, one shard each and the shutdown take 15 ms;
+#: the rest grows with the circuit and shows as an intercept.  Three
+#: runs of the measurement on the same host broke even at 0, 673 and
+#: 1277 pairs — on two cores shared by the main process and two
+#: workers the saving varies more from run to run than with the pair
+#: count — and these are the middle run's figures.  The basic
+#: preset's line breaks even sooner; one cut-off serves both presets.
+_POOL_FIXED_S = 0.0920
+_POOL_SAVING_PER_PAIR_S = 0.0001367
+
+#: First-pass candidate pairs a run needs before ``"auto"`` spawns the
+#: process pool: where the pool's saving repays its fixed cost.  Held
+#: out of the fit, the pool beat serial on generated circuits of 965
+#: and 1130 pairs in both presets, and lost by 44% (basic) on one of
+#: 359 pairs.  A machine with more cores should break even sooner;
+#: that side is unmeasured.  A pair count, never a timing, so the
+#: backend — and with it every ``parallel.*`` counter — is a pure
+#: function of the input.
+AUTO_POOL_MIN_PAIRS = round(_POOL_FIXED_S / _POOL_SAVING_PER_PAIR_S)
+
+
+def resolve_backend(backend: str, pairs: Optional[int] = None) -> str:
     """Resolve the ``"auto"`` backend to a concrete one.
 
     The process pool only pays off when the machine can actually run
-    workers beside the main process; on a single-core host it adds
-    scheduling overhead and nothing else, so ``"auto"`` selects the
-    in-process engine there — same protocol, same output, none of the
-    pool cost.
+    workers beside the main process and the run has enough work to
+    repay the pool's start-up.  ``"auto"`` therefore selects the
+    in-process engine — same protocol, same output, none of the pool
+    cost — on a single-core host and for runs whose first pass has
+    fewer than :data:`AUTO_POOL_MIN_PAIRS` candidate *pairs*.
     """
     if backend != "auto":
         return backend
-    return "process" if (os.cpu_count() or 1) > 1 else "serial"
+    if (os.cpu_count() or 1) <= 1:
+        return "serial"
+    if pairs is not None and pairs < AUTO_POOL_MIN_PAIRS:
+        return "serial"
+    return "process"
 
 
 def make_executor(

@@ -28,6 +28,7 @@ rests on).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import pickle
 import time
@@ -65,6 +66,13 @@ class PairOutcome:
     divide_calls: int
     variants_pruned: int
     result: Optional[DivisionResult]
+
+
+#: Worker contexts built in this process.  The in-process backend
+#: builds one per run (and the containment fallback one more), so each
+#: context after the first gets its own trace label: a trace shared by
+#: several runs keeps unique ``(proc, id)`` keys.
+_CONTEXT_SERIALS = itertools.count()
 
 
 class WorkerContext:
@@ -108,10 +116,10 @@ class WorkerContext:
         #: each batch and shipped back with the shard result, so the
         #: main process can merge one trace for the whole run.  The
         #: label stays unique even for the in-process serial backend
-        #: (same pid, different label).
-        self.tracer = (
-            Tracer(proc=f"worker-{os.getpid()}") if trace else NULL_TRACER
-        )
+        #: (same pid, different label) and across runs in one process.
+        serial = next(_CONTEXT_SERIALS)
+        label = f"worker-{os.getpid()}" + (f".{serial}" if serial else "")
+        self.tracer = Tracer(proc=label) if trace else NULL_TRACER
         # GDC analysis circuits are divisor-independent, so they are
         # cached per dividend for as long as the network generation
         # holds (dropped on every applied delta).

@@ -9,7 +9,7 @@ consumers check it at three granularities:
   between pairs with the network in a committed, verified state;
 * **removal loop** — :meth:`RunBudget.check_deadline` before every
   literal/cube redundancy test inside
-  :class:`~repro.core.division._RegionRemover`, so a pathological
+  :class:`~repro.core.division.RegionRemover`, so a pathological
   implication blow-up inside *one* pair cannot overshoot a deadline by
   more than a single test;
 * **D-alg** — :func:`repro.atpg.dalg.generate_test` clamps its

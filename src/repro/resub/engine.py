@@ -46,12 +46,10 @@ from __future__ import annotations
 import itertools
 import time
 import types
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.atpg.implication import Conflict, ImplicationEngine
-from repro.atpg.learning import learn_implications
 from repro.core.config import DivisionConfig
-from repro.core.division import build_analysis_circuit, dividend_cube_signal
+from repro.core.division import RegionRemover, build_analysis_circuit
 from repro.core.substitution import SubstitutionStats, _Snapshot
 from repro.network.dontcares import DontCareComputer
 from repro.network.factor import factored_literals, network_literals
@@ -76,109 +74,6 @@ def _divisor_label(divisors: Sequence[str]) -> str:
     return "resub(" + ",".join(divisors) + ")"
 
 
-class _CoverCleaner:
-    """Excitation-only redundancy removal on a candidate cover.
-
-    The division engine's ``_RegionRemover`` tests faults under the
-    full division context (divisor phase, remainder cubes).  Here the
-    candidate *is* the whole function, so the mandatory assignments
-    are just the excitation-and-local-propagation conditions at the
-    target's OR: the faulty cube's surviving literals at their phases,
-    every other cube at 0, and — for a literal stuck-at-1 — the
-    dropped literal's divisor at the opposite phase.  A conflict,
-    propagated through the divisors' gates, proves the fault
-    untestable at the target and therefore at every PO: removal is
-    sound regardless of what the exact validation later decides.
-    """
-
-    def __init__(self, circuit, f_name, divisors, cover, config, budget):
-        self.circuit = circuit
-        self.f_name = f_name
-        self.shared = list(divisors)
-        self.region: Dict[int, object] = dict(enumerate(cover.cubes))
-        self.config = config
-        self.budget = budget
-        self.removed = 0
-        for i, cube in self.region.items():
-            self._install_cube_gate(i, cube)
-
-    def _install_cube_gate(self, index, cube) -> None:
-        from repro.circuit.gate import Gate, GateKind
-
-        name = dividend_cube_signal(self.f_name, index)
-        inputs = [(self.shared[v], p) for v, p in cube.literals()]
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
-        if inputs:
-            self.circuit.add_and(name, inputs)
-        else:
-            self.circuit.add_gate(Gate(name, GateKind.CONST1))
-
-    def _drop_cube_gate(self, index) -> None:
-        name = dividend_cube_signal(self.f_name, index)
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
-
-    def _conflicts(self, assignments) -> bool:
-        engine = ImplicationEngine(self.circuit)
-        try:
-            engine.assign_many(assignments)
-            engine.propagate()
-            if self.config.learn_depth > 0:
-                learn_implications(engine, self.config.learn_depth)
-        except Conflict:
-            return True
-        return False
-
-    def _base_assignments(self, active: int):
-        return [
-            (dividend_cube_signal(self.f_name, j), False)
-            for j in self.region
-            if j != active
-        ]
-
-    def _literal_removable(self, index, var, phase) -> bool:
-        if self.budget is not None:
-            self.budget.check_deadline()
-        assignments = self._base_assignments(index)
-        assignments.append((self.shared[var], not phase))
-        for v, p in self.region[index].literals():
-            if v != var:
-                assignments.append((self.shared[v], p))
-        return self._conflicts(assignments)
-
-    def _cube_removable(self, index) -> bool:
-        if self.budget is not None:
-            self.budget.check_deadline()
-        assignments = self._base_assignments(index)
-        for v, p in self.region[index].literals():
-            assignments.append((self.shared[v], p))
-        return self._conflicts(assignments)
-
-    def run(self) -> Cover:
-        changed = True
-        while changed:
-            changed = False
-            for index in sorted(self.region):
-                cube = self.region[index]
-                for var, phase in list(cube.literals()):
-                    if self._literal_removable(index, var, phase):
-                        cube = cube.without_var(var)
-                        self.region[index] = cube
-                        self._install_cube_gate(index, cube)
-                        self.removed += 1
-                        changed = True
-                if len(self.region) > 1 and self._cube_removable(index):
-                    del self.region[index]
-                    self._drop_cube_gate(index)
-                    self.removed += 1
-                    changed = True
-        return Cover(
-            len(self.shared),
-            tuple(self.region[i] for i in sorted(self.region)),
-        )
-
-
 def _clean_cover(
     network: Network,
     f_name: str,
@@ -187,7 +82,21 @@ def _clean_cover(
     config: DivisionConfig,
     budget,
 ) -> Tuple[Cover, int]:
-    """ATPG-clean a candidate cover; returns (cover, removals)."""
+    """ATPG-clean a candidate cover; returns (cover, removals).
+
+    Excitation-only redundancy removal: the division engine's
+    :class:`~repro.core.division.RegionRemover` tests faults under the
+    full division context (divisor phase, remainder cubes), but here
+    the candidate *is* the whole function, so the mandatory
+    assignments are just the excitation-and-local-propagation
+    conditions at the target's OR: the faulty cube's surviving
+    literals at their phases, every other cube at 0, and — for a
+    literal stuck-at-1 — the dropped literal's divisor at the opposite
+    phase.  A conflict, propagated through the divisors' gates, proves
+    the fault untestable at the target and therefore at every PO:
+    removal is sound regardless of what the exact validation later
+    decides.
+    """
     if not divisors or cover.is_zero():
         return cover, 0
     if cover.num_cubes() > config.max_region_cubes:
@@ -197,9 +106,22 @@ def _clean_cover(
         # arise; skip building the circuit.
         return cover, 0
     circuit = build_analysis_circuit(network, f_name, list(divisors), config)
-    cleaner = _CoverCleaner(circuit, f_name, divisors, cover, config, budget)
-    cleaned = cleaner.run()
-    return cleaned, cleaner.removed
+    remover = RegionRemover(
+        circuit=circuit,
+        f_name=f_name,
+        shared=list(divisors),
+        region=dict(enumerate(cover.cubes)),
+        remainder_signals=[],
+        divisor_assignment=None,
+        config=config,
+        budget=budget,
+    )
+    remover.run()
+    cleaned = Cover(
+        len(divisors),
+        tuple(remover.region[i] for i in sorted(remover.region)),
+    )
+    return cleaned, remover.wires_removed + remover.cubes_removed
 
 
 def _validate_exact(

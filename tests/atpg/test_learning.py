@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atpg.implication import Conflict, ImplicationEngine
-from repro.atpg.learning import learn_implications
+from repro.atpg.implication import learn_implications
 from repro.circuit.circuit import Circuit
 
 

@@ -1,7 +1,7 @@
 """Smoke benchmark: disabled tracing costs < 2% (``bench_smoke``).
 
-Writes ``benchmarks/results/BENCH_obs_overhead.json`` and asserts the
-analytic overhead bound (span count × measured null-span cost, over
+Writes its report and history record under ``tmp_path`` and asserts
+the analytic overhead bound (span count × measured null-span cost, over
 the disabled run's wall time) stays under the 2% acceptance criterion,
 plus byte-identical output between disabled and enabled runs.
 """
@@ -18,7 +18,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 from repro.bench.obsbench import (
-    DEFAULT_RESULT_PATH,
     LIVE_OVERHEAD_BOUND,
     OVERHEAD_BOUND,
     bus_event_cost,
@@ -29,8 +28,13 @@ from repro.bench.obsbench import (
 
 
 @pytest.mark.bench_smoke
-def test_disabled_tracer_overhead_under_bound_on_rnd8():
-    report = run_obs_overhead_benchmark(circuits=("rnd8",))
+def test_disabled_tracer_overhead_under_bound_on_rnd8(tmp_path):
+    result_path = tmp_path / "BENCH_obs_overhead.json"
+    report = run_obs_overhead_benchmark(
+        circuits=("rnd8",),
+        result_path=result_path,
+        history_path=tmp_path / "history.jsonl",
+    )
     assert report["all_outputs_identical"]
     assert report["max_overhead_bound"] < OVERHEAD_BOUND, (
         f"disabled tracing bound {report['max_overhead_bound']:.4%} "
@@ -40,7 +44,7 @@ def test_disabled_tracer_overhead_under_bound_on_rnd8():
         f"enabled-bus bound {report['max_live_overhead_bound']:.4%} "
         f"exceeds {LIVE_OVERHEAD_BOUND:.0%}"
     )
-    on_disk = json.loads(DEFAULT_RESULT_PATH.read_text())
+    on_disk = json.loads(result_path.read_text())
     assert on_disk["benchmark"] == "obs_overhead"
     row = on_disk["circuits"][0]
     assert row["circuit"] == "rnd8"

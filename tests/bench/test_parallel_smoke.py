@@ -35,6 +35,7 @@ from repro.network.blif import to_blif_str
 
 
 @pytest.mark.bench_smoke
+@pytest.mark.usefixtures("pool_for_every_run")
 def test_parallel_parity_on_rnd8():
     comparison = compare_on(build_benchmark("rnd8"), BASIC, job_counts=(4,))
     assert comparison["output_identical"]
@@ -73,6 +74,7 @@ def test_jobs2_protocol_overhead_within_ceiling():
 
 
 @pytest.mark.bench_smoke
+@pytest.mark.usefixtures("pool_for_every_run")
 def test_per_batch_wire_cost_is_amortized():
     """The persistent pool ships the snapshot once per run; the
     batch-scoped protocol it replaced paid the full snapshot for every
@@ -100,7 +102,10 @@ def test_per_batch_wire_cost_is_amortized():
 @pytest.mark.bench_smoke
 def test_benchmark_report_written(tmp_path):
     out = tmp_path / "BENCH_parallel.json"
-    report = run_parallel_benchmark(["rnd1", "rnd3"], BASIC, (2,), out)
+    report = run_parallel_benchmark(
+        ["rnd1", "rnd3"], BASIC, (2,), out,
+        history_path=tmp_path / "history.jsonl",
+    )
     assert out.exists()
     on_disk = json.loads(out.read_text())
     assert on_disk["all_output_identical"] is True

@@ -35,7 +35,10 @@ def test_sim_filter_speedup_on_rnd8(tmp_path):
 @pytest.mark.bench_smoke
 def test_benchmark_report_written(tmp_path):
     out = tmp_path / "BENCH_sim_filter.json"
-    report = run_sim_filter_benchmark(["rnd1", "rnd3"], BASIC, out)
+    report = run_sim_filter_benchmark(
+        ["rnd1", "rnd3"], BASIC, out,
+        history_path=tmp_path / "history.jsonl",
+    )
     assert out.exists()
     on_disk = json.loads(out.read_text())
     assert on_disk["all_literal_parity"] is True

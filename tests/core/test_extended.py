@@ -217,3 +217,29 @@ class TestPosExtendedSubstitution:
         net = pos_fat()
         stats = substitute_network(net, BASIC)
         assert stats.literals_after == stats.literals_before
+
+
+class TestVoteSpan:
+    def test_traced_run_attributes_the_vote_table(self):
+        from repro.core.substitution import substitute_network
+        from repro.network.blif import to_blif_str
+        from repro.obs.tracer import Tracer
+
+        plain = fat()
+        substitute_network(plain, EXTENDED)
+        traced = fat()
+        tracer = Tracer()
+        substitute_network(traced, EXTENDED, tracer=tracer)
+        assert to_blif_str(traced) == to_blif_str(plain)
+        votes = [e for e in tracer.events if e["kind"] == "vote"]
+        assert votes
+        for event in votes:
+            attrs = event["attrs"]
+            assert attrs["form"] in ("sop", "pos")
+            assert isinstance(attrs["f"], str)
+            assert 0 <= attrs["candidates"] <= attrs["wires"]
+        # The vote table's implications run under the vote span, not
+        # under a pass's self time.
+        by_id = {e["id"]: e for e in tracer.events}
+        assert all(by_id[e["parent"]]["kind"] == "pass" for e in votes)
+        assert any(e["attrs"]["candidates"] > 0 for e in votes)

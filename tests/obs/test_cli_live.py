@@ -70,6 +70,7 @@ class TestLiveGoldenParity:
         assert "run" in kinds
         assert "resource_sample" in kinds
 
+    @pytest.mark.usefixtures("pool_for_every_run")
     def test_full_telemetry_process_pool_matches_golden(self, tmp_path):
         out = tmp_path / "out.blif"
         trace = tmp_path / "run.jsonl"
@@ -115,6 +116,7 @@ class TestLiveGoldenParity:
             assert record["v"] == 1
             assert record["pairs_done"] > 0
 
+    @pytest.mark.usefixtures("pool_for_every_run")
     def test_streamed_trace_has_unique_proc_id_keys(self, tmp_path):
         trace = tmp_path / "run.jsonl"
         assert _optimize(

@@ -68,6 +68,7 @@ def test_serial_trace_schema_and_span_kinds(tmp_path):
             assert (event["proc"], event["parent"]) in ids
 
 
+@pytest.mark.usefixtures("pool_for_every_run")
 def test_parallel_trace_merges_worker_spans(tmp_path):
     blif_serial, _ = _run_cli(tmp_path, "serial")
     blif_parallel, events = _run_cli(tmp_path, "parallel", "-j", "2")
@@ -177,3 +178,25 @@ def test_stats_json_carries_metrics_snapshot(tmp_path):
     metrics = report["metrics"]
     assert set(metrics) == {"counters", "gauges", "timings"}
     assert "substitution.attempts" in metrics["counters"]
+
+
+def test_in_process_runs_sharing_a_trace_keep_unique_keys():
+    """Several in-process parallel runs traced into one tracer (as a
+    benchmark process does) merge worker spans under distinct labels."""
+    import dataclasses
+
+    from repro.bench.suite import build_benchmark
+    from repro.core.config import BASIC
+    from repro.core.substitution import substitute_network
+    from repro.obs.tracer import Tracer
+
+    config = dataclasses.replace(BASIC, parallel_backend="serial")
+    tracer = Tracer()
+    for _ in range(2):
+        substitute_network(
+            build_benchmark("rnd1"), config, n_jobs=2, tracer=tracer
+        )
+    workers = {e["proc"] for e in tracer.events if e["proc"] != "main"}
+    assert len(workers) == 2
+    keys = [(e["proc"], e["id"]) for e in tracer.events]
+    assert len(keys) == len(set(keys))

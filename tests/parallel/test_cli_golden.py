@@ -19,6 +19,7 @@ from repro.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+@pytest.mark.usefixtures("pool_for_every_run")
 def test_jobs2_matches_committed_serial_golden(tmp_path):
     out = tmp_path / "parallel.blif"
     stats_path = tmp_path / "stats.json"

@@ -183,3 +183,31 @@ class TestEndToEndInvalidation:
         assert len(set(pairs)) == len(pairs)
         internal = {n.name for n in net.internal_nodes()}
         assert all(f in internal and d in internal for f, d in pairs)
+
+    def test_commit_loop_reuses_enumeration_until_first_commit(
+        self, monkeypatch
+    ):
+        """On a network already at its fixpoint nothing commits, so the
+        speculative run lists each dividend's divisors once — in the
+        enumeration — as a serial run does."""
+        from repro.core import substitution
+
+        config = dataclasses.replace(BASIC, parallel_backend="serial")
+        calls = []
+        real = substitution._candidate_divisors
+        monkeypatch.setattr(
+            substitution,
+            "_candidate_divisors",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        counts = {}
+        for n_jobs in (1, 2):
+            net = planted_network("fixpoint", seed=11, n_pis=9,
+                                  n_divisors=3, n_targets=5)
+            substitute_network(net, config)  # to its fixpoint
+            calls.clear()
+            stats = substitute_network(net, config, n_jobs=n_jobs)
+            assert stats.accepted == 0
+            counts[n_jobs] = len(calls)
+        assert counts[1] > 0
+        assert counts[2] == counts[1]

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.bench.generators import planted_network
+from repro.bench.suite import build_benchmark
 from repro.core.config import BASIC
 from repro.parallel.engine import enumerate_candidate_pairs, shard_pairs
+from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
+    AUTO_POOL_MIN_PAIRS,
     ProcessExecutor,
     SerialExecutor,
     make_executor,
+    resolve_backend,
 )
 from repro.parallel.worker import make_payload
 from repro.resilience import inject
@@ -111,3 +115,31 @@ class TestMakeExecutor:
         payload, _ = _payload()
         with pytest.raises(ValueError):
             make_executor(payload, 2, "threads")
+
+
+class TestResolveBackend:
+    def test_auto_spawns_the_pool_only_for_enough_pairs(self, monkeypatch):
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
+        small = AUTO_POOL_MIN_PAIRS - 1
+        assert resolve_backend("auto", pairs=small) == "serial"
+        assert resolve_backend("auto", pairs=AUTO_POOL_MIN_PAIRS) == "process"
+        assert resolve_backend("auto") == "process"
+
+    def test_auto_stays_in_process_on_one_core(self, monkeypatch):
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        assert resolve_backend("auto", pairs=10 * AUTO_POOL_MIN_PAIRS) == (
+            "serial"
+        )
+
+    def test_protocol_overhead_circuits_stay_in_process(self, monkeypatch):
+        """The smoke gate's 1.15x ceiling times the in-process protocol
+        (tests/bench/test_parallel_smoke.py), so its circuits must fall
+        below the cut-off."""
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
+        for name in ("rnd8", "add10", "pri10"):
+            pairs = enumerate_candidate_pairs(build_benchmark(name), BASIC)
+            assert resolve_backend("auto", pairs=len(pairs)) == "serial"
+
+    def test_explicit_backends_ignore_the_pair_count(self):
+        assert resolve_backend("process", pairs=1) == "process"
+        assert resolve_backend("serial", pairs=10**6) == "serial"
