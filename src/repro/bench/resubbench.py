@@ -86,9 +86,11 @@ def compare_engines(
         # The standing correctness oracle: both engines' outputs must
         # be exactly equivalent to the untouched input (and therefore
         # to each other).
-        "division_equivalent": exact_equivalent(reference, division_net),
-        "simguided_equivalent": exact_equivalent(
-            reference, simguided_net
+        "division_equivalent": bool(
+            exact_equivalent(reference, division_net)
+        ),
+        "simguided_equivalent": bool(
+            exact_equivalent(reference, simguided_net)
         ),
         "divide_calls_saved": division["divide_calls"]
         - simguided["divide_calls"],

@@ -156,11 +156,14 @@ def _optimize_main(argv: List[str]) -> int:
         default=None,
         choices=["auto", "bdd", "sat"],
         help=(
-            "exact-equivalence backend for the final check and "
-            "--verify-commits spot checks: bdd builds output-cone "
-            "ROBDDs, sat solves a CNF miter with the CDCL engine, "
-            "auto (default) picks BDDs up to 16 inputs and SAT above "
-            "— verification choice never changes the optimized output"
+            "exact-equivalence backend for the final check and every "
+            "exact check of the run (--verify-commits full checks, "
+            "simguided validation): bdd builds output-cone ROBDDs, "
+            "sat solves a budgeted CNF miter with the CDCL engine, "
+            "auto (default) picks BDDs up to 16 inputs and SAT above; "
+            "a SAT proof that cannot complete counts as not equal, so "
+            "the choice can change the output (a commit rolls back) "
+            "or fail the final check"
         ),
     )
     parser.add_argument(
@@ -372,15 +375,28 @@ def _optimize_main(argv: List[str]) -> int:
         if not args.no_verify:
             from repro.obs.tracer import as_tracer
 
-            backend = args.verify_backend or "auto"
             with as_tracer(tracer).span(
-                "verify", check="final-equivalence", backend=backend
+                "verify", check="final-equivalence"
             ) as verify_span:
-                ok = exact_equivalent(
-                    reference, network, backend=backend, tracer=tracer
+                verdict = exact_equivalent(
+                    reference,
+                    network,
+                    backend=args.verify_backend or "auto",
+                    tracer=tracer,
                 )
-                verify_span.annotate(ok=ok)
-            if not ok:
+                verify_span.annotate(
+                    backend=verdict.backend,
+                    status=verdict.status,
+                    ok=bool(verdict),
+                )
+            if not verdict.complete:
+                print(
+                    "ERROR: equivalence unknown: the SAT proof ran out "
+                    "of its conflict budget; no output written",
+                    file=sys.stderr,
+                )
+                return 1
+            if not verdict:
                 print(
                     "ERROR: optimized network is NOT equivalent",
                     file=sys.stderr,

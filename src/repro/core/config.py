@@ -71,34 +71,32 @@ class DivisionConfig:
     exact_clique_limit: int = 30
 
     #: Oracle mode: when the implication test fails to prove a wire
-    #: removable, additionally check with a BDD network-equivalence
-    #: oracle whether removing it preserves every primary output
-    #: (i.e. use the *complete* internal don't-care set, SDCs and
-    #: ODCs).  Quality upper bound for the implication dial; very
-    #: slow, used by the ablation benches only.
+    #: removable, additionally check with the exact equivalence
+    #: verdict (``verify_backend``) whether removing it preserves every
+    #: primary output (i.e. use the *complete* internal don't-care
+    #: set, SDCs and ODCs); an unknown verdict keeps the wire.  Quality
+    #: upper bound for the implication dial; very slow, used by the
+    #: ablation benches only.
     oracle_dc: bool = False
 
-    #: Verify every accepted rewrite by random simulation (cheap) —
-    #: a belt-and-braces guard; the test suite uses BDDs instead.
-    verify_with_simulation: bool = False
-
-    #: Exact-equivalence backend for commit spot-checks and final
-    #: verification: "bdd" builds ROBDDs of every PO cone (the
-    #: historical oracle, exact up to ~24 PIs then degrading to a wide
-    #: random screen), "sat" solves a CNF miter with the CDCL engine
-    #: (:mod:`repro.sat`), and "auto" picks BDDs up to
-    #: ``sat_pi_threshold`` inputs and SAT above — the threshold where
-    #: BDD cones start blowing up and exhaustive methods are out.
+    #: Backend of every exact equivalence check in a run — the
+    #: ``verify_commits`` full checks, simguided validation and the
+    #: ``oracle_dc`` oracle (see
+    #: :func:`~repro.network.verify.exact_equivalent`): "bdd" builds
+    #: ROBDDs of every PO cone, "sat" solves a CNF miter with the CDCL
+    #: engine (:mod:`repro.sat`), and "auto" picks BDDs up to
+    #: :data:`~repro.network.verify.SAT_PI_THRESHOLD` (16) inputs and
+    #: SAT above.  Both backends prove; only a SAT solve can end
+    #: unknown (see ``sat_conflict_budget``), so the choice can change
+    #: the output when a proof does not complete.
     verify_backend: str = "auto"
 
-    #: Conflict budget per SAT solve; an exhausted search reports
-    #: ``complete=False`` and the caller falls back conservatively
-    #: (same contract as the D-alg backtrack budget).
+    #: Conflict budget per SAT solve.  An exhausted search is an
+    #: *unknown* verdict, never treated as equal: the commit ledger
+    #: rolls the commit back and quarantines the pair, simguided
+    #: rejects the candidate, and the ``oracle_dc`` oracle keeps the
+    #: wire (same contract as the D-alg backtrack budget).
     sat_conflict_budget: int = 100_000
-
-    #: PI count above which ``verify_backend="auto"`` switches from
-    #: BDDs to the SAT miter.
-    sat_pi_threshold: int = 16
 
     #: Prune division candidates with bit-parallel simulation
     #: signatures (see :mod:`repro.sim`).  The filter is sound — it
@@ -172,9 +170,9 @@ class DivisionConfig:
     #: :mod:`repro.resilience.checkpoint`).
     verify_commits: bool = False
 
-    #: With ``verify_commits``, run the exact (BDD / wide-simulation)
-    #: equivalence check every this-many commits; the others use the
-    #: cheap signature/simulation screen.
+    #: With ``verify_commits``, run the exact equivalence check
+    #: (``verify_backend``) every this-many commits; the others use
+    #: the cheap signature/simulation screen.
     verify_full_every: int = 16
 
     #: Failed speculative work batches are re-dispatched onto a fresh
@@ -281,8 +279,6 @@ class DivisionConfig:
             )
         if self.sat_conflict_budget < 0:
             raise ValueError("sat_conflict_budget must be >= 0")
-        if self.sat_pi_threshold < 0:
-            raise ValueError("sat_pi_threshold must be >= 0")
         if self.max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
         if self.pipeline_depth < 1:
@@ -310,8 +306,8 @@ EXTENDED_GDC = DivisionConfig(mode="extended", global_dc=True, learn_depth=1)
 SIMGUIDED = DivisionConfig(method="simguided")
 
 #: Oracle upper bound: extended division where every failed
-#: implication test is retried against a complete-don't-care BDD
-#: oracle.  Not one of the paper's configurations — used to measure
+#: implication test is retried against a complete-don't-care exact
+#: equivalence oracle.  Not one of the paper's configurations — used to measure
 #: how much of the full Boolean potential the implications capture.
 ORACLE = DivisionConfig(
     mode="extended", global_dc=True, learn_depth=1, oracle_dc=True

@@ -534,7 +534,7 @@ def _boolean_divide_impl(
             and substitute_as is None
             and len(network.pis) <= 20
         ):
-            from repro.network.verify import networks_equivalent
+            from repro.network.verify import exact_equivalent
 
             reference = network.copy("oracle-reference")
 
@@ -547,7 +547,17 @@ def _boolean_divide_impl(
                 saved = (list(f_node.fanins), f_node.cover)
                 try:
                     f_node.set_function(new_fanins, cover)
-                    return networks_equivalent(reference, network)
+                    # Only a proof of equality removes the wire; an
+                    # unknown keeps it.
+                    return bool(
+                        exact_equivalent(
+                            reference,
+                            network,
+                            backend=config.verify_backend,
+                            conflict_budget=config.sat_conflict_budget,
+                            tracer=tracer,
+                        )
+                    )
                 finally:
                     f_node.set_function(*saved)
 

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.factor import factored_literals, network_literals
 from repro.network.network import Network
-from repro.network.verify import simulate_equivalent_prescreened
 from repro.core.config import DivisionConfig
 from repro.core.division import (
     apply_division,
@@ -110,10 +109,10 @@ class SubstitutionStats:
     commits_rolled_back: int = 0
     pairs_quarantined: int = 0
     #: SAT-backend work done by the run's exact checks (the commit
-    #: ledger's full checks under ``verify_backend="sat"``/"auto").
-    #: Deterministic for a fixed (circuit, config, code) triple — the
-    #: CDCL engine has no randomness — so they regression-gate exactly
-    #: like ``divide_calls``.
+    #: ledger's full checks and simguided validation, through
+    #: :meth:`add_solver_work`).  Deterministic for a fixed (circuit,
+    #: config, code) triple — the CDCL engine has no randomness — so
+    #: they regression-gate exactly like ``divide_calls``.
     sat_solves: int = 0
     sat_conflicts: int = 0
     sat_decisions: int = 0
@@ -158,6 +157,17 @@ class SubstitutionStats:
     #: Budget summary when the run carried a
     #: :class:`~repro.resilience.budget.RunBudget` (else ``None``).
     budget_report: Optional[BudgetReport] = None
+
+    def add_solver_work(self, verdict) -> None:
+        """Count one exact verdict's SAT solve (a BDD verdict adds
+        nothing)."""
+        if verdict.backend != "sat":
+            return
+        self.sat_solves += 1
+        self.sat_conflicts += verdict.conflicts
+        self.sat_decisions += verdict.decisions
+        self.sat_propagations += verdict.propagations
+        self.sat_learned += verdict.learned
 
     def improvement(self) -> float:
         if self.literals_before == 0:
@@ -245,7 +255,6 @@ def _try_extended(
     divisors: List[str],
     config: DivisionConfig,
     stats: SubstitutionStats,
-    reference: Optional[Network],
     form: str = "sop",
     sim_filter=None,
     budget=None,
@@ -312,15 +321,8 @@ def _try_extended(
             snapshot = _Snapshot(network, [f_name])
             apply_division(network, result)
             _note_mutation(sim_filter, [f_name])
-            if not _verify_ok(
-                network, reference, config, sim_filter, tracer
-            ):
-                snapshot.restore()
-                _note_mutation(sim_filter, [f_name])
-                commit_span.annotate(accepted=False)
-                return False
-            if ledger is not None and not _ledger_verify(
-                ledger, network, f_name, d_name, tracer
+            if ledger is not None and not ledger.verify_commit(
+                network, f_name, d_name, tracer
             ):
                 snapshot.restore()
                 _note_mutation(sim_filter, [f_name])
@@ -374,15 +376,13 @@ def _try_extended(
             + factored_literals(network.nodes[d_name].cover)
             + factored_literals(network.nodes[core_name].cover)
         )
-        if after_total >= before_total or not _verify_ok(
-            network, reference, config, sim_filter, tracer
-        ):
+        if after_total >= before_total:
             snapshot.restore()
             _note_mutation(sim_filter, [f_name, d_name, core_name])
             commit_span.annotate(accepted=False)
             return False
-        if ledger is not None and not _ledger_verify(
-            ledger, network, f_name, d_name, tracer
+        if ledger is not None and not ledger.verify_commit(
+            network, f_name, d_name, tracer
         ):
             snapshot.restore()
             _note_mutation(sim_filter, [f_name, d_name, core_name])
@@ -399,39 +399,10 @@ def _try_extended(
         return True
 
 
-def _verify_ok(
-    network: Network,
-    reference: Optional[Network],
-    config: DivisionConfig,
-    sim_filter=None,
-    tracer=NULL_TRACER,
-) -> bool:
-    if not config.verify_with_simulation or reference is None:
-        return True
-    sim = sim_filter.sim if sim_filter is not None else None
-    with tracer.span("verify", check="simulation") as span:
-        ok = simulate_equivalent_prescreened(reference, network, sim)
-        span.annotate(ok=ok)
-        return ok
-
-
-def _ledger_verify(
-    ledger, network: Network, f_name: str, d_name: str, tracer
-) -> bool:
-    """One transactional commit check, recorded as a ``verify`` span."""
-    with tracer.span(
-        "verify", check="ledger", f=f_name, d=d_name
-    ) as span:
-        ok = ledger.verify_commit(network, f_name, d_name)
-        span.annotate(ok=ok)
-        return ok
-
-
 def substitute_pass(
     network: Network,
     config: DivisionConfig,
     stats: Optional[SubstitutionStats] = None,
-    reference: Optional[Network] = None,
     sim_filter=None,
     store=None,
     budget=None,
@@ -474,8 +445,8 @@ def substitute_pass(
     accepted_before = stats.accepted
     try:
         _run_pass(
-            network, config, stats, reference, sim_filter, store,
-            budget, ledger, as_tracer(tracer),
+            network, config, stats, sim_filter, store, budget, ledger,
+            as_tracer(tracer),
         )
     except BudgetExhausted:
         # Clean stop: every commit so far is applied (and verified, in
@@ -488,7 +459,6 @@ def _run_pass(
     network: Network,
     config: DivisionConfig,
     stats: SubstitutionStats,
-    reference: Optional[Network],
     sim_filter,
     store,
     budget,
@@ -622,15 +592,8 @@ def _run_pass(
                     snapshot = _Snapshot(network, [f_name])
                     apply_division(network, result)
                     _note_mutation(sim_filter, [f_name])
-                    if not _verify_ok(
-                        network, reference, config, sim_filter, tracer
-                    ):
-                        snapshot.restore()
-                        _note_mutation(sim_filter, [f_name])
-                        commit_span.annotate(accepted=False)
-                        continue
-                    if ledger is not None and not _ledger_verify(
-                        ledger, network, f_name, d_name, tracer
+                    if ledger is not None and not ledger.verify_commit(
+                        network, f_name, d_name, tracer
                     ):
                         snapshot.restore()
                         _note_mutation(sim_filter, [f_name])
@@ -663,7 +626,6 @@ def _run_pass(
                     divisors,
                     config,
                     stats,
-                    reference,
                     sim_filter=sim_filter,
                     budget=budget,
                     ledger=ledger,
@@ -692,7 +654,6 @@ def _run_pass(
                     divisors,
                     config,
                     stats,
-                    reference,
                     form="pos",
                     sim_filter=sim_filter,
                     budget=budget,
@@ -771,9 +732,7 @@ def substitute_network(
     if budget is None:
         budget = RunBudget.from_config(config)
     stats.literals_before += network_literals(network)
-    if (
-        config.verify_with_simulation or config.verify_commits
-    ) and reference is None:
+    if config.verify_commits and reference is None:
         reference = network.copy("reference")
     gc_before = resource_mod.gc_collections_total()
     start = time.perf_counter()
@@ -787,7 +746,7 @@ def substitute_network(
         sim_filter = DivisorFilter(network, config)
     ledger = None
     if config.verify_commits:
-        ledger = CommitLedger(reference, config, sim_filter)
+        ledger = CommitLedger(reference, config, stats, sim_filter)
     engine = None
     if config.n_jobs > 1:
         # Lazy for the same circularity reason as the filter above.
@@ -817,7 +776,6 @@ def substitute_network(
                             network,
                             config,
                             stats,
-                            reference,
                             sim_filter=sim_filter,
                             store=store,
                             budget=budget,
@@ -867,16 +825,6 @@ def substitute_network(
             stats.parallel_phase_seconds[phase] = (
                 stats.parallel_phase_seconds.get(phase, 0.0) + seconds
             )
-    if ledger is not None:
-        stats.commits_verified += ledger.verified
-        stats.commits_rolled_back += ledger.rolled_back
-        stats.pairs_quarantined += len(ledger.quarantined)
-        stats.incidents.extend(ledger.incidents)
-        stats.sat_solves += ledger.sat_solves
-        stats.sat_conflicts += ledger.sat_conflicts
-        stats.sat_decisions += ledger.sat_decisions
-        stats.sat_propagations += ledger.sat_propagations
-        stats.sat_learned += ledger.sat_learned
     if budget is not None:
         stats.atpg_incomplete += (
             budget.atpg_incomplete - atpg_incomplete_before

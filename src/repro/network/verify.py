@@ -1,26 +1,29 @@
 """Functional verification of networks.
 
-Three independent mechanisms:
+Three mechanisms:
 
 * :func:`simulate_equivalent` — fast bit-parallel random simulation;
-  used inside optimization passes as a cheap sanity screen.
+  a cheap screen (a mismatch proves inequivalence, agreement proves
+  nothing), used for the commit ledger's spot checks.
 * :func:`networks_equivalent` — exact equivalence by building ROBDDs of
   every primary-output cone over the primary inputs; used by the test
   suite as the oracle for every rewrite.
-* :func:`exact_equivalent` — the backend dispatcher: BDDs for small
-  input counts, the SAT miter (:mod:`repro.sat`) above
-  :data:`SAT_PI_THRESHOLD`, selectable through
-  ``DivisionConfig.verify_backend``.  This is what lifts the ~16-input
-  wall on ``--verify-commits`` spot checks and final verification.
+* :func:`exact_equivalent` — the one exact verdict of the optimizer:
+  it picks BDDs or the SAT miter (:mod:`repro.sat`) and returns a
+  three-valued :class:`~repro.sat.check.Verdict` that records its
+  backend.  Every exact check in the program goes through it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.bdd import BddManager
 from repro.network.network import Network
+
+if TYPE_CHECKING:
+    from repro.sat.check import Verdict
 
 
 def network_output_bdds(
@@ -81,9 +84,7 @@ def networks_equivalent(a: Network, b: Network) -> bool:
 
 
 #: PI count above which ``backend="auto"`` stops building BDD cones
-#: and hands the miter to the SAT engine instead.  Mirrors
-#: ``DivisionConfig.sat_pi_threshold``; callers with a config pass its
-#: value through.
+#: and hands the miter to the SAT engine instead.
 SAT_PI_THRESHOLD = 16
 
 
@@ -91,37 +92,38 @@ def exact_equivalent(
     a: Network,
     b: Network,
     backend: str = "auto",
-    sat_pi_threshold: int = SAT_PI_THRESHOLD,
     conflict_budget: Optional[int] = None,
     tracer=None,
-) -> bool:
+) -> "Verdict":
     """Exact combinational equivalence through the selected backend.
 
-    ``backend="bdd"`` forces :func:`networks_equivalent`;
-    ``backend="sat"`` forces the CNF miter; ``"auto"`` uses BDDs up to
-    *sat_pi_threshold* primary inputs (where cones are cheap and the
-    answer is instant) and SAT above.  A SAT solve that exhausts its
-    conflict budget (``complete=False``) falls back to a wide random
-    screen — the same degradation the pre-SAT code applied beyond 24
-    inputs — so this function always terminates with a verdict; only
-    an exhausted-budget path is probabilistic, and the span/counters
-    record when that happened.
+    ``backend="bdd"`` runs :func:`networks_equivalent`;
+    ``backend="sat"`` solves the CNF miter under *conflict_budget*
+    (``None``: :data:`repro.sat.check.DEFAULT_CONFLICT_BUDGET`);
+    ``"auto"`` uses BDDs up to :data:`SAT_PI_THRESHOLD` primary inputs
+    (where cones are cheap and the answer is instant) and SAT above.
+
+    The returned verdict is truthy only for a completed proof of
+    equality.  A SAT solve that exhausts its budget returns an
+    ``unknown`` verdict, never a guess; each caller decides what an
+    unknown costs it (roll back, reject, keep the wire, fail the run).
+    No span is opened here: a SAT solve records its own ``sat_solve``
+    span directly under the caller's span.
     """
     if backend not in ("auto", "bdd", "sat"):
         raise ValueError(f"unknown verify backend {backend!r}")
-    n_pis = len(set(a.pis) | set(b.pis))
-    if backend == "bdd" or (backend == "auto" and n_pis <= sat_pi_threshold):
-        return networks_equivalent(a, b)
-    from repro.sat.check import DEFAULT_CONFLICT_BUDGET, sat_equivalent
+    from repro.sat import check  # lazy: repro.sat imports repro.network
 
+    if backend == "auto":
+        n_pis = len(set(a.pis) | set(b.pis))
+        backend = "bdd" if n_pis <= SAT_PI_THRESHOLD else "sat"
+    if backend == "bdd":
+        return check.Verdict(networks_equivalent(a, b), backend="bdd")
     if conflict_budget is None:
-        conflict_budget = DEFAULT_CONFLICT_BUDGET
-    verdict = sat_equivalent(
+        conflict_budget = check.DEFAULT_CONFLICT_BUDGET
+    return check.sat_equivalent(
         a, b, conflict_budget=conflict_budget, tracer=tracer
     )
-    if verdict.complete:
-        return bool(verdict.verdict)
-    return simulate_equivalent(a, b, patterns=2048)
 
 
 def simulate_equivalent(

@@ -55,7 +55,7 @@ SPAN_KINDS = frozenset(
         "divide",     # one boolean_divide invocation
         "atpg",       # one redundancy-removal loop (region or generic)
         "commit",     # apply + accept bookkeeping of one rewrite
-        "verify",     # an equivalence check (per-commit or ledger)
+        "verify",     # an equivalence check (ledger commit or final)
         "sat_solve",  # one CDCL solve (equivalence or fault miter)
         "worker_batch",  # one shard evaluated by a worker context
         "resub_window",    # simguided: divisor window for one target

@@ -7,26 +7,27 @@ and the :class:`CommitLedger` spot-checks the whole network against the
 pre-optimization reference before the commit is kept.  The spot check
 is the cheap maintained-signature / random-simulation screen
 (:func:`~repro.network.verify.simulate_equivalent_prescreened`); every
-``verify_full_every``-th commit is instead checked *exactly* (BDD
-equivalence for networks with few inputs, a much wider random screen
-otherwise).
+``verify_full_every``-th commit is instead checked *exactly* through
+:func:`~repro.network.verify.exact_equivalent` (``verify_backend``).
+A commit is kept on an exact check only when the verdict proves
+equality: a difference and an unknown (exhausted SAT budget) both roll
+it back.
 
-A miscompare rolls the commit back, quarantines the (dividend,
-divisor) pair for the rest of the run — the pair is never evaluated or
-served from the speculative store again — and appends a structured
-incident record (a JSON-ready dict) that surfaces through
-``SubstitutionStats.incidents`` and the CLI's ``--stats-json``.
+A rollback quarantines the (dividend, divisor) pair for the rest of
+the run — the pair is never evaluated or served from the speculative
+store again — and appends a structured incident record (a JSON-ready
+dict) that surfaces through ``SubstitutionStats.incidents`` and the
+CLI's ``--stats-json``.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.network.network import Network
 from repro.network.verify import (
-    networks_equivalent,
-    simulate_equivalent,
+    exact_equivalent,
     simulate_equivalent_prescreened,
 )
 
@@ -34,43 +35,28 @@ logger = logging.getLogger("repro.resilience")
 
 Pair = Tuple[str, str]
 
-#: With ``verify_backend="bdd"``: PI count up to which the periodic
-#: full check builds exact BDDs; wider networks fall back to a
-#: high-pattern random screen.  The "auto"/"sat" backends stay exact
-#: at any width through the CNF miter instead (see
-#: :func:`~repro.network.verify.exact_equivalent`).
-_EXACT_PI_LIMIT = 24
-
 
 class CommitLedger:
     """Commit verification, rollback bookkeeping, and quarantine.
 
     The ledger never mutates the network itself — the substitution
     loop owns the undo buffer and calls :meth:`quarantine` after it has
-    restored the snapshot, so the ledger's counters always describe
-    completed rollbacks.
+    restored the snapshot, so the rollback counts always describe
+    completed rollbacks.  Checks, rollbacks, incidents and the exact
+    checks' solver work are recorded straight into the run's *stats*
+    (a :class:`~repro.core.substitution.SubstitutionStats`).
     """
 
-    def __init__(self, reference: Network, config, sim_filter=None):
+    def __init__(self, reference: Network, config, stats, sim_filter=None):
         self.reference = reference
         self.config = config
+        self.stats = stats
         self.sim_filter = sim_filter
         self.quarantined: Set[Pair] = set()
-        self.incidents: List[Dict[str, object]] = []
         #: Commits seen (drives the every-K full-check cadence).
         self.commits = 0
-        #: Verification checks actually run.
-        self.verified = 0
-        #: Commits rolled back after a failed check.
-        self.rolled_back = 0
         self._last_check = "none"
-        #: SAT-backend work done by this ledger's full checks
-        #: (absorbed into ``SubstitutionStats.sat_*`` at run end).
-        self.sat_solves = 0
-        self.sat_conflicts = 0
-        self.sat_decisions = 0
-        self.sat_propagations = 0
-        self.sat_learned = 0
+        self._last_status = "none"
 
     # ------------------------------------------------------------------
     # Queries
@@ -82,52 +68,44 @@ class CommitLedger:
     # Verification
     # ------------------------------------------------------------------
     def verify_commit(
-        self, network: Network, f_name: str, d_name: str
+        self, network: Network, f_name: str, d_name: str, tracer
     ) -> bool:
-        """Check the just-applied commit; False means roll it back."""
+        """Check the just-applied commit under one ``verify`` span;
+        False means roll it back.
+
+        The span records the backend (``bdd``/``sat`` for an exact
+        check, ``simulation`` for the screen) and the status.  A
+        passing screen proves nothing, so its status is ``unknown``;
+        a failing one has found a distinguishing pattern
+        (``different``).
+        """
         self.commits += 1
-        self.verified += 1
-        if self.commits % self.config.verify_full_every == 0:
-            self._last_check = "exact"
-            return self._full_check(network)
-        self._last_check = "simulation"
-        sim = self.sim_filter.sim if self.sim_filter is not None else None
-        return simulate_equivalent_prescreened(
-            self.reference, network, sim
-        )
-
-    def _full_check(self, network: Network) -> bool:
-        backend = getattr(self.config, "verify_backend", "auto")
-        n_pis = len(network.pis)
-        if backend == "sat" or (
-            backend == "auto"
-            and n_pis > getattr(self.config, "sat_pi_threshold", 16)
-        ):
-            from repro.sat.check import (
-                DEFAULT_CONFLICT_BUDGET,
-                sat_equivalent,
-            )
-
-            verdict = sat_equivalent(
-                self.reference,
-                network,
-                conflict_budget=getattr(
-                    self.config, "sat_conflict_budget",
-                    DEFAULT_CONFLICT_BUDGET,
-                ),
-            )
-            self.sat_solves += 1
-            self.sat_conflicts += verdict.conflicts
-            self.sat_decisions += verdict.decisions
-            self.sat_propagations += verdict.propagations
-            self.sat_learned += verdict.learned
-            if verdict.complete:
-                return bool(verdict.verdict)
-            # Exhausted conflict budget: degrade to the wide random
-            # screen rather than rolling back a commit on an unknown.
-        elif n_pis <= _EXACT_PI_LIMIT:
-            return networks_equivalent(self.reference, network)
-        return simulate_equivalent(self.reference, network, patterns=2048)
+        self.stats.commits_verified += 1
+        with tracer.span(
+            "verify", check="ledger", f=f_name, d=d_name
+        ) as span:
+            if self.commits % self.config.verify_full_every == 0:
+                self._last_check = "exact"
+                verdict = exact_equivalent(
+                    self.reference,
+                    network,
+                    backend=self.config.verify_backend,
+                    conflict_budget=self.config.sat_conflict_budget,
+                    tracer=tracer,
+                )
+                self.stats.add_solver_work(verdict)
+                backend, ok = verdict.backend, bool(verdict)
+                self._last_status = verdict.status
+            else:
+                self._last_check = backend = "simulation"
+                ok = simulate_equivalent_prescreened(
+                    self.reference,
+                    network,
+                    getattr(self.sim_filter, "sim", None),
+                )
+                self._last_status = "unknown" if ok else "different"
+            span.annotate(backend=backend, status=self._last_status, ok=ok)
+        return ok
 
     # ------------------------------------------------------------------
     # Rollback bookkeeping
@@ -136,22 +114,26 @@ class CommitLedger:
         self, f_name: str, d_name: str, detail: Optional[str] = None
     ) -> None:
         """Record a completed rollback and bar the pair for the run."""
-        self.rolled_back += 1
-        self.quarantined.add((f_name, d_name))
+        self.stats.commits_rolled_back += 1
+        if (f_name, d_name) not in self.quarantined:
+            self.stats.pairs_quarantined += 1
+            self.quarantined.add((f_name, d_name))
         incident: Dict[str, object] = {
             "kind": "rolled_back_commit",
             "dividend": f_name,
             "divisor": d_name,
             "commit_index": self.commits,
             "check": self._last_check,
+            "verdict": self._last_status,
         }
         if detail:
             incident["detail"] = detail
-        self.incidents.append(incident)
+        self.stats.incidents.append(incident)
         logger.error(
-            "commit verification failed (%s check): rolled back and "
-            "quarantined dividend=%s divisor=%s",
+            "commit verification failed (%s check, %s): rolled back "
+            "and quarantined dividend=%s divisor=%s",
             self._last_check,
+            self._last_status,
             f_name,
             d_name,
         )

@@ -27,13 +27,10 @@ directly from signatures and then proves it:
 4. **Validate** (``resub_validate`` span): the candidate only agreed
    with the target on sampled patterns, which proves nothing, so every
    survivor is checked *exactly* against the pre-run reference through
-   the ``verify_backend`` dispatch (BDD cones up to
-   ``sat_pi_threshold`` PIs, the CNF miter above).  A SAT don't-know
-   (exhausted conflict budget) **rejects** the candidate: unlike
-   division — whose rewrites carry an a-priori redundancy argument and
-   may degrade to a wide random screen — a simguided candidate has no
-   proof behind it except this check, so an unknown keeps the old
-   node.
+   :func:`~repro.network.verify.exact_equivalent` (``verify_backend``).
+   A SAT don't-know (exhausted conflict budget) **rejects** the
+   candidate: a simguided candidate has no proof behind it except
+   this check, so an unknown keeps the old node.
 
 Because every accepted commit is exactly equivalent to the pre-run
 reference, the final network is exactly equivalent to the input by
@@ -54,7 +51,7 @@ from repro.core.substitution import SubstitutionStats, _Snapshot
 from repro.network.dontcares import DontCareComputer
 from repro.network.factor import factored_literals, network_literals
 from repro.network.network import Network, eval_cover_packed
-from repro.network.verify import networks_equivalent
+from repro.network.verify import exact_equivalent
 from repro.obs.tracer import NULL_TRACER, as_tracer
 from repro.resilience.budget import BudgetExhausted, RunBudget
 from repro.resilience.checkpoint import CommitLedger
@@ -130,40 +127,24 @@ def _validate_exact(
     config: DivisionConfig,
     stats: SubstitutionStats,
     tracer,
-) -> Optional[bool]:
-    """Exact whole-network check of the just-applied candidate.
-
-    True/False are proofs; ``None`` means the SAT solve exhausted its
-    conflict budget (don't-know) — the engine rejects on None.
-    """
+):
+    """Exact whole-network check of the just-applied candidate,
+    recorded as one ``resub_validate`` span; the engine commits only
+    on a truthy (proven-equal) verdict."""
     n_pis = len(set(reference.pis) | set(network.pis))
-    backend = config.verify_backend
     with tracer.span("resub_validate", pis=n_pis) as span:
-        if backend == "bdd" or (
-            backend == "auto" and n_pis <= config.sat_pi_threshold
-        ):
-            ok = networks_equivalent(reference, network)
-            span.annotate(backend="bdd", ok=ok)
-            return ok
-        from repro.sat.check import sat_equivalent
-
-        verdict = sat_equivalent(
+        verdict = exact_equivalent(
             reference,
             network,
+            backend=config.verify_backend,
             conflict_budget=config.sat_conflict_budget,
             tracer=tracer,
         )
-        stats.sat_solves += 1
-        stats.sat_conflicts += verdict.conflicts
-        stats.sat_decisions += verdict.decisions
-        stats.sat_propagations += verdict.propagations
-        stats.sat_learned += verdict.learned
-        if not verdict.complete:
-            span.annotate(backend="sat", ok=None)
-            return None
-        ok = bool(verdict.verdict)
-        span.annotate(backend="sat", ok=ok)
-        return ok
+        stats.add_solver_work(verdict)
+        span.annotate(
+            backend=verdict.backend, status=verdict.status, ok=bool(verdict)
+        )
+    return verdict
 
 
 def _care_mask(
@@ -280,15 +261,15 @@ def _resub_pass(
                             reference, network, config, stats, tracer
                         )
                         stats.resub_validated += 1
-                        if verdict is None:
+                        if not verdict.complete:
                             stats.resub_rejected_unknown += 1
-                        if verdict is not True:
+                        if not verdict:
                             snapshot.restore()
                             sim.refresh([f_name])
                             commit_span.annotate(accepted=False)
                             continue
                         if ledger is not None and not ledger.verify_commit(
-                            network, f_name, label
+                            network, f_name, label, tracer
                         ):
                             snapshot.restore()
                             sim.refresh([f_name])
@@ -349,7 +330,7 @@ def simguided_substitute(
         # The ledger only needs a ``.sim`` attribute from its filter
         # (the prescreen pre-pass); resub has no DivisorFilter.
         ledger = CommitLedger(
-            reference, config, types.SimpleNamespace(sim=sim)
+            reference, config, stats, types.SimpleNamespace(sim=sim)
         )
     with tracer.span(
         "run", circuit=network.name, mode=config.mode, method="simguided"
@@ -379,16 +360,6 @@ def simguided_substitute(
         network.sweep_dangling()
         run_span.annotate(accepted=stats.accepted)
     stats.resim_nodes += sim.nodes_resimulated
-    if ledger is not None:
-        stats.commits_verified += ledger.verified
-        stats.commits_rolled_back += ledger.rolled_back
-        stats.pairs_quarantined += len(ledger.quarantined)
-        stats.incidents.extend(ledger.incidents)
-        stats.sat_solves += ledger.sat_solves
-        stats.sat_conflicts += ledger.sat_conflicts
-        stats.sat_decisions += ledger.sat_decisions
-        stats.sat_propagations += ledger.sat_propagations
-        stats.sat_learned += ledger.sat_learned
     if budget is not None:
         stats.budget_report = budget.report()
     stats.cpu_seconds += time.perf_counter() - start

@@ -17,7 +17,7 @@ from repro.sat.cnf import (
 from repro.sat.solver import CdclSolver, SolveResult, solve_cnf
 from repro.sat.check import (
     DEFAULT_CONFLICT_BUDGET,
-    SatVerdict,
+    Verdict,
     sat_equivalent,
     sat_wire_redundant_exact,
     sat_wire_untestable,
@@ -34,7 +34,7 @@ __all__ = [
     "SolveResult",
     "solve_cnf",
     "DEFAULT_CONFLICT_BUDGET",
-    "SatVerdict",
+    "Verdict",
     "sat_equivalent",
     "sat_wire_redundant_exact",
     "sat_wire_untestable",

@@ -11,12 +11,15 @@ The two user-facing oracles of the SAT subsystem:
   (:func:`repro.atpg.dalg.build_miter`), Tseitin-encoded and handed to
   CDCL instead of branch-and-propagate.
 
-Both return a :class:`SatVerdict` whose ``verdict`` is three-valued:
+Both return a :class:`Verdict` whose ``verdict`` is three-valued:
 ``True`` / ``False`` when the solve completed, ``None`` when the
 conflict budget ran out — mirroring
 :func:`repro.atpg.dalg.prove_redundant`, and carrying the same
 conservative-consumer contract (an exhausted proof is *never* treated
-as a proof; see :func:`sat_wire_redundant_exact`).
+as a proof: a verdict is truthy only for a completed ``True``).  The
+same type carries the BDD backend's answers out of
+:func:`repro.network.verify.exact_equivalent`, the one place that
+picks a backend.
 
 An enabled tracer records each call as one ``sat_solve`` span with the
 CNF size and the solver counters, so ``repro trace report`` and the
@@ -35,31 +38,50 @@ from repro.sat.solver import SolveResult, solve_cnf
 #: Default conflict budget for one equivalence/untestability solve.
 #: Far above what the corpus needs (typical miters close in tens of
 #: conflicts); the point is to bound pathological instances, report
-#: ``complete=False``, and let the caller fall back conservatively.
+#: ``complete=False``, and let the caller treat it as unproven.
 DEFAULT_CONFLICT_BUDGET = 100_000
 
 
 @dataclasses.dataclass(frozen=True)
-class SatVerdict:
-    """One SAT-backed check: three-valued verdict plus evidence.
+class Verdict:
+    """One exact check: three-valued verdict, its backend, evidence.
 
     ``verdict`` answers the caller's question (*equivalent?* /
-    *untestable?*); ``counterexample`` is a primary-input assignment
-    witnessing a ``False`` verdict (a distinguishing input for
-    equivalence, a test vector for untestability).  The solver
-    counters and CNF stats ride along for spans, metrics, and the
-    regression gate.
+    *untestable?* — both ask whether the two sides of a miter are
+    equal); ``None`` means the conflict budget ran out.  ``backend``
+    is ``"bdd"`` or ``"sat"``.  ``counterexample`` is a primary-input
+    assignment witnessing a ``False`` SAT verdict (a distinguishing
+    input for equivalence, a test vector for untestability).  The
+    solver counters and CNF stats ride along for spans, metrics, and
+    the regression gate; a BDD verdict leaves them at zero.
+
+    ``bool(verdict)`` is True only for a completed proof of equality,
+    so ``if not verdict`` rejects both a difference and an unknown.
     """
 
     verdict: Optional[bool]
-    complete: bool
-    counterexample: Optional[Dict[str, bool]]
-    cnf: CnfStats
-    conflicts: int
-    decisions: int
-    propagations: int
-    learned: int
-    restarts: int
+    backend: str
+    counterexample: Optional[Dict[str, bool]] = None
+    cnf: CnfStats = CnfStats(0, 0, 0)
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    learned: int = 0
+    restarts: int = 0
+
+    def __bool__(self) -> bool:
+        return self.verdict is True
+
+    @property
+    def complete(self) -> bool:
+        return self.verdict is not None
+
+    @property
+    def status(self) -> str:
+        """``"equal"``, ``"different"`` or ``"unknown"``."""
+        if self.verdict is None:
+            return "unknown"
+        return "equal" if self.verdict else "different"
 
     @staticmethod
     def _from_solve(
@@ -67,10 +89,10 @@ class SatVerdict:
         result: SolveResult,
         stats: CnfStats,
         counterexample: Optional[Dict[str, bool]],
-    ) -> "SatVerdict":
-        return SatVerdict(
+    ) -> "Verdict":
+        return Verdict(
             verdict=question_answer,
-            complete=result.complete,
+            backend="sat",
             counterexample=counterexample,
             cnf=stats,
             conflicts=result.conflicts,
@@ -110,28 +132,18 @@ def sat_equivalent(
     b: Network,
     conflict_budget: Optional[int] = DEFAULT_CONFLICT_BUDGET,
     tracer=None,
-) -> SatVerdict:
+) -> Verdict:
     """Exact combinational equivalence through a CNF miter.
 
     ``verdict=True`` (UNSAT miter) proves the networks agree on every
     input; ``verdict=False`` carries a counterexample assignment over
     the shared PI union; ``verdict=None`` means the conflict budget
-    ran out (``complete=False``) and the caller must fall back.
+    ran out (``complete=False``): not a proof either way.
     Networks with different PO name sets are trivially inequivalent
     (same convention as the BDD oracle), without a counterexample.
     """
     if sorted(a.pos) != sorted(b.pos):
-        return SatVerdict(
-            verdict=False,
-            complete=True,
-            counterexample=None,
-            cnf=CnfStats(0, 0, 0),
-            conflicts=0,
-            decisions=0,
-            propagations=0,
-            learned=0,
-            restarts=0,
-        )
+        return Verdict(verdict=False, backend="sat")
     miter = build_miter(a, b)
     result, stats = _solve_span(
         tracer,
@@ -142,15 +154,15 @@ def sat_equivalent(
         pos=len(miter.diff_vars),
     )
     if not result.complete:
-        return SatVerdict._from_solve(None, result, stats, None)
+        return Verdict._from_solve(None, result, stats, None)
     if result.satisfiable:
         model = result.model or {}
         counterexample = {
             pi: model.get(var, False)
             for pi, var in miter.pi_vars.items()
         }
-        return SatVerdict._from_solve(False, result, stats, counterexample)
-    return SatVerdict._from_solve(True, result, stats, None)
+        return Verdict._from_solve(False, result, stats, counterexample)
+    return Verdict._from_solve(True, result, stats, None)
 
 
 def sat_wire_untestable(
@@ -159,7 +171,7 @@ def sat_wire_untestable(
     observables: Optional[Set[str]] = None,
     conflict_budget: Optional[int] = DEFAULT_CONFLICT_BUDGET,
     tracer=None,
-) -> SatVerdict:
+) -> Verdict:
     """Stuck-at-fault untestability via a CNF-encoded fault miter.
 
     Builds the exact miter the D-algorithm searches (good circuit,
@@ -186,15 +198,15 @@ def sat_wire_untestable(
         stuck=fault.stuck_value,
     )
     if not result.complete:
-        return SatVerdict._from_solve(None, result, stats, None)
+        return Verdict._from_solve(None, result, stats, None)
     if result.satisfiable:
         model = result.model or {}
         test = {
             pi: model.get(values[pi], False)
             for pi in miter_circuit.pis()
         }
-        return SatVerdict._from_solve(False, result, stats, test)
-    return SatVerdict._from_solve(True, result, stats, None)
+        return Verdict._from_solve(False, result, stats, test)
+    return Verdict._from_solve(True, result, stats, None)
 
 
 def sat_wire_redundant_exact(
@@ -215,4 +227,4 @@ def sat_wire_redundant_exact(
         conflict_budget=conflict_budget,
         tracer=tracer,
     )
-    return verdict.verdict is True
+    return bool(verdict)

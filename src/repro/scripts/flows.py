@@ -173,20 +173,11 @@ def run_method(
     return result
 
 
-def _check_equivalence(
-    before: Network, after: Network, backend: str = "auto"
-) -> bool:
-    """Exact equivalence through the configured backend (BDDs for
-    small input counts, the SAT miter above the threshold)."""
-    return exact_equivalent(before, after, backend=backend)
-
-
 def run_script_table(
     benchmarks: Dict[str, Network],
     script: str,
     methods: Optional[list] = None,
     verify: bool = True,
-    verify_backend: str = "auto",
 ) -> TableResult:
     """Reproduce one of Tables II–IV.
 
@@ -209,12 +200,13 @@ def run_script_table(
         for method in methods:
             working = prepared.copy(f"{name}:{method}")
             stats = run_method(working, method)
-            if verify and not _check_equivalence(
-                prepared, working, verify_backend
-            ):
-                raise AssertionError(
-                    f"{method} broke equivalence on {name} (script {script})"
-                )
+            if verify:
+                verdict = exact_equivalent(prepared, working)
+                if not verdict:
+                    raise AssertionError(
+                        f"{method} on {name} (script {script}): "
+                        f"equivalence {verdict.status}"
+                    )
             row.literals[method] = int(stats["literals"])
             row.cpu[method] = stats["cpu"]
         result.rows.append(row)
@@ -252,7 +244,6 @@ def run_script_algebraic_table(
     benchmarks: Dict[str, Network],
     methods: Optional[list] = None,
     verify: bool = True,
-    verify_backend: str = "auto",
 ) -> TableResult:
     """Reproduce Table V (full flow with resub swapped per method)."""
     if methods is None:
@@ -266,13 +257,13 @@ def run_script_algebraic_table(
             start = time.perf_counter()
             script_algebraic(working, METHODS[method])
             elapsed = time.perf_counter() - start
-            if verify and not _check_equivalence(
-                network, working, verify_backend
-            ):
-                raise AssertionError(
-                    f"{method} broke equivalence on {name} "
-                    "(script.algebraic)"
-                )
+            if verify:
+                verdict = exact_equivalent(network, working)
+                if not verdict:
+                    raise AssertionError(
+                        f"{method} on {name} (script.algebraic): "
+                        f"equivalence {verdict.status}"
+                    )
             row.literals[method] = network_literals(working)
             row.cpu[method] = elapsed
         result.rows.append(row)

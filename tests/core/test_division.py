@@ -268,6 +268,32 @@ class TestOracleDc:
         # Must not crash; core path simply runs without the oracle.
         assert result is None or "pending" in result.new_fanins
 
+    def test_unknown_oracle_verdict_keeps_the_wire(self):
+        # On this network the oracle proves removals the implications
+        # miss; with a zero SAT conflict budget every oracle verdict is
+        # unknown, no wire goes on it, and the run is EXTENDED_GDC's.
+        import dataclasses
+
+        from repro.bench.generators import planted_network
+        from repro.core.config import ORACLE
+        from repro.core.substitution import substitute_network
+        from repro.network.blif import to_blif_str
+
+        starved = dataclasses.replace(
+            ORACLE, verify_backend="sat", sat_conflict_budget=0
+        )
+        outputs = {}
+        for label, config in (
+            ("gdc", EXTENDED_GDC), ("oracle", ORACLE), ("starved", starved)
+        ):
+            net = planted_network(
+                "p", seed=3, n_pis=6, n_divisors=2, n_targets=3
+            )
+            substitute_network(net, config)
+            outputs[label] = to_blif_str(net)
+        assert outputs["oracle"] != outputs["gdc"]
+        assert outputs["starved"] == outputs["gdc"]
+
 
 class TestFaninLiteralDivision:
     """Re-dividing a node by one of its existing fanins simplifies it

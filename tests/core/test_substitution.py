@@ -65,7 +65,7 @@ class TestBasicPass:
         assert first == stats.accepted
 
     def test_verification_hook(self, paper_network):
-        config = DivisionConfig(verify_with_simulation=True)
+        config = DivisionConfig(verify_commits=True)
         reference = paper_network.copy()
         stats = substitute_network(paper_network, config)
         assert stats.accepted >= 1

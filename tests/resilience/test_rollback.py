@@ -12,11 +12,14 @@ import dataclasses
 import pytest
 
 from repro.bench.generators import planted_network
-from repro.core.config import BASIC
+from repro.bench.suite import build_benchmark
+from repro.core.config import BASIC, EXTENDED, SIMGUIDED
 from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
 from repro.network.verify import networks_equivalent
+from repro.obs.tracer import Tracer
 from repro.resilience import inject
+from repro.scripts.flows import script_a
 
 
 def _network(seed=4242):
@@ -62,6 +65,7 @@ class TestRollback:
         assert isinstance(incident["dividend"], str)
         assert isinstance(incident["divisor"], str)
         assert incident["check"] in ("exact", "simulation")
+        assert incident["verdict"] == "different"
         import json
 
         json.dumps(stats.incidents)  # JSON-ready for --stats-json
@@ -99,3 +103,84 @@ class TestTransactionalMode:
             checked, dataclasses.replace(BASIC, verify_commits=True)
         )
         assert to_blif_str(plain) == to_blif_str(checked)
+
+
+#: Every commit gets an exact SAT check that cannot finish: a zero
+#: conflict budget stops each non-trivial miter at its first conflict.
+UNKNOWN_EVERYWHERE = dataclasses.replace(
+    BASIC,
+    verify_commits=True,
+    verify_full_every=1,
+    verify_backend="sat",
+    sat_conflict_budget=0,
+)
+
+
+class TestUnknownVerdict:
+    def test_unknown_rolls_back_every_commit(self):
+        network = build_benchmark("rnd8")
+        script_a(network)
+        prepared = to_blif_str(network)
+        stats = substitute_network(network, UNKNOWN_EVERYWHERE)
+        assert stats.commits_verified > 0
+        assert stats.accepted == 0
+        assert stats.commits_rolled_back == stats.commits_verified
+        assert stats.pairs_quarantined == stats.commits_rolled_back
+        assert stats.sat_solves == stats.commits_verified
+        assert [
+            (incident["check"], incident["verdict"])
+            for incident in stats.incidents
+        ] == [("exact", "unknown")] * stats.commits_rolled_back
+        assert to_blif_str(network) == prepared
+
+
+def _spans(tracer, kind):
+    return [event for event in tracer.events if event["kind"] == kind]
+
+
+class TestLedgerTracing:
+    def test_every_ledger_solve_is_a_span(self):
+        network = build_benchmark("rnd8")
+        script_a(network)
+        config = dataclasses.replace(
+            EXTENDED,
+            verify_commits=True,
+            verify_full_every=1,
+            verify_backend="sat",
+        )
+        tracer = Tracer()
+        stats = substitute_network(network, config, tracer=tracer)
+        solves = _spans(tracer, "sat_solve")
+        assert stats.sat_solves > 0
+        assert len(solves) == stats.sat_solves
+        verify_ids = {
+            event["id"]: event for event in _spans(tracer, "verify")
+        }
+        assert len(verify_ids) == stats.commits_verified
+        # Each solve nests directly under the ledger's verify span,
+        # which records the backend and the status of its verdict.
+        for solve in solves:
+            parent = verify_ids[solve["parent"]]
+            assert parent["attrs"]["backend"] == "sat"
+            assert parent["attrs"]["status"] == "equal"
+
+    def test_simguided_ledger_checks_are_spans(self):
+        network = build_benchmark("rnd8")
+        config = dataclasses.replace(
+            SIMGUIDED, verify_commits=True, verify_full_every=2
+        )
+        tracer = Tracer()
+        stats = substitute_network(network, config, tracer=tracer)
+        verify = _spans(tracer, "verify")
+        assert stats.commits_verified > 0
+        assert len(verify) == stats.commits_verified
+        assert {event["attrs"]["backend"] for event in verify} == {
+            "bdd", "simulation"
+        }
+        # A passing screen is not a proof: its status is unknown.
+        for event in verify:
+            expected = (
+                "unknown" if event["attrs"]["backend"] == "simulation"
+                else "equal"
+            )
+            assert event["attrs"]["status"] == expected

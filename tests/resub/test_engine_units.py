@@ -3,9 +3,9 @@
 The differential suite (`test_resub_vs_division.py`) checks the
 end-to-end contract; these tests pin the pieces individually —
 windowing legality, the ATPG cover cleaner's removal branches, the
-reject-on-unknown and quarantine paths (forced via monkeypatching,
-since a correct engine never hits them naturally), budget clean stops,
-and config validation.
+reject-on-unknown and quarantine paths (forced through a zero SAT
+conflict budget or monkeypatching, since a correct engine never hits
+them naturally), budget clean stops, and config validation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.network.network import Network
 from repro.network.verify import networks_equivalent
 from repro.resilience.budget import RunBudget
 from repro.resilience.checkpoint import CommitLedger
-from repro.resub import engine as resub_engine
 from repro.resub.engine import (
     _care_mask,
     _clean_cover,
@@ -186,17 +185,16 @@ class TestForcedPaths:
         assert stats.literals_after < stats.literals_before
         assert networks_equivalent(reference, net)
 
-    def test_unknown_verdict_rejects_candidate(self, monkeypatch):
-        # A SAT don't-know must keep the old node: force every exact
-        # validation to report None and check nothing commits.
-        monkeypatch.setattr(
-            resub_engine,
-            "_validate_exact",
-            lambda reference, network, config, stats, tracer: None,
+    def test_unknown_verdict_rejects_candidate(self):
+        # A SAT don't-know must keep the old node: a zero conflict
+        # budget leaves every exact validation unknown, and nothing
+        # may commit.
+        config = dataclasses.replace(
+            SIMGUIDED, verify_backend="sat", sat_conflict_budget=0
         )
         net = _accepting_network()
         reference = _accepting_network()
-        stats = substitute_network(net, SIMGUIDED)
+        stats = substitute_network(net, config)
         assert stats.resub_accepted == 0
         assert stats.resub_rejected_unknown >= 1
         assert stats.resub_validated == stats.resub_rejected_unknown
@@ -207,7 +205,9 @@ class TestForcedPaths:
         # With verify_commits on, a failing ledger check must roll the
         # commit back and bar the (target, divisor-set) pair.
         monkeypatch.setattr(
-            CommitLedger, "verify_commit", lambda self, n, f, d: False
+            CommitLedger,
+            "verify_commit",
+            lambda self, n, f, d, tracer: False,
         )
         config = dataclasses.replace(SIMGUIDED, verify_commits=True)
         net = _accepting_network()
@@ -252,11 +252,11 @@ class TestForcedPaths:
         sim = SignatureSimulator(
             net, patterns=config.sim_patterns, seed=config.sim_seed
         )
+        stats = SubstitutionStats()
         ledger = CommitLedger(
-            reference, config, types.SimpleNamespace(sim=sim)
+            reference, config, stats, types.SimpleNamespace(sim=sim)
         )
         ledger.quarantined.add(("f", baseline_label))
-        stats = SubstitutionStats()
         _resub_pass(
             net, reference, config, stats, sim, None, ledger,
             as_tracer(None),

@@ -14,6 +14,8 @@ The oracles must agree on equivalent-by-construction pairs (copy +
 ``eliminate`` / a full ``substitute_network`` run) and on
 mutation-injected pairs (a dropped cube or a flipped literal phase),
 and every SAT counterexample must replay to a real PO difference.
+The program's own verdict (``exact_equivalent``, forced onto each
+backend) joins them as one more oracle.
 """
 
 import pytest
@@ -21,7 +23,7 @@ import pytest
 from repro.core.config import BASIC
 from repro.core.substitution import substitute_network
 from repro.network.ops import eliminate
-from repro.network.verify import networks_equivalent
+from repro.network.verify import exact_equivalent, networks_equivalent
 from repro.sat.check import sat_equivalent
 from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
@@ -101,6 +103,12 @@ def _cross_check(a, b):
         sim_verdict = _exhaustive_equivalent(a, b, pis)
         assert sim_verdict == bdd_verdict, (
             "exhaustive simulation disagrees with SAT/BDD"
+        )
+    for backend in ("bdd", "sat"):
+        verdict = exact_equivalent(a, b, backend=backend)
+        assert verdict.backend == backend
+        assert verdict.complete and bool(verdict) == bdd_verdict, (
+            f"exact_equivalent({backend!r}) disagrees with the oracles"
         )
     if sat_verdict.verdict is False:
         assert sat_verdict.counterexample is not None

@@ -107,6 +107,21 @@ class TestHarness:
                 small_suite, "A", methods=["broken"], verify=True
             )
 
+    @pytest.mark.parametrize("runner", ["script_a", "script_algebraic"])
+    def test_harness_raises_on_unknown_verdict(self, runner, monkeypatch):
+        # add10 has 21 PIs, so the final check runs on SAT; with a zero
+        # conflict budget it cannot complete, and an unproven method
+        # must fail the table rather than pass it.
+        from repro.sat import check
+
+        monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", 0)
+        suite = {"add10": build_benchmark("add10")}
+        with pytest.raises(AssertionError, match="equivalence unknown"):
+            if runner == "script_a":
+                run_script_table(suite, "A", methods=["sis"])
+            else:
+                run_script_algebraic_table(suite, methods=["sis"])
+
 
 class TestTableContainers:
     def test_improvement_zero_on_empty(self):

@@ -55,3 +55,54 @@ class TestOptimize:
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             main(["optimize", "bench:dec3", "--method", "nope"])
+
+    def test_unknown_final_verdict_fails_without_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A final proof that cannot complete is not a pass: the run
+        # exits non-zero, says why, and writes no BLIF.
+        from repro.sat import check
+
+        monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", 0)
+        out = tmp_path / "opt.blif"
+        code = main(
+            [
+                "optimize",
+                "bench:rnd1",
+                "--method",
+                "basic",
+                "--verify-backend",
+                "sat",
+                "-o",
+                str(out),
+            ]
+        )
+        assert code != 0
+        assert "equivalence unknown" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_final_verify_span_records_its_verdict(self, tmp_path):
+        import json
+
+        trace = tmp_path / "run.jsonl"
+        code = main(
+            [
+                "optimize",
+                "bench:rnd1",
+                "--method",
+                "basic",
+                "--trace",
+                str(trace),
+                "-o",
+                str(tmp_path / "opt.blif"),
+            ]
+        )
+        assert code == 0
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        (final,) = [
+            event for event in events
+            if event["kind"] == "verify"
+            and event["attrs"].get("check") == "final-equivalence"
+        ]
+        assert final["attrs"]["backend"] == "bdd"
+        assert final["attrs"]["status"] == "equal"
