@@ -26,11 +26,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import statistics
+import time
 
 from repro.bench.generators import planted_network
-from repro.bench.parallelbench import run_circuit
 from repro.bench.suite import build_benchmark
 from repro.core.config import BASIC, EXTENDED
+from repro.core.substitution import substitute_network
 from repro.parallel.engine import enumerate_candidate_pairs
 
 #: The circuits the committed cut-off was fitted on (68-1561 pairs).
@@ -52,6 +53,13 @@ def build(circuit: str):
     )
 
 
+def run_seconds(network, config, n_jobs: int = 1) -> float:
+    """Wall seconds of one substitution run on *network*."""
+    start = time.perf_counter()
+    substitute_network(network, config, n_jobs=n_jobs)
+    return time.perf_counter() - start
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("circuits", nargs="*", default=DEFAULT_CIRCUITS)
@@ -66,10 +74,8 @@ def main(argv=None) -> None:
         pairs = len(enumerate_candidate_pairs(build(circuit), config))
         serial_s, pool_s = [], []
         for _ in range(args.reps):
-            serial_s.append(run_circuit(build(circuit), config)["seconds"])
-            pool_s.append(
-                run_circuit(build(circuit), pool, n_jobs=args.jobs)["seconds"]
-            )
+            serial_s.append(run_seconds(build(circuit), config))
+            pool_s.append(run_seconds(build(circuit), pool, n_jobs=args.jobs))
         saved = statistics.median(s - p for s, p in zip(serial_s, pool_s))
         points.append((pairs, saved))
         print(

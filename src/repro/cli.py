@@ -26,10 +26,6 @@ Usage::
     # live telemetry: progress line, resource sampling, trace tailing
     python -m repro optimize design.blif --live --trace run.jsonl
     python -m repro tail run.jsonl       # follow a streaming trace
-
-    # regression-gate two runs (stats-json reports or history ledgers)
-    python -m repro compare base.json new.json --fail-on-regression 20
-    python -m repro compare benchmarks/results/history.jsonl new.json
 """
 
 from __future__ import annotations
@@ -194,15 +190,6 @@ def _optimize_main(argv: List[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--history",
-        metavar="FILE.jsonl",
-        help=(
-            "append this run's metrics snapshot (plus machine "
-            "fingerprint, git SHA and config hash) to a run-history "
-            "ledger; see benchmarks/results/history.jsonl"
-        ),
-    )
-    parser.add_argument(
         "--live",
         action="store_true",
         help=(
@@ -303,14 +290,13 @@ def _optimize_main(argv: List[str]) -> int:
         or args.trace
         or args.profile
         or args.profile_json
-        or args.history
         or args.live
         or args.sample_resources
     ) and args.method == "sis":
         parser.error(
             "--no-sim-filter/--sim-patterns/--jobs/--deadline/"
             "--verify-commits/--verify-backend/--trace/--profile/"
-            "--profile-json/--history/--live/--sample-resources/"
+            "--profile-json/--live/--sample-resources/"
             "--stall-timeout/--heartbeat-dir do not apply to sis"
         )
     tracer = None
@@ -453,37 +439,10 @@ def _optimize_main(argv: List[str]) -> int:
             "literals_final": int(stats["literals"]),
             "cpu_seconds": stats["cpu"],
             "substitution": stats.get("stats"),
-            "metrics": stats.get("metrics"),
         }
         with open(args.stats_json, "w") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
-    if args.history:
-        from repro.obs.history import append_record, make_record
-
-        if stats.get("metrics") is None:
-            print(
-                "error: --history needs a metrics-producing method",
-                file=sys.stderr,
-            )
-            return 2
-        append_record(
-            make_record(
-                bench="cli-optimize",
-                circuit=network.name,
-                metrics=stats["metrics"],
-                config=stats.get("config"),
-                wall_seconds=stats["cpu"],
-                extra={
-                    "method": args.method,
-                    "script": args.script,
-                    "literals_initial": initial,
-                    "literals_final": int(stats["literals"]),
-                },
-            ),
-            path=args.history,
-        )
-        print(f"# history: appended -> {args.history}", file=sys.stderr)
     print(
         f"# {network.name}: {initial} -> {int(stats['literals'])} "
         f"factored literals ({args.method}, {stats['cpu']:.2f}s)",
@@ -646,81 +605,6 @@ def _tail_main(argv: List[str]) -> int:
     return 0
 
 
-def _compare_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro compare",
-        description=(
-            "Diff two run snapshots for regressions.  Deterministic "
-            "counters (divide_calls, accepted, literal counts) must "
-            "match exactly; wall times are gated only with "
-            "--fail-on-regression.  BASE/NEW are --stats-json "
-            "reports, raw metrics snapshots, or *.jsonl run-history "
-            "ledgers (latest record, optionally --circuit filtered)."
-        ),
-    )
-    parser.add_argument("base", help="baseline snapshot or history ledger")
-    parser.add_argument("new", help="candidate snapshot or history ledger")
-    parser.add_argument(
-        "--circuit",
-        help="pick the latest history record for this circuit id",
-    )
-    parser.add_argument(
-        "--fail-on-regression",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help=(
-            "also fail when a wall-time metric worsens by more than "
-            "PCT percent (only meaningful for runs from the same "
-            "machine)"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="also write the full comparison report as JSON",
-    )
-    args = parser.parse_args(argv)
-    if args.fail_on_regression is not None and args.fail_on_regression < 0:
-        parser.error("--fail-on-regression must be >= 0")
-
-    import json
-
-    from repro.obs.regress import (
-        compare_snapshots,
-        format_comparison,
-        load_comparable,
-    )
-
-    try:
-        base_snapshot, base_wall, base_label = load_comparable(
-            args.base, circuit=args.circuit
-        )
-        new_snapshot, new_wall, new_label = load_comparable(
-            args.new, circuit=args.circuit
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    report = compare_snapshots(
-        base_snapshot,
-        new_snapshot,
-        time_slack_pct=args.fail_on_regression,
-        base_wall=base_wall,
-        new_wall=new_wall,
-    )
-    print(format_comparison(report, base_label, new_label))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report.ok else 1
-
-
 def main(argv: List[str] = None) -> int:
     """CLI entry point; see the module docstring for usage."""
     if argv is None:
@@ -731,8 +615,6 @@ def main(argv: List[str] = None) -> int:
         return _trace_main(argv[1:])
     if argv and argv[0] == "tail":
         return _tail_main(argv[1:])
-    if argv and argv[0] == "compare":
-        return _compare_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

@@ -219,7 +219,7 @@ class DivisionConfig:
 
     #: Stall watchdog: a speculative shard silent for more than this
     #: many seconds is flagged (a ``stall`` trace event + the
-    #: ``health.stalls`` counter) and fed into the containment ladder
+    #: ``stalls_detected`` counter) and fed into the containment ladder
     #: (redispatch → fresh pool → in-process fallback) instead of
     #: being waited on forever.  ``None`` (the default) disables the
     #: watchdog — results and timing are then exactly the pre-telemetry

@@ -29,7 +29,6 @@ from repro.core.extended import (
     decompose_divisor,
     decompose_divisor_pos,
 )
-from repro.obs import resource as resource_mod
 from repro.obs.tracer import NULL_TRACER, as_tracer
 from repro.resilience.budget import BudgetExhausted, BudgetReport, RunBudget
 from repro.resilience.checkpoint import CommitLedger
@@ -112,7 +111,7 @@ class SubstitutionStats:
     #: ledger's full checks and simguided validation, through
     #: :meth:`add_solver_work`).  Deterministic for a fixed (circuit,
     #: config, code) triple — the CDCL engine has no randomness — so
-    #: they regression-gate exactly like ``divide_calls``.
+    #: they repeat exactly from run to run, like ``divide_calls``.
     sat_solves: int = 0
     sat_conflicts: int = 0
     sat_decisions: int = 0
@@ -121,7 +120,7 @@ class SubstitutionStats:
     #: Simulation-guided resubstitution (``method="simguided"``, see
     #: :mod:`repro.resub`).  All deterministic — windowing, subset
     #: enumeration and validation have no randomness — so they
-    #: regression-gate exactly, like ``divide_calls``.
+    #: repeat exactly from run to run, like ``divide_calls``.
     #: Target nodes visited, and windows with at least one divisor.
     resub_targets: int = 0
     resub_windows: int = 0
@@ -138,17 +137,12 @@ class SubstitutionStats:
     #: Literals/cubes dropped from candidate covers by the
     #: excitation-only ATPG redundancy cleanup.
     resub_wires_cleaned: int = 0
-    #: Liveness telemetry (``health.*`` namespace).  Heartbeat marks
-    #: received from workers on the result channel, and shards the
-    #: executor's stall watchdog flagged as silent past the threshold.
-    #: Timing-dependent — never regression-gated exactly.
+    #: Liveness telemetry: heartbeat marks received from workers on
+    #: the result channel, and shards the executor's stall watchdog
+    #: flagged as silent past the threshold.  Timing-dependent, so
+    #: they may differ between runs.
     heartbeats_recorded: int = 0
     stalls_detected: int = 0
-    #: Process resource telemetry sampled at end of run
-    #: (``process.*`` gauges; slack-gated by ``repro compare`` like
-    #: wall clocks).  Peak RSS folds by max, GC collections by delta.
-    peak_rss_bytes: int = 0
-    gc_collections: int = 0
     #: Structured incident records (JSON-ready dicts) — one per
     #: rolled-back commit; surfaces through ``--stats-json``.
     incidents: List[Dict[str, object]] = dataclasses.field(
@@ -714,8 +708,7 @@ def substitute_network(
         # imports this module for the stats/undo machinery.
         from repro.resub.engine import simguided_substitute
 
-        gc_before = resource_mod.gc_collections_total()
-        stats = simguided_substitute(
+        return simguided_substitute(
             network,
             config,
             reference=reference,
@@ -723,8 +716,6 @@ def substitute_network(
             budget=budget,
             tracer=tracer,
         )
-        _record_process_telemetry(stats, gc_before)
-        return stats
     if n_jobs is not None and n_jobs != config.n_jobs:
         config = dataclasses.replace(config, n_jobs=n_jobs)
     if stats is None:
@@ -734,7 +725,6 @@ def substitute_network(
     stats.literals_before += network_literals(network)
     if config.verify_commits and reference is None:
         reference = network.copy("reference")
-    gc_before = resource_mod.gc_collections_total()
     start = time.perf_counter()
     sim_filter = None
     if config.enable_sim_filter:
@@ -832,22 +822,4 @@ def substitute_network(
         stats.budget_report = budget.report()
     stats.cpu_seconds += time.perf_counter() - start
     stats.literals_after += network_literals(network)
-    _record_process_telemetry(stats, gc_before)
     return stats
-
-
-def _record_process_telemetry(
-    stats: SubstitutionStats, gc_collections_before: int
-) -> None:
-    """Fold end-of-run process observations into *stats*.
-
-    Peak RSS folds by max (it is a high-water mark, monotone across
-    accumulating runs); GC collections fold by delta so a shared stats
-    object counts only collections that happened during its runs.
-    """
-    stats.peak_rss_bytes = max(
-        stats.peak_rss_bytes, resource_mod.peak_rss_bytes()
-    )
-    stats.gc_collections += max(
-        0, resource_mod.gc_collections_total() - gc_collections_before
-    )

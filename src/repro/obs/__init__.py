@@ -1,15 +1,10 @@
-"""Observability for the division pipeline: tracing, metrics, profiles.
+"""Observability for the division pipeline: tracing and profiles.
 
-Three zero-dependency building blocks:
+Two zero-dependency building blocks:
 
 * :mod:`repro.obs.tracer` — nestable wall/CPU spans with an injectable
   clock, JSONL export, and a no-op tracer whose use is near-free and
   leaves runs byte-identical (the default everywhere);
-* :mod:`repro.obs.metrics` — a registry of counters/gauges/timing
-  summaries that folds the run's ad-hoc ledgers
-  (:class:`~repro.core.substitution.SubstitutionStats`, executor fault
-  counters, :class:`~repro.resilience.budget.BudgetReport`) into one
-  JSON-ready snapshot;
 * :mod:`repro.obs.profile` — per-phase rollups (pass /
   pair-enumeration / divide / ATPG-region-removal / commit / verify)
   over a trace's events.
@@ -22,13 +17,7 @@ Built on top of those, the analytics storey (PR 5):
   report``);
 * :mod:`repro.obs.export` — lossless Chrome trace-event / Perfetto
   conversion and folded-stack flamegraph lines (``repro trace
-  chrome|flame``);
-* :mod:`repro.obs.history` — the append-only cross-PR run ledger
-  ``benchmarks/results/history.jsonl`` (metrics snapshot + machine
-  fingerprint + git SHA + config hash per run);
-* :mod:`repro.obs.regress` — the snapshot comparator behind ``repro
-  compare`` and ``scripts/check_regression.py`` (exact equality for
-  deterministic counters, slack-thresholded wall times).
+  chrome|flame``).
 
 And the live-telemetry storey (PR 10):
 
@@ -63,14 +52,6 @@ from repro.obs.tracer import (
     read_jsonl,
     validate_trace_event,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    TimingSummary,
-    metrics_from_run,
-    run_snapshot,
-)
 from repro.obs.profile import (
     PROFILE_PHASES,
     format_profile,
@@ -92,20 +73,6 @@ from repro.obs.export import (
     export_folded_stacks,
     to_chrome_trace,
     to_folded_stacks,
-)
-from repro.obs.history import (
-    DEFAULT_HISTORY_PATH,
-    HISTORY_SCHEMA_VERSION,
-    append_record,
-    latest_record,
-    make_record,
-    read_history,
-)
-from repro.obs.regress import (
-    ComparisonReport,
-    compare_snapshots,
-    format_comparison,
-    load_comparable,
 )
 from repro.obs.stream import (
     StreamingJsonlSink,
@@ -139,12 +106,6 @@ __all__ = [
     "as_tracer",
     "read_jsonl",
     "validate_trace_event",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "TimingSummary",
-    "metrics_from_run",
-    "run_snapshot",
     "PROFILE_PHASES",
     "format_profile",
     "profile_events",
@@ -161,16 +122,6 @@ __all__ = [
     "export_folded_stacks",
     "to_chrome_trace",
     "to_folded_stacks",
-    "DEFAULT_HISTORY_PATH",
-    "HISTORY_SCHEMA_VERSION",
-    "append_record",
-    "latest_record",
-    "make_record",
-    "read_history",
-    "ComparisonReport",
-    "compare_snapshots",
-    "format_comparison",
-    "load_comparable",
     "StreamingJsonlSink",
     "Subscription",
     "TelemetryBus",

@@ -9,7 +9,7 @@ Two complementary liveness channels, both default-off:
   (crash-durable — an operator can ``cat`` the directory to see what
   every worker last reported even after the run died).  The shard
   result channel piggybacks the same mark, which is what the
-  executor's ``health.heartbeats_recorded`` counter counts.
+  run's ``heartbeats_recorded`` counter counts.
 * **Stall watchdog.**  :class:`StallWatchdog` is the executor-side
   bookkeeping for "a shard has been silent too long": per-shard
   dispatch timestamps, silence measurement, and schema-v1 ``stall``
@@ -18,9 +18,9 @@ Two complementary liveness channels, both default-off:
   into the PR-3 containment ladder (redispatch → fresh pool →
   in-process fallback) instead of blocking forever.
 
-Stall detection is wall-clock-dependent by nature, so everything here
-lands in the non-gated ``health.*`` metrics namespace — never in
-``DETERMINISTIC_COUNTERS``.
+Stall detection is wall-clock-dependent by nature, so its counters
+(``heartbeats_recorded``, ``stalls_detected``) may differ between two
+runs of the same input.
 """
 
 from __future__ import annotations

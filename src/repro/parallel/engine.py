@@ -477,7 +477,7 @@ class SpeculativeEngine:
         self.shards_redispatched = 0
         self.degraded_to_serial = 0
         #: Liveness traffic: heartbeat marks reaped from shard metas
-        #: and watchdog-flagged stalls (``health.*`` namespace).
+        #: and watchdog-flagged stalls.
         self.heartbeats = 0
         self.stalls = 0
         #: Passes whose speculation was abandoned outright because the

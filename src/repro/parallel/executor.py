@@ -107,8 +107,8 @@ class SerialExecutor:
         self.worker_build_seconds = self._context.build_seconds
         self.evaluate_seconds = 0.0
         #: One liveness mark per evaluated shard, mirroring the
-        #: process backend's piggybacked heartbeats, so ``health.*``
-        #: reads consistently across backends.
+        #: process backend's piggybacked heartbeats, so
+        #: ``heartbeats_recorded`` reads consistently across backends.
         self.heartbeats = 0
 
     # -- persistent submit/reap API ------------------------------------

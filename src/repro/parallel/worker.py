@@ -292,7 +292,7 @@ class WorkerContext:
             "generation": float(self.generation),
             # Heartbeat mark piggybacked on the result channel: pid +
             # wall timestamp + cumulative progress.  The executor
-            # counts these into ``health.heartbeats_recorded``.
+            # counts these into ``heartbeats_recorded``.
             "heartbeat": 1.0,
             "pid": float(os.getpid()),
             "heartbeat_ts": time.time(),

@@ -52,8 +52,9 @@ class Verdict:
     is ``"bdd"`` or ``"sat"``.  ``counterexample`` is a primary-input
     assignment witnessing a ``False`` SAT verdict (a distinguishing
     input for equivalence, a test vector for untestability).  The
-    solver counters and CNF stats ride along for spans, metrics, and
-    the regression gate; a BDD verdict leaves them at zero.
+    solver counters and CNF stats ride along for spans and
+    :class:`~repro.core.substitution.SubstitutionStats`; a BDD verdict
+    leaves them at zero.
 
     ``bool(verdict)`` is True only for a completed proof of equality,
     so ``if not verdict`` rejects both a difference and an unknown.

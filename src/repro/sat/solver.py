@@ -15,8 +15,8 @@ MiniSat's architecture reduced to what the verification backend needs:
 Everything is deterministic for a fixed clause list: ties in the
 activity order break on variable index, and there is no randomness
 anywhere, so the ``sat.*`` counters (conflicts, decisions,
-propagations, learned clauses) are exact-equality regression-gate
-material like ``divide_calls``.
+propagations, learned clauses) repeat exactly from run to run, like
+``divide_calls``.
 
 Literals are DIMACS-style signed integers (see :mod:`repro.sat.cnf`).
 """

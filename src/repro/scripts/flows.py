@@ -35,7 +35,6 @@ from repro.core.config import (
     DivisionConfig,
 )
 from repro.core.substitution import SubstitutionStats, substitute_network
-from repro.obs.metrics import run_snapshot
 from repro.obs.tracer import as_tracer
 from repro.scripts.tables import TableResult, TableRow
 
@@ -106,11 +105,10 @@ def run_method(
     config_overrides: Optional[Dict[str, object]] = None,
     budget=None,
     tracer=None,
-    bus=None,
 ) -> Dict[str, object]:
     """Apply one substitution method in place; returns lit/cpu stats
-    (plus the full :class:`SubstitutionStats` under ``"stats"`` and the
-    metrics snapshot under ``"metrics"`` for the RAR methods).
+    (plus the full :class:`SubstitutionStats` under ``"stats"`` for
+    the RAR methods).
 
     *config_overrides* replaces fields of the method's base
     :class:`DivisionConfig` (e.g. ``{"enable_sim_filter": False}``);
@@ -121,23 +119,9 @@ def run_method(
     rejected for configless methods).  *tracer* is an optional
     :class:`~repro.obs.tracer.Tracer` threaded through the whole run;
     like the other knobs it requires a :class:`DivisionConfig` method —
-    SIS resub has no span instrumentation.  *bus* is an optional
-    :class:`~repro.obs.stream.TelemetryBus`: its ``publish`` is
-    composed into the tracer's per-event sink (alongside any sink the
-    caller already installed) so embedding services can subscribe to
-    the live span stream without touching the tracer themselves.
+    SIS resub has no span instrumentation.
     """
     tracer = as_tracer(tracer)
-    if bus is not None:
-        if not tracer.enabled:
-            raise ValueError("run_method: bus requires a real tracer")
-        existing = getattr(tracer, "_sink", None)
-        if existing is None:
-            tracer.set_sink(bus.publish)
-        else:
-            from repro.obs.stream import fanout
-
-            tracer.set_sink(fanout(existing, bus.publish))
     config = METHOD_CONFIGS.get(method)
     if config_overrides or budget is not None or tracer.enabled:
         if config is None:
@@ -163,13 +147,8 @@ def run_method(
     if isinstance(outcome, SubstitutionStats):
         # Full run statistics (worker counters included) for callers
         # that report more than the table columns, e.g. the CLI's
-        # ``--stats-json``, plus the unified metrics snapshot and the
-        # resolved configuration (what run-history records hash, so
-        # two runs are only ever compared under the same knobs).
+        # ``--stats-json``.
         result["stats"] = dataclasses.asdict(outcome)
-        result["metrics"] = run_snapshot(outcome)
-        if config is not None:
-            result["config"] = dataclasses.asdict(config)
     return result
 
 

@@ -2,7 +2,8 @@
 
 Runs in the tier-1 suite too (it is fast), but the marker lets CI pick
 just the performance smokes: ``pytest -m bench_smoke``.  Checks output
-parity, protocol wire accounting, and the protocol-overhead ceiling.
+parity, protocol wire accounting (from :class:`SubstitutionStats`),
+and the protocol-overhead ceiling.
 
 Two machine-gated performance assertions:
 
@@ -10,63 +11,67 @@ Two machine-gated performance assertions:
   engine runs the full speculative protocol in-process (a pool cannot
   help without a second core), and its overhead over a plain serial
   run must stay within 1.15x.  Measured as a geomean across circuits
-  with interleaved best-of-N runs: this container's wall-clock noise
-  between *identical* consecutive runs exceeds the margin being
-  asserted, so single-shot single-circuit timing would be meaningless.
+  of the median jobs2/serial ratio over N back-to-back pairs: the
+  wall-clock noise between *identical* consecutive runs exceeds the
+  margin being asserted, so single-shot single-circuit timing would be
+  meaningless.  The noise is bimodal (on a shared 2-vCPU host
+  identical rnd8 runs take 125-295 ms, the fastest ones rare), so a
+  best-of-N per arm is not robust either: one rare fast serial run
+  sets the serial minimum and inflates the ratio.  Pairing the two
+  arms in time cancels the machine's state, and the median drops the
+  pairs it changed within.
 * **multi-core speedup** — with >= 4 cores the pool must actually beat
   serial at ``jobs4`` (>1.0x).
 """
 
-import json
 import math
 import os
+import statistics
+import time
 
 import pytest
 
-from repro.bench.parallelbench import (
-    DEFAULT_RESULT_PATH,
-    compare_on,
-    run_circuit,
-    run_parallel_benchmark,
-)
 from repro.bench.suite import build_benchmark
 from repro.core.config import BASIC
+from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
+
+
+def _run(name, n_jobs=1):
+    """One BASIC run on a fresh build: (BLIF, stats, wall seconds)."""
+    network = build_benchmark(name)
+    start = time.perf_counter()
+    stats = substitute_network(network, BASIC, n_jobs=n_jobs)
+    seconds = time.perf_counter() - start
+    return to_blif_str(network), stats, seconds
 
 
 @pytest.mark.bench_smoke
 @pytest.mark.usefixtures("pool_for_every_run")
 def test_parallel_parity_on_rnd8():
-    comparison = compare_on(build_benchmark("rnd8"), BASIC, job_counts=(4,))
-    assert comparison["output_identical"]
-    row = comparison["parallel"]["jobs4"]
-    assert row["accepted"] == comparison["serial"]["accepted"]
-    assert row["pairs_evaluated"] > 0
-    assert row["jobs"] == 4
+    serial_blif, serial, serial_s = _run("rnd8")
+    parallel_blif, parallel, parallel_s = _run("rnd8", n_jobs=4)
+    assert parallel_blif == serial_blif
+    assert parallel.accepted == serial.accepted
+    assert parallel.parallel_pairs_evaluated > 0
+    assert parallel.parallel_jobs == 4
     if (os.cpu_count() or 1) >= 4:
-        assert row["speedup"] > 1.0
+        assert serial_s / parallel_s > 1.0
 
 
 @pytest.mark.bench_smoke
 def test_jobs2_protocol_overhead_within_ceiling():
     """jobs2 wall time stays within 1.15x of serial on one core."""
     circuits = ("rnd8", "add10", "pri10")
-    reps = 3
-    best = {name: {"serial": 9e9, "jobs2": 9e9} for name in circuits}
-    for _ in range(reps):
+    pairs = 9
+    paired = {name: [] for name in circuits}
+    for _ in range(pairs):
         for name in circuits:
-            serial_net = build_benchmark(name)
-            serial = run_circuit(serial_net, BASIC, n_jobs=1)
-            parallel_net = build_benchmark(name)
-            parallel = run_circuit(parallel_net, BASIC, n_jobs=2)
-            assert to_blif_str(parallel_net) == to_blif_str(serial_net)
-            row = best[name]
-            row["serial"] = min(row["serial"], serial["seconds"])
-            row["jobs2"] = min(row["jobs2"], parallel["seconds"])
-    ratios = {
-        name: row["jobs2"] / max(1e-9, row["serial"])
-        for name, row in best.items()
-    }
+            serial_blif, _, serial_s = _run(name)
+            parallel_blif, _, parallel_s = _run(name, n_jobs=2)
+            assert parallel_blif == serial_blif
+            paired[name].append(parallel_s / max(1e-9, serial_s))
+    ratios = {name: statistics.median(r) for name, r in paired.items()}
     geomean = math.exp(
         sum(math.log(r) for r in ratios.values()) / len(ratios)
     )
@@ -81,41 +86,19 @@ def test_per_batch_wire_cost_is_amortized():
     batch.  The amortized snapshot-ship cost per batch must therefore
     be >= 10x smaller, and a shard's own payload (pair list +
     cumulative delta) must stay below one snapshot."""
-    row = run_circuit(build_benchmark("rnd8"), BASIC, n_jobs=2)
-    assert row["batches"] > 0
-    assert row["snapshot_bytes"] > 0
-    assert row["snapshot_bytes_per_batch"] * 10 <= row["snapshot_bytes"], (
-        f"snapshot ship amortized to {row['snapshot_bytes_per_batch']:.0f}B"
-        f"/batch vs {row['snapshot_bytes']}B re-shipped per batch before"
+    _, stats, _ = _run("rnd8", n_jobs=2)
+    batches = stats.parallel_batches
+    snapshot = stats.parallel_snapshot_bytes
+    assert batches > 0
+    assert snapshot > 0
+    assert snapshot / batches * 10 <= snapshot, (
+        f"snapshot ship amortized to {snapshot / batches:.0f}B"
+        f"/batch vs {snapshot}B re-shipped per batch before"
     )
-    per_batch = row["batch_bytes"] / row["batches"]
-    assert per_batch < row["snapshot_bytes"], (
-        f"per-batch wire cost {per_batch:.0f}B vs snapshot "
-        f"{row['snapshot_bytes']}B"
+    per_batch = stats.parallel_batch_bytes / batches
+    assert per_batch < snapshot, (
+        f"per-batch wire cost {per_batch:.0f}B vs snapshot {snapshot}B"
     )
-    # Per-phase accounting rides with every parallel row.
-    assert "snapshot_ship" in row["phase_seconds"]
-    assert "evaluate" in row["phase_seconds"]
-    assert "commit_loop" in row["phase_seconds"]
-
-
-@pytest.mark.bench_smoke
-def test_benchmark_report_written(tmp_path):
-    out = tmp_path / "BENCH_parallel.json"
-    report = run_parallel_benchmark(
-        ["rnd1", "rnd3"], BASIC, (2,), out,
-        history_path=tmp_path / "history.jsonl",
-    )
-    assert out.exists()
-    on_disk = json.loads(out.read_text())
-    assert on_disk["all_output_identical"] is True
-    assert on_disk["circuits"][0]["circuit"] == "rnd1"
-    assert on_disk["machine"]["cpu_count"] >= 1
-    assert report["job_counts"] == [2]
-
-
-@pytest.mark.bench_smoke
-def test_default_result_path_is_in_benchmarks_results():
-    assert DEFAULT_RESULT_PATH.name == "BENCH_parallel.json"
-    assert DEFAULT_RESULT_PATH.parent.name == "results"
-    assert DEFAULT_RESULT_PATH.parent.parent.name == "benchmarks"
+    # Per-phase accounting rides with every parallel run.
+    assert "snapshot_ship" in stats.parallel_phase_seconds
+    assert "evaluate" in stats.parallel_phase_seconds

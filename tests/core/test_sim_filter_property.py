@@ -10,14 +10,15 @@ Two machine-checked halves of the argument in
 2. **End-to-end parity** — a full ``substitute_network`` run with the
    filter enabled produces the *byte-identical* network (and therefore
    identical literal counts) as a run with it disabled, while provably
-   skipping work.
+   skipping work: on the quick suite plus ``rnd8`` (BASIC) it at least
+   halves the ``boolean_divide`` calls.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.bench.suite import build_benchmark
+from repro.bench.suite import QUICK_NAMES, build_benchmark
 from repro.core.config import BASIC, EXTENDED, DivisionConfig
 from repro.core.division import boolean_divide, enabled_attempts
 from repro.core.substitution import substitute_network
@@ -79,6 +80,32 @@ def test_pruned_sop_variants_have_empty_region(name):
         pytest.skip("fixture exercised no (True, 'sop') pruning")
 
 
+#: BASIC circuits whose ``boolean_divide`` call ratio is gated below.
+RATIO_CIRCUITS = [*QUICK_NAMES, "rnd8"]
+
+
+@pytest.fixture(scope="module")
+def filter_runs():
+    """``run(name, config)`` -> ((stats, BLIF) unfiltered, filtered),
+    each pair computed once per module."""
+    runs = {}
+
+    def run(name, config):
+        if (name, config) not in runs:
+            pair = []
+            for enabled in (False, True):
+                network = build_benchmark(name)
+                stats = substitute_network(
+                    network,
+                    dataclasses.replace(config, enable_sim_filter=enabled),
+                )
+                pair.append((stats, network.to_str()))
+            runs[name, config] = tuple(pair)
+        return runs[name, config]
+
+    return run
+
+
 @pytest.mark.parametrize(
     "name,config",
     [
@@ -87,22 +114,29 @@ def test_pruned_sop_variants_have_empty_region(name):
         ("pos2", BASIC),
         ("rnd1", EXTENDED),
         ("rnd3", EXTENDED),
+        ("add6", BASIC),
+        ("cmp6", BASIC),
+        ("dec3", BASIC),
+        ("mux3", BASIC),
+        ("rnd8", BASIC),
     ],
 )
-def test_filtered_run_is_byte_identical(name, config):
-    net_off = build_benchmark(name)
-    net_on = build_benchmark(name)
-    stats_off = substitute_network(
-        net_off, dataclasses.replace(config, enable_sim_filter=False)
-    )
-    stats_on = substitute_network(
-        net_on, dataclasses.replace(config, enable_sim_filter=True)
-    )
+def test_filtered_run_is_byte_identical(name, config, filter_runs):
+    (stats_off, blif_off), (stats_on, blif_on) = filter_runs(name, config)
     assert stats_off.literals_after == stats_on.literals_after
-    assert net_off.to_str() == net_on.to_str()
+    assert blif_off == blif_on
     # The parity is interesting only if the filter actually skipped work.
     assert stats_on.divisors_pruned + stats_on.variants_pruned > 0
     assert stats_on.divide_calls < stats_off.divide_calls
+
+
+def test_filter_halves_divide_calls(filter_runs):
+    ratios = {}
+    for name in RATIO_CIRCUITS:
+        (stats_off, _), (stats_on, _) = filter_runs(name, BASIC)
+        ratios[name] = stats_off.divide_calls / max(1, stats_on.divide_calls)
+    assert ratios["rnd8"] >= 2.0, ratios
+    assert sum(ratios.values()) / len(ratios) >= 2.0, ratios
 
 
 def test_filter_stats_populated():

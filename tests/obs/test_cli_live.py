@@ -98,16 +98,12 @@ class TestLiveGoldenParity:
         kinds = {e["kind"] for e in events}
         assert "heartbeat" in kinds
         assert "resource_sample" in kinds
-        # Worker heartbeats piggybacked on the result channel land in
-        # the health.* namespace; process gauges are recorded too.
+        # Worker heartbeats piggybacked on the result channel are
+        # counted in the run statistics.
         report = json.loads(stats.read_text())
         sub = report["substitution"]
         assert sub["heartbeats_recorded"] > 0
         assert sub["stalls_detected"] == 0
-        assert sub["peak_rss_bytes"] > 0
-        counters = report["metrics"]["counters"]
-        assert counters["health.heartbeats_recorded"] > 0
-        assert report["metrics"]["gauges"]["process.peak_rss_bytes"] > 0
         # Heartbeat files were written, one per worker pid.
         beats = sorted(hb_dir.glob("worker-*.heartbeat.json"))
         assert beats

@@ -1,4 +1,4 @@
-"""CLI verbs over traces and snapshots: ``repro trace`` / ``compare``.
+"""CLI verbs over traces: ``repro trace`` and ``--profile-json``.
 
 Drives the acceptance criteria end to end:
 
@@ -6,24 +6,17 @@ Drives the acceptance criteria end to end:
   golden parallel run prints critical path + per-kind rollup + worker
   utilization;
 * ``repro trace chrome`` preserves the span count (lossless export);
-* ``repro compare`` exits 0 on a self-compare and non-zero when a
-  deterministic counter regresses (also via
-  ``scripts/check_regression.py``);
-* ``--profile-json`` archives the profile rollup; ``--history``
-  appends a provenance-stamped record.
+* ``--profile-json`` archives the profile rollup.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
 from repro.cli import main
-from repro.obs.history import read_history
 from repro.obs.tracer import read_jsonl
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -39,7 +32,6 @@ def traced_run(tmp_path_factory):
         "trace": tmp / "run.jsonl",
         "stats": tmp / "stats.json",
         "profile": tmp / "profile.json",
-        "history": tmp / "history.jsonl",
     }
     code = main(
         [
@@ -57,8 +49,6 @@ def traced_run(tmp_path_factory):
             str(paths["stats"]),
             "--profile-json",
             str(paths["profile"]),
-            "--history",
-            str(paths["history"]),
         ]
     )
     assert code == 0
@@ -123,124 +113,3 @@ class TestProfileJson:
         for row in rollup.values():
             assert set(row) == {"count", "wall", "cpu", "self_wall"}
 
-
-class TestHistoryFlag:
-    def test_record_appended_with_provenance(self, traced_run):
-        (record,) = read_history(traced_run["history"])
-        assert record["bench"] == "cli-optimize"
-        assert record["config_hash"]
-        assert record["config_mode"] == "extended"
-        assert record["extra"]["method"] == "ext"
-        assert (
-            record["metrics"]["counters"]["substitution.divide_calls"]
-            > 0
-        )
-
-
-@pytest.mark.regression_gate
-class TestCompareVerb:
-    def test_self_compare_exits_zero(self, traced_run, capsys):
-        code = main(
-            [
-                "compare",
-                str(traced_run["stats"]),
-                str(traced_run["stats"]),
-                "--fail-on-regression",
-                "20",
-            ]
-        )
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_history_vs_stats_self_compare(self, traced_run, capsys):
-        code = main(
-            [
-                "compare",
-                str(traced_run["history"]),
-                str(traced_run["stats"]),
-            ]
-        )
-        assert code == 0
-
-    def test_deterministic_regression_exits_nonzero(
-        self, traced_run, tmp_path, capsys
-    ):
-        regressed = json.loads(traced_run["stats"].read_text())
-        regressed["metrics"]["counters"][
-            "substitution.divide_calls"
-        ] += 1
-        path = tmp_path / "regressed.json"
-        path.write_text(json.dumps(regressed))
-        code = main(
-            ["compare", str(traced_run["stats"]), str(path)]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "deterministic mismatches" in out
-        assert "substitution.divide_calls" in out
-
-    def test_report_json_written(self, traced_run, tmp_path):
-        out = tmp_path / "report.json"
-        code = main(
-            [
-                "compare",
-                str(traced_run["stats"]),
-                str(traced_run["stats"]),
-                "--json",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["ok"] is True
-
-    def test_bad_input_exits_2(self, tmp_path, capsys):
-        code = main(
-            [
-                "compare",
-                str(tmp_path / "a.json"),
-                str(tmp_path / "b.json"),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.mark.regression_gate
-class TestCheckRegressionScript:
-    def _run(self, *argv):
-        return subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "check_regression.py"),
-             *argv],
-            capture_output=True,
-            text=True,
-            cwd=REPO,
-        )
-
-    def test_clean_gate_exits_zero(self, traced_run):
-        result = self._run(
-            "--base", str(traced_run["stats"]),
-            "--new", str(traced_run["stats"]),
-            "--fail-on-regression", "25",
-        )
-        assert result.returncode == 0, result.stderr
-        assert "PASS" in result.stdout
-
-    def test_regression_gates_exit_one(self, traced_run, tmp_path):
-        regressed = json.loads(traced_run["stats"].read_text())
-        regressed["metrics"]["counters"]["substitution.accepted"] -= 1
-        path = tmp_path / "regressed.json"
-        path.write_text(json.dumps(regressed))
-        result = self._run(
-            "--base", str(traced_run["stats"]), "--new", str(path)
-        )
-        assert result.returncode == 1
-        assert "FAIL" in result.stdout
-
-    def test_missing_baseline_allowed(self, traced_run, tmp_path):
-        result = self._run(
-            "--base", str(tmp_path / "empty.jsonl"),
-            "--new", str(traced_run["stats"]),
-            "--allow-missing-base",
-        )
-        assert result.returncode == 0
-        assert "vacuously" in result.stdout

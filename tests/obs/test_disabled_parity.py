@@ -26,11 +26,9 @@ pytestmark = pytest.mark.trace
 
 
 def _comparable(stats: SubstitutionStats) -> dict:
-    """Stats minus environment noise (timings, memory, GC activity)."""
+    """Stats minus environment noise (timings)."""
     data = dataclasses.asdict(stats)
     data.pop("cpu_seconds")
-    data.pop("peak_rss_bytes", None)
-    data.pop("gc_collections", None)
     report = data.get("budget_report")
     if report is not None:
         report.pop("elapsed_seconds", None)

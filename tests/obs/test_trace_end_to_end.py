@@ -14,11 +14,13 @@ enabled and check the three ISSUE-4 guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.core.substitution import SubstitutionStats
 from repro.obs.tracer import SPAN_KINDS, read_jsonl, validate_trace_event
 
 pytestmark = pytest.mark.trace
@@ -156,7 +158,7 @@ def test_trace_rejected_for_sis():
         )
 
 
-def test_stats_json_carries_metrics_snapshot(tmp_path):
+def test_stats_json_carries_substitution_stats(tmp_path):
     out = tmp_path / "o.blif"
     stats = tmp_path / "stats.json"
     code = main(
@@ -175,9 +177,10 @@ def test_stats_json_carries_metrics_snapshot(tmp_path):
     )
     assert code == 0
     report = json.loads(stats.read_text())
-    metrics = report["metrics"]
-    assert set(metrics) == {"counters", "gauges", "timings"}
-    assert "substitution.attempts" in metrics["counters"]
+    assert set(report["substitution"]) == {
+        field.name for field in dataclasses.fields(SubstitutionStats)
+    }
+    assert report["substitution"]["attempts"] > 0
 
 
 def test_in_process_runs_sharing_a_trace_keep_unique_keys():

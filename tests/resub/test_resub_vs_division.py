@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.generators import planted_network, planted_pos_network
+from repro.bench.suite import build_benchmark
 from repro.core.config import BASIC, SIMGUIDED
 from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
@@ -51,9 +52,16 @@ def _build(case):
 
 
 def _check_case(case):
-    reference = _build(case)
-    simguided_net = _build(case)
+    return _check_engines(lambda: _build(case), case)
+
+
+def _check_engines(build, case):
+    """Simguided vs division on fresh copies from *build*."""
+    reference = build()
+    simguided_net = build()
     stats = substitute_network(simguided_net, SIMGUIDED)
+    # Simguided constructs candidates; it never calls boolean_divide.
+    assert stats.divide_calls == 0
     # Exact equivalence to the input, independently re-derived (the
     # engine's own validation used the same oracle; re-checking here
     # guards the commit/rollback plumbing around it).
@@ -68,7 +76,7 @@ def _check_case(case):
     # Cross-engine: division's output must be in the same equivalence
     # class (both engines are equivalence-preserving on the same
     # input, so a divergence means one of them lied).
-    division_net = _build(case)
+    division_net = build()
     substitute_network(division_net, BASIC)
     assert networks_equivalent(simguided_net, division_net), (
         f"simguided and division diverged on {case}"
@@ -76,12 +84,25 @@ def _check_case(case):
     return stats
 
 
-QUICK_CASES = _fuzz_cases()[::4]  # every 4th: 10 cases in tier-1
+#: Every 4th fuzz case, plus the suite's ``rnd3`` (the same planted
+#: network under another model name): 11 cases in tier-1.
+QUICK_CASES = _fuzz_cases()[::4] + [("sop", 37, 8, 3, 6)]
 
 
 @pytest.mark.parametrize("case", QUICK_CASES, ids=lambda c: f"{c[0]}{c[1]}")
 def test_simguided_equivalent_and_cross_checked_quick(case):
     _check_case(case)
+
+
+#: Suite circuits for the same checks: rnd8 validates through BDDs,
+#: add10 (21 PIs) through the SAT miter, and pri10 is candidate-heavy
+#: control logic.
+SUITE_CIRCUITS = ("rnd8", "add10", "pri10")
+
+
+@pytest.mark.parametrize("name", SUITE_CIRCUITS)
+def test_simguided_equivalent_and_cross_checked_on_suite(name):
+    _check_engines(lambda: build_benchmark(name), name)
 
 
 @pytest.mark.bench_smoke

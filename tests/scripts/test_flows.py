@@ -1,10 +1,14 @@
 """Tests for the SIS-style scripts and the table harness."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench.suite import build_benchmark
+from repro.core.substitution import SubstitutionStats
 from repro.network.verify import networks_equivalent
 from repro.scripts.flows import (
+    METHOD_CONFIGS,
     METHODS,
     SCRIPTS,
     run_method,
@@ -51,6 +55,15 @@ class TestMethods:
         assert networks_equivalent(reference, net)
         assert stats["literals"] >= 0
         assert stats["cpu"] >= 0
+        # The full SubstitutionStats (what --stats-json reports) only
+        # for the methods with a DivisionConfig.
+        if METHOD_CONFIGS[method] is None:
+            assert set(stats) == {"literals", "cpu"}
+        else:
+            assert set(stats) == {"literals", "cpu", "stats"}
+            assert set(stats["stats"]) == {
+                field.name for field in dataclasses.fields(SubstitutionStats)
+            }
 
 
 class TestHarness:

@@ -64,3 +64,22 @@ class TestOptimizeErrors:
             main(
                 ["optimize", "bench:dec3", "--method", "sis", "--deadline", "5"]
             )
+
+
+class TestRemovedCommands:
+    """``repro compare`` and ``optimize --history`` no longer exist;
+    argparse rejects both with its usage error."""
+
+    def test_compare_verb_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "base.json", "new.json"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
+
+    def test_history_flag_rejected(self, tmp_path, capsys):
+        ledger = tmp_path / "history.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "bench:dec3", "--history", str(ledger)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --history" in capsys.readouterr().err
+        assert not ledger.exists()
