@@ -22,15 +22,12 @@ Usage::
     python -m repro trace report run.jsonl
     python -m repro trace chrome run.jsonl -o run.chrome.json
     python -m repro trace flame run.jsonl -o run.folded
-
-    # live telemetry: progress line, resource sampling, trace tailing
-    python -m repro optimize design.blif --live --trace run.jsonl
-    python -m repro tail run.jsonl       # follow a streaming trace
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Dict, List
 
@@ -126,7 +123,7 @@ def _optimize_main(argv: List[str]) -> int:
         "--stats-json",
         metavar="PATH",
         help="write the full run statistics (worker counters included) "
-        "as JSON",
+        "and the final check's backend and verdict as JSON",
     )
     parser.add_argument(
         "--deadline",
@@ -168,8 +165,10 @@ def _optimize_main(argv: List[str]) -> int:
         help=(
             "record a structured trace of the run (spans for every "
             "pass, pair, divide, ATPG sweep, commit and verify — "
-            "worker spans merged in) as JSON lines; tracing never "
-            "changes the optimized output"
+            "worker spans merged in) as JSON lines, each written as "
+            "its span closes, so a killed run still leaves a "
+            "parseable trace; tracing never changes the optimized "
+            "output"
         ),
     )
     parser.add_argument(
@@ -190,27 +189,6 @@ def _optimize_main(argv: List[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--live",
-        action="store_true",
-        help=(
-            "render a live progress line on stderr (pass/pair/divide "
-            "counters, literal estimate, pair throughput, RSS) driven "
-            "by the span stream; never changes the optimized output"
-        ),
-    )
-    parser.add_argument(
-        "--sample-resources",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "emit resource_sample telemetry (RSS, CPU split, GC, "
-            "/dev/shm usage) every SECONDS into the trace stream "
-            "(needs --trace, --live or --profile*; default: 0.5 with "
-            "--live, else off; 0 disables)"
-        ),
-    )
-    parser.add_argument(
         "--stall-timeout",
         type=float,
         default=None,
@@ -219,15 +197,6 @@ def _optimize_main(argv: List[str]) -> int:
             "with -j >1: flag a worker shard silent past SECONDS as a "
             "stall and contain it through the retry ladder instead of "
             "waiting forever (default: off)"
-        ),
-    )
-    parser.add_argument(
-        "--heartbeat-dir",
-        metavar="DIR",
-        help=(
-            "with -j >1: workers overwrite a per-pid heartbeat JSON "
-            "file here at every batch boundary (crash-durable "
-            "liveness; default: off)"
         ),
     )
     args = parser.parse_args(argv)
@@ -281,63 +250,29 @@ def _optimize_main(argv: List[str]) -> int:
         if args.stall_timeout <= 0:
             parser.error("--stall-timeout must be > 0")
         overrides["stall_timeout_seconds"] = args.stall_timeout
-    if args.heartbeat_dir is not None:
-        overrides["heartbeat_dir"] = args.heartbeat_dir
-    if args.sample_resources is not None and args.sample_resources < 0:
-        parser.error("--sample-resources must be >= 0")
     if (
-        overrides
-        or args.trace
-        or args.profile
-        or args.profile_json
-        or args.live
-        or args.sample_resources
+        overrides or args.trace or args.profile or args.profile_json
     ) and args.method == "sis":
         parser.error(
             "--no-sim-filter/--sim-patterns/--jobs/--deadline/"
             "--verify-commits/--verify-backend/--trace/--profile/"
-            "--profile-json/--live/--sample-resources/"
-            "--stall-timeout/--heartbeat-dir do not apply to sis"
+            "--profile-json/--stall-timeout do not apply to sis"
         )
     tracer = None
     trace_sink = None
-    bus = None
-    live_view = None
-    sampler = None
-    if args.trace or args.profile or args.profile_json or args.live:
-        from repro.obs.tracer import Tracer
+    if args.trace or args.profile or args.profile_json:
+        from repro.obs.tracer import StreamingJsonlSink, Tracer
 
-        tracer = Tracer()
-        sinks = []
         if args.trace:
-            # Streaming sink: spans hit the disk as they close, so a
-            # crash or kill -9 mid-run still leaves a parseable trace
-            # (same bytes as the old write-at-end export for runs
-            # that complete).
-            from repro.obs.stream import StreamingJsonlSink
-
-            trace_sink = StreamingJsonlSink(args.trace)
-            sinks.append(trace_sink)
-        if args.live:
-            from repro.obs.live import LiveProgress
-            from repro.obs.stream import TelemetryBus
-
-            bus = TelemetryBus()
-            live_view = LiveProgress(initial_literals=initial)
-            bus.attach(live_view.on_event)
-            sinks.append(bus.publish)
-        if sinks:
-            from repro.obs.stream import fanout
-
-            tracer.set_sink(fanout(*sinks))
-    sample_period = args.sample_resources
-    if sample_period is None and args.live:
-        sample_period = 0.5
-    if tracer is not None and sample_period:
-        from repro.obs.resource import ResourceSampler
-
-        sampler = ResourceSampler(tracer, period=sample_period)
-        sampler.start()
+            # Spans hit the disk as they close, so a crash or kill -9
+            # mid-run still leaves a parseable trace.
+            try:
+                trace_sink = StreamingJsonlSink(args.trace)
+            except OSError as exc:
+                _report_unwritable(args.trace, exc)
+                return 2
+        tracer = Tracer(sink=trace_sink)
+    verdict = None
     try:
         stats = run_method(
             network, args.method, config_overrides=overrides, tracer=tracer
@@ -389,47 +324,43 @@ def _optimize_main(argv: List[str]) -> int:
                 )
                 return 1
     finally:
-        # Telemetry teardown in dependency order: stop the sampler
-        # thread (its closing sample still flows through the sink),
-        # release the live TTY line, then flush + close the trace
-        # file so every recorded span is durable.
-        if sampler is not None:
-            sampler.stop()
-        if live_view is not None:
-            live_view.close()
-        if bus is not None:
-            bus.close()
         if trace_sink is not None:
             trace_sink.close()
 
     blif = to_blif_str(network)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(blif)
+        if not _write_file(args.output, blif):
+            return 2
     else:
         sys.stdout.write(blif)
     if tracer is not None:
         if args.trace:
-            # The streaming sink already wrote (and closed) the file.
-            print(
-                f"# trace: {len(tracer.events)} spans -> {args.trace}",
-                file=sys.stderr,
-            )
+            # A failed write leaves the run and its output alone; the
+            # trace just stops at the last line that reached the disk.
+            trace_error = tracer.sink_error or trace_sink.error
+            if trace_error is None:
+                print(
+                    f"# trace: {len(tracer.events)} spans -> {args.trace}",
+                    file=sys.stderr,
+                )
+            else:
+                print(
+                    f"warning: trace {args.trace} is incomplete: "
+                    f"{trace_error}",
+                    file=sys.stderr,
+                )
         if args.profile or args.profile_json:
             from repro.obs.profile import format_profile, profile_events
 
             rollup = profile_events(tracer.events)
             if args.profile:
                 print(format_profile(rollup), file=sys.stderr)
-            if args.profile_json:
-                import json
-
-                with open(args.profile_json, "w") as handle:
-                    json.dump(rollup, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+            if args.profile_json and not _write_file(
+                args.profile_json,
+                json.dumps(rollup, indent=2, sort_keys=True) + "\n",
+            ):
+                return 2
     if args.stats_json:
-        import json
-
         report = {
             "circuit": network.name,
             "method": args.method,
@@ -438,17 +369,42 @@ def _optimize_main(argv: List[str]) -> int:
             "literals_initial": initial,
             "literals_final": int(stats["literals"]),
             "cpu_seconds": stats["cpu"],
+            # The final check's verdict; None under --no-verify.
+            "verify": (
+                None
+                if verdict is None
+                else {"backend": verdict.backend, "status": verdict.status}
+            ),
             "substitution": stats.get("stats"),
         }
-        with open(args.stats_json, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        if not _write_file(
+            args.stats_json, json.dumps(report, indent=2) + "\n"
+        ):
+            return 2
     print(
         f"# {network.name}: {initial} -> {int(stats['literals'])} "
         f"factored literals ({args.method}, {stats['cpu']:.2f}s)",
         file=sys.stderr,
     )
     return 0
+
+
+def _report_unwritable(path: str, exc: OSError) -> None:
+    print(
+        f"error: cannot write {path!r}: {exc.strerror or exc}",
+        file=sys.stderr,
+    )
+
+
+def _write_file(path: str, text: str) -> bool:
+    """Write *text* to *path*; on failure, say why and return False."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        _report_unwritable(path, exc)
+        return False
+    return True
 
 
 def _method_table():
@@ -528,83 +484,6 @@ def _trace_main(argv: List[str]) -> int:
     return 0
 
 
-def _tail_main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro tail",
-        description=(
-            "Follow a streaming --trace JSONL file in real time: "
-            "prints a line per completed pass, stall warnings, and a "
-            "live counter footer, until the run span arrives (or EOF "
-            "with --no-follow)."
-        ),
-    )
-    parser.add_argument("file", help="trace file being written by --trace")
-    parser.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="poll interval while waiting for new lines (default: 0.2)",
-    )
-    parser.add_argument(
-        "--no-follow",
-        action="store_true",
-        help="replay what is on disk and exit instead of following",
-    )
-    parser.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "give up after SECONDS without new data (default: follow "
-            "forever)"
-        ),
-    )
-    args = parser.parse_args(argv)
-    if args.poll <= 0:
-        parser.error("--poll must be > 0")
-    if args.max_idle is not None and args.max_idle <= 0:
-        parser.error("--max-idle must be > 0")
-
-    import os
-
-    from repro.obs.live import LiveProgress, TailReporter, follow_trace
-
-    if not os.path.exists(args.file):
-        print(
-            f"error: cannot read {args.file!r}: no such file",
-            file=sys.stderr,
-        )
-        return 2
-
-    def _warn(message: str) -> None:
-        print(f"warning: {message}", file=sys.stderr)
-
-    progress = LiveProgress()
-    reporter = TailReporter(progress)
-    try:
-        delivered = follow_trace(
-            args.file,
-            reporter.on_event,
-            follow=not args.no_follow,
-            poll_seconds=args.poll,
-            max_idle_seconds=args.max_idle,
-            on_warning=_warn,
-        )
-    except OSError as exc:
-        print(f"error: cannot read {args.file!r}: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        progress.close()
-        return 0
-    progress.close()
-    if delivered == 0 and args.no_follow:
-        print(f"error: {args.file}: empty trace file", file=sys.stderr)
-        return 2
-    return 0
-
-
 def main(argv: List[str] = None) -> int:
     """CLI entry point; see the module docstring for usage."""
     if argv is None:
@@ -613,8 +492,6 @@ def main(argv: List[str] = None) -> int:
         return _optimize_main(argv[1:])
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
-    if argv and argv[0] == "tail":
-        return _tail_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

@@ -226,12 +226,6 @@ class DivisionConfig:
     #: behavior.
     stall_timeout_seconds: Optional[float] = None
 
-    #: Directory for per-worker heartbeat files (one small JSON file
-    #: per worker pid, overwritten at every batch boundary) — a
-    #: crash-durable liveness channel an operator can inspect even
-    #: after the run dies.  ``None`` (the default) writes nothing.
-    heartbeat_dir: Optional[str] = None
-
     def __post_init__(self):
         if self.mode not in ("basic", "extended"):
             raise ValueError("mode must be 'basic' or 'extended'")

@@ -137,11 +137,8 @@ class SubstitutionStats:
     #: Literals/cubes dropped from candidate covers by the
     #: excitation-only ATPG redundancy cleanup.
     resub_wires_cleaned: int = 0
-    #: Liveness telemetry: heartbeat marks received from workers on
-    #: the result channel, and shards the executor's stall watchdog
-    #: flagged as silent past the threshold.  Timing-dependent, so
-    #: they may differ between runs.
-    heartbeats_recorded: int = 0
+    #: Shards the executor's stall watchdog flagged as silent past
+    #: the threshold.  Timing-dependent, so it may differ between runs.
     stalls_detected: int = 0
     #: Structured incident records (JSON-ready dicts) — one per
     #: rolled-back commit; surfaces through ``--stats-json``.
@@ -804,7 +801,6 @@ def substitute_network(
         stats.worker_faults += engine.worker_faults
         stats.shards_redispatched += engine.shards_redispatched
         stats.degraded_to_serial += engine.degraded_to_serial
-        stats.heartbeats_recorded += engine.heartbeats
         stats.stalls_detected += engine.stalls
         stats.parallel_deltas_shipped += engine.deltas_shipped
         stats.parallel_delta_nodes += engine.delta_nodes

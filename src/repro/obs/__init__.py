@@ -3,13 +3,16 @@
 Two zero-dependency building blocks:
 
 * :mod:`repro.obs.tracer` — nestable wall/CPU spans with an injectable
-  clock, JSONL export, and a no-op tracer whose use is near-free and
-  leaves runs byte-identical (the default everywhere);
+  clock, JSONL export, a crash-durable streaming JSONL sink (what
+  ``--trace`` writes through, so a killed run still leaves a trace),
+  tolerant reading of a truncated tail, and a no-op tracer whose use
+  is near-free and leaves runs byte-identical (the default
+  everywhere);
 * :mod:`repro.obs.profile` — per-phase rollups (pass /
   pair-enumeration / divide / ATPG-region-removal / commit / verify)
   over a trace's events.
 
-Built on top of those, the analytics storey (PR 5):
+Built on top of those, the analytics storey:
 
 * :mod:`repro.obs.analyze` — span-forest reconstruction, critical
   path, per-kind/per-proc self-time aggregates, hottest spans, worker
@@ -18,21 +21,6 @@ Built on top of those, the analytics storey (PR 5):
 * :mod:`repro.obs.export` — lossless Chrome trace-event / Perfetto
   conversion and folded-stack flamegraph lines (``repro trace
   chrome|flame``).
-
-And the live-telemetry storey (PR 10):
-
-* :mod:`repro.obs.stream` — the per-event layer: ``TelemetryBus``
-  pub/sub fan-out, a crash-durable streaming JSONL sink (what
-  ``--trace`` writes through now), and tolerant trace reading for
-  truncated tails;
-* :mod:`repro.obs.resource` — a background sampler emitting
-  ``resource_sample`` instants (RSS / peak RSS, CPU split, GC
-  collections and pause wall, ``/dev/shm`` signature usage);
-* :mod:`repro.obs.health` — worker heartbeat files and the
-  executor-side stall watchdog behind ``--heartbeat-dir`` /
-  ``--stall-timeout``;
-* :mod:`repro.obs.live` — the ``--live`` progress line and the
-  ``repro tail`` follower.
 
 The tracer is threaded through :func:`~repro.core.substitution.
 substitute_network`, the division engine, the ATPG loops and the
@@ -46,6 +34,7 @@ from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     SPAN_KINDS,
+    StreamingJsonlSink,
     TRACE_SCHEMA_VERSION,
     Tracer,
     as_tracer,
@@ -74,33 +63,12 @@ from repro.obs.export import (
     to_chrome_trace,
     to_folded_stacks,
 )
-from repro.obs.stream import (
-    StreamingJsonlSink,
-    Subscription,
-    TelemetryBus,
-    fanout,
-)
-from repro.obs.resource import (
-    GcPauseMonitor,
-    ResourceSampler,
-    sample_attrs,
-)
-from repro.obs.health import (
-    StallWatchdog,
-    read_heartbeats,
-    stale_workers,
-    write_heartbeat,
-)
-from repro.obs.live import (
-    LiveProgress,
-    TailReporter,
-    follow_trace,
-)
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "SPAN_KINDS",
+    "StreamingJsonlSink",
     "TRACE_SCHEMA_VERSION",
     "Tracer",
     "as_tracer",
@@ -122,18 +90,4 @@ __all__ = [
     "export_folded_stacks",
     "to_chrome_trace",
     "to_folded_stacks",
-    "StreamingJsonlSink",
-    "Subscription",
-    "TelemetryBus",
-    "fanout",
-    "GcPauseMonitor",
-    "ResourceSampler",
-    "sample_attrs",
-    "StallWatchdog",
-    "read_heartbeats",
-    "stale_workers",
-    "write_heartbeat",
-    "LiveProgress",
-    "TailReporter",
-    "follow_trace",
 ]

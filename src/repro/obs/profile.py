@@ -37,8 +37,6 @@ PROFILE_PHASES = (
     "shm_publish",
     "delta_ship",
     "delta_apply",
-    "resource_sample",
-    "heartbeat",
     "stall",
 )
 

@@ -1,4 +1,4 @@
-"""Structured tracing: nestable spans with JSONL export.
+"""Structured tracing: nestable spans with JSONL export and streaming.
 
 A :class:`Tracer` records *spans* — named, nestable intervals with
 wall and CPU durations plus free-form attributes.  Every span becomes
@@ -23,6 +23,9 @@ Design constraints (these are load-bearing for the rest of the repo):
   :meth:`~Tracer.absorb`\\ s them — timestamps stay in the recording
   process's clock domain (they are comparable *within* a proc, not
   across procs; durations are always meaningful).
+* **Crash-durable traces.**  :class:`StreamingJsonlSink` writes each
+  event to disk the moment it is recorded, so a killed run still
+  leaves a trace that ``read_jsonl(path, tolerant=True)`` parses.
 
 Event schema (one JSONL line per span; see
 :func:`validate_trace_event`)::
@@ -64,10 +67,7 @@ SPAN_KINDS = frozenset(
         "shm_publish",   # engine: signature bitmap published to /dev/shm
         "delta_apply",   # worker: catch-up replay of commit deltas
         "delta_ship",    # engine: cumulative delta handed to a shard
-        # Live-telemetry instants (zero-duration point events).
-        "resource_sample",  # RSS / CPU / GC / shm usage snapshot
-        "heartbeat",        # worker liveness mark at a batch boundary
-        "stall",            # watchdog: shard silent past the threshold
+        "stall",         # watchdog instant: shard silent past the threshold
     }
 )
 
@@ -107,12 +107,6 @@ class NullTracer:
 
     def span(self, kind: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
-
-    def instant(self, kind: str, **attrs) -> None:
-        pass
-
-    def set_sink(self, sink) -> None:
-        pass
 
     def drain(self) -> List[dict]:
         return []
@@ -199,10 +193,10 @@ class Tracer:
     ``worker-<pid>`` so merged traces stay attributable.
 
     *sink*, when set, is called with every event dict the moment it is
-    recorded (span close, :meth:`instant`, or :meth:`absorb`) — the
-    hook live streaming and the telemetry bus hang off.  A sink must
-    never affect the run: the first exception it raises detaches it
-    (recorded in :attr:`sink_error`) and recording continues.
+    recorded (span close or :meth:`absorb`) — the hook
+    :class:`StreamingJsonlSink` hangs off.  A sink must never affect
+    the run: the first exception it raises detaches it (recorded in
+    :attr:`sink_error`) and recording continues.
     """
 
     __slots__ = ("events", "proc", "_clock", "_cpu_clock", "_next_id",
@@ -232,30 +226,6 @@ class Tracer:
     def span(self, kind: str, **attrs) -> Span:
         """A context manager timing one *kind* interval."""
         return Span(self, kind, attrs)
-
-    def instant(self, kind: str, **attrs) -> None:
-        """Record a zero-duration point event (heartbeat, marker)."""
-        span_id = self._next_id
-        self._next_id += 1
-        now = self._clock()
-        self._emit(
-            {
-                "v": TRACE_SCHEMA_VERSION,
-                "kind": kind,
-                "id": span_id,
-                "parent": self._stack[-1] if self._stack else -1,
-                "proc": self.proc,
-                "start": now,
-                "end": now,
-                "dur": 0.0,
-                "cpu": 0.0,
-                "attrs": attrs,
-            }
-        )
-
-    def set_sink(self, sink: Optional[Callable[[dict], None]]) -> None:
-        """Install (or clear) the per-event sink hook."""
-        self._sink = sink
 
     def _emit(self, event: dict) -> None:
         self.events.append(event)
@@ -301,8 +271,59 @@ class Tracer:
 
     def _write(self, handle: IO[str]) -> None:
         for event in self.events:
-            handle.write(json.dumps(event, sort_keys=True))
-            handle.write("\n")
+            handle.write(_jsonl_line(event))
+
+
+def _jsonl_line(event: dict) -> str:
+    """One event's trace line, as both writers serialize it."""
+    return json.dumps(event, sort_keys=True) + "\n"
+
+
+class StreamingJsonlSink:
+    """Crash-durable JSONL trace writer; a :class:`Tracer` sink.
+
+    Opens *path* at once, so an unwritable path raises ``OSError``
+    before the run starts, then writes and flushes one line per event:
+    the same bytes, in the same order, that :meth:`Tracer.export_jsonl`
+    writes at the end of a run.  A ``kill -9`` loses only the spans
+    still open.  :meth:`close` never raises; a failed final flush is
+    kept in :attr:`error`, as the tracer keeps a failed write in
+    ``sink_error``.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.events_written = 0
+        self.error: Optional[OSError] = None
+        self._handle: Optional[IO[str]] = open(path, "w")
+
+    def __call__(self, event: dict) -> None:
+        handle = self._handle
+        if handle is None:
+            return
+        handle.write(_jsonl_line(event))
+        handle.flush()
+        self.events_written += 1
+
+    @property
+    def closed(self) -> bool:
+        return self._handle is None
+
+    def close(self) -> None:
+        handle, self._handle = self._handle, None
+        if handle is None:
+            return
+        try:
+            handle.close()
+        except OSError as exc:
+            self.error = exc
+
+    def __enter__(self) -> "StreamingJsonlSink":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
 
 # ----------------------------------------------------------------------

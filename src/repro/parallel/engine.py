@@ -476,9 +476,7 @@ class SpeculativeEngine:
         self.worker_faults = 0
         self.shards_redispatched = 0
         self.degraded_to_serial = 0
-        #: Liveness traffic: heartbeat marks reaped from shard metas
-        #: and watchdog-flagged stalls.
-        self.heartbeats = 0
+        #: Shards the executor's stall watchdog flagged.
         self.stalls = 0
         #: Passes whose speculation was abandoned outright because the
         #: executor itself failed; the pass then evaluates every pair
@@ -550,11 +548,7 @@ class SpeculativeEngine:
             if sim_ref is None:
                 sim_ref = sim_filter.sim.snapshot()
         payload = make_payload(
-            network,
-            config,
-            sim_ref,
-            trace=tracer.enabled,
-            heartbeat_dir=config.heartbeat_dir,
+            network, config, sim_ref, trace=tracer.enabled
         )
         self.snapshot_bytes += len(payload)
         self.executor = make_executor(
@@ -627,12 +621,10 @@ class SpeculativeEngine:
         self.worker_faults += executor.worker_faults
         self.shards_redispatched += executor.shards_redispatched
         self.degraded_to_serial += executor.degraded_to_serial
-        self.heartbeats += executor.heartbeats
         self.stalls += executor.stalls
         executor.worker_faults = 0
         executor.shards_redispatched = 0
         executor.degraded_to_serial = 0
-        executor.heartbeats = 0
         executor.stalls = 0
         self.phase_seconds["worker_build"] += executor.worker_build_seconds
         self.phase_seconds["evaluate"] += executor.evaluate_seconds

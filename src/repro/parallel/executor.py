@@ -37,6 +37,10 @@ Fault containment (the process backend's retry ladder):
    (``degraded_to_serial``), which cannot lose a process and applies
    the same delta log.
 
+With ``stall_timeout_seconds`` set, a :class:`StallWatchdog` bounds
+every wait: a shard silent past the threshold is flagged as a
+``stall`` and joins the same ladder as a dead worker.
+
 Because speculative outcomes are *hints* — the commit protocol
 validates each one against the live network — any recovery path yields
 the same optimized network as a serial run; only the stats differ.
@@ -56,8 +60,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.tracer import TRACE_SCHEMA_VERSION
 from repro.parallel.delta import DeltaRecord
 from repro.parallel.worker import (
     PairOutcome,
@@ -106,10 +111,6 @@ class SerialExecutor:
         self.trace_events: List[dict] = []
         self.worker_build_seconds = self._context.build_seconds
         self.evaluate_seconds = 0.0
-        #: One liveness mark per evaluated shard, mirroring the
-        #: process backend's piggybacked heartbeats, so
-        #: ``heartbeats_recorded`` reads consistently across backends.
-        self.heartbeats = 0
 
     # -- persistent submit/reap API ------------------------------------
     def submit(
@@ -125,7 +126,6 @@ class SerialExecutor:
             list(pairs), batch_index=index, deltas=tuple(deltas)
         )
         self.evaluate_seconds += time.perf_counter() - start
-        self.heartbeats += 1
         self.trace_events.extend(self._context.tracer.drain())
 
     def result(self, index: int) -> List[PairOutcome]:
@@ -150,6 +150,78 @@ class SerialExecutor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(cancel=exc_type is not None)
+
+
+#: proc label of watchdog-authored stall events — its own id space,
+#: so watchdog instants never collide with main-tracer span ids.
+WATCHDOG_PROC = "watchdog"
+
+
+class StallWatchdog:
+    """Per-shard silence bookkeeping for :class:`ProcessExecutor`.
+
+    The executor notes every dispatch (:meth:`note_dispatch`) and
+    every completion (:meth:`note_result`); when a blocking wait times
+    out it asks :meth:`flag_stall` to mint a schema-v1 ``stall`` event
+    and bump the counters.  The watchdog holds no threads of its own —
+    the executor's existing wait loop *is* the polling loop, with the
+    timeout supplying the cadence.  Stall detection depends on the
+    wall clock, so ``stalls_detected`` may differ between two runs of
+    the same input.
+    """
+
+    def __init__(
+        self,
+        threshold_seconds: float,
+        clock: Callable[[], float] = time.perf_counter,
+    ):
+        if threshold_seconds <= 0:
+            raise ValueError(
+                f"stall threshold must be positive: {threshold_seconds}"
+            )
+        self.threshold_seconds = threshold_seconds
+        self.stalls_flagged = 0
+        self._clock = clock
+        self._dispatched_at: Dict[int, float] = {}
+        self._next_id = 0
+
+    def note_dispatch(self, shard_index: int) -> None:
+        self._dispatched_at[shard_index] = self._clock()
+
+    def note_result(self, shard_index: int) -> None:
+        self._dispatched_at.pop(shard_index, None)
+
+    def silence(self, shard_index: int) -> float:
+        """Seconds since *shard_index* was dispatched (0 if unknown)."""
+        dispatched = self._dispatched_at.get(shard_index)
+        if dispatched is None:
+            return 0.0
+        return max(0.0, self._clock() - dispatched)
+
+    def flag_stall(self, shard_index: int, retries: int = 0) -> dict:
+        """Record one stall; returns the ``stall`` trace event."""
+        silent = self.silence(shard_index)
+        self.stalls_flagged += 1
+        now = self._clock()
+        span_id = self._next_id
+        self._next_id += 1
+        return {
+            "v": TRACE_SCHEMA_VERSION,
+            "kind": "stall",
+            "id": span_id,
+            "parent": -1,
+            "proc": WATCHDOG_PROC,
+            "start": now,
+            "end": now,
+            "dur": 0.0,
+            "cpu": 0.0,
+            "attrs": {
+                "shard": shard_index,
+                "silent_seconds": silent,
+                "threshold_seconds": self.threshold_seconds,
+                "retries": retries,
+            },
+        }
 
 
 class ProcessExecutor:
@@ -180,9 +252,7 @@ class ProcessExecutor:
         self.worker_faults = 0
         self.shards_redispatched = 0
         self.degraded_to_serial = 0
-        #: Heartbeat marks piggybacked on reaped shard metas, and
-        #: shards the watchdog flagged as silent past *stall_timeout*.
-        self.heartbeats = 0
+        #: Shards the watchdog flagged as silent past *stall_timeout*.
         self.stalls = 0
         self.trace_events: List[dict] = []
         self.worker_build_seconds = 0.0
@@ -191,10 +261,6 @@ class ProcessExecutor:
         self._injection = injection
         self._watchdog = None
         if stall_timeout is not None:
-            # Imported here (not at module top) to keep the worker
-            # pickle graph identical with the watchdog disabled.
-            from repro.obs.health import StallWatchdog
-
             self._watchdog = StallWatchdog(stall_timeout)
         #: Set when a stall made the live pool suspect: its teardown
         #: must not wait on a wedged worker (see ``_shutdown_pool``).
@@ -366,7 +432,6 @@ class ProcessExecutor:
         self.trace_events.extend(events)
         self.worker_build_seconds += meta.get("build_seconds", 0.0)
         self.evaluate_seconds += meta.get("eval_seconds", 0.0)
-        self.heartbeats += int(meta.get("heartbeat", 0))
 
     def _run_failure_wave(self) -> None:
         """Handle every failure discovered so far in one sweep.

@@ -86,18 +86,10 @@ class WorkerContext:
 
     def __init__(self, payload: bytes, injection=None):
         build_start = time.perf_counter()
-        network, config, sim_ref, trace, heartbeat_dir = pickle.loads(
-            payload
-        )
+        network, config, sim_ref, trace = pickle.loads(payload)
         self.network: Network = network
         self.config: DivisionConfig = config
         self.injection = injection
-        #: Liveness channel: when set, a per-pid heartbeat file in this
-        #: directory is overwritten at every batch boundary (see
-        #: :mod:`repro.obs.health`).
-        self.heartbeat_dir: Optional[str] = heartbeat_dir
-        self.batches_evaluated = 0
-        self.pairs_done = 0
         self.filter: Optional[DivisorFilter] = None
         if sim_ref is not None:
             if isinstance(sim_ref, SharedSignatureRef):
@@ -242,41 +234,7 @@ class WorkerContext:
                     if result is not None:
                         skip_dividend = f_name
         inject.corrupt_outcomes(self.injection, batch_index, out)
-        self.batches_evaluated += 1
-        self.pairs_done += len(pairs)
-        self._mark_liveness(batch_index)
         return out
-
-    def _mark_liveness(self, batch_index: int) -> None:
-        """Batch-boundary telemetry: heartbeat + resource sample.
-
-        Both are pure observability — no control-flow influence — and
-        both are batch-synchronous (no worker threads), so outcomes
-        remain a pure function of (pairs, generation).
-        """
-        if self.heartbeat_dir is not None:
-            # Imported lazily: obs.health is only needed on the
-            # liveness path, never in the default pickle contract.
-            from repro.obs.health import write_heartbeat
-
-            write_heartbeat(
-                self.heartbeat_dir,
-                os.getpid(),
-                batch=batch_index,
-                pairs_done=self.pairs_done,
-                generation=self.generation,
-            )
-        if self.tracer.enabled:
-            from repro.obs.resource import sample_attrs
-
-            self.tracer.instant(
-                "heartbeat",
-                batch=batch_index,
-                pairs_done=self.pairs_done,
-                generation=self.generation,
-                pid=os.getpid(),
-            )
-            self.tracer.instant("resource_sample", **sample_attrs())
 
     def shard_meta(self, eval_seconds: float) -> Dict[str, float]:
         """Per-shard bookkeeping shipped back with the outcomes.
@@ -290,13 +248,6 @@ class WorkerContext:
             "build_seconds": build,
             "eval_seconds": eval_seconds,
             "generation": float(self.generation),
-            # Heartbeat mark piggybacked on the result channel: pid +
-            # wall timestamp + cumulative progress.  The executor
-            # counts these into ``heartbeats_recorded``.
-            "heartbeat": 1.0,
-            "pid": float(os.getpid()),
-            "heartbeat_ts": time.time(),
-            "pairs_done": float(self.pairs_done),
         }
 
 
@@ -305,7 +256,6 @@ def make_payload(
     config: DivisionConfig,
     sim_snapshot,
     trace: bool = False,
-    heartbeat_dir: Optional[str] = None,
 ) -> bytes:
     """Pickle the base snapshot shipped to every worker exactly once.
 
@@ -315,11 +265,9 @@ def make_payload(
     in shared memory and only the small ref rides in the pickle).
     *trace* arms the workers' local tracers; their spans come back
     with each shard result (see :func:`_pool_evaluate`).
-    *heartbeat_dir* arms the per-batch heartbeat files.
     """
     return pickle.dumps(
-        (network, config, sim_snapshot, trace, heartbeat_dir),
-        pickle.HIGHEST_PROTOCOL,
+        (network, config, sim_snapshot, trace), pickle.HIGHEST_PROTOCOL
     )
 
 

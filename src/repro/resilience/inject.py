@@ -16,9 +16,10 @@ Hooks and where they fire:
   per-future failure without losing the pool).  Worker processes only.
 * ``sleep_on_batch`` — the worker stalls for ``sleep_seconds`` (slow
   shard; exercises deadline budgets against straggling workers, and —
-  with ``stall_timeout_seconds`` armed — the executor's stall
-  watchdog, which flags the silent shard and feeds it into the same
-  containment ladder as a worker fault).  Worker processes only.
+  with ``stall_timeout_seconds`` armed — the
+  :class:`~repro.parallel.executor.StallWatchdog`, which flags the
+  silent shard and feeds it into the same containment ladder as a
+  worker fault).  Worker processes only.
 * ``corrupt_on_batch`` — the first profitable
   :class:`~repro.core.division.DivisionResult` in that batch has its
   substituted cover complemented: structurally valid, picklable, and

@@ -9,11 +9,14 @@ on each suite circuit:
 
 * a serial rerun on a fresh build (BASIC and EXTENDED) reproduces the
   BLIF and every :class:`SubstitutionStats` field except the timings;
+* so does a run traced through the streaming sink, whose file holds
+  the same bytes as ``export_jsonl`` and reads back with
+  ``read_jsonl``;
 * an ``n_jobs=2`` BASIC run (on circuits this small the ``"auto"``
   backend runs the speculative protocol in-process) reproduces the
-  serial BLIF and every serial counter, except the signature-cache and
-  heartbeat tallies that the speculative evaluations add to, and a
-  rerun of it reproduces its own ``parallel_*`` counters.
+  serial BLIF and every serial counter, except the signature-cache
+  tallies that the speculative evaluations add to, and a rerun of it
+  reproduces its own ``parallel_*`` counters.
 """
 
 import dataclasses
@@ -24,6 +27,7 @@ from repro.bench.suite import benchmark_names, build_benchmark
 from repro.core.config import BASIC, EXTENDED
 from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
+from repro.obs.tracer import StreamingJsonlSink, Tracer, read_jsonl
 
 CONFIGS = {"basic": BASIC, "ext": EXTENDED}
 
@@ -31,19 +35,14 @@ CONFIGS = {"basic": BASIC, "ext": EXTENDED}
 _TIMINGS = ("cpu_seconds", "parallel_phase_seconds")
 
 #: Serial counters a speculative run legitimately adds to: the
-#: signature lookups of the pair evaluations and the protocol's
-#: heartbeats.
-_SPECULATION_TALLIES = (
-    "sim_cache_hits",
-    "sim_cache_misses",
-    "heartbeats_recorded",
-)
+#: signature lookups of the pair evaluations.
+_SPECULATION_TALLIES = ("sim_cache_hits", "sim_cache_misses")
 
 
-def _run(name, config, n_jobs=1):
+def _run(name, config, n_jobs=1, tracer=None):
     """One run on a fresh build: (BLIF, stats fields minus timings)."""
     network = build_benchmark(name)
-    stats = substitute_network(network, config, n_jobs=n_jobs)
+    stats = substitute_network(network, config, n_jobs=n_jobs, tracer=tracer)
     counters = dataclasses.asdict(stats)
     for field in _TIMINGS:
         counters.pop(field)
@@ -78,6 +77,27 @@ def test_rerun_reproduces_blif_and_counters(name, label, serial_run):
     rerun_blif, rerun_counters = _run(name, CONFIGS[label])
     assert rerun_blif == blif
     assert _differences(counters, rerun_counters, counters) == {}
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+@pytest.mark.parametrize("name", benchmark_names())
+def test_traced_run_reproduces_blif_and_counters(
+    name, label, serial_run, tmp_path
+):
+    blif, counters = serial_run(name, label)
+    streamed = tmp_path / "streamed.jsonl"
+    with StreamingJsonlSink(str(streamed)) as sink:
+        tracer = Tracer(sink=sink)
+        traced_blif, traced_counters = _run(
+            name, CONFIGS[label], tracer=tracer
+        )
+    assert traced_blif == blif
+    assert _differences(counters, traced_counters, counters) == {}
+    assert tracer.events and tracer.sink_error is None and sink.error is None
+    exported = tmp_path / "exported.jsonl"
+    tracer.export_jsonl(str(exported))
+    assert streamed.read_bytes() == exported.read_bytes()
+    assert read_jsonl(str(streamed)) == tracer.events
 
 
 @pytest.mark.parametrize("name", benchmark_names())

@@ -4,16 +4,14 @@ Wall-clock A/B timing of one run cannot resolve a sub-percent delta
 over OS noise, so the overhead is bounded analytically instead: the
 span count of an enabled run times the measured per-event cost of the
 disabled path (one ``NULL_TRACER.span()`` entry/exit), over the
-disabled run's wall time.  The live bound does the same with the
-per-event cost of everything ``--live`` adds on top of tracing.  The
-disabled and enabled runs must also produce byte-identical output.
+disabled run's wall time.  The disabled and enabled runs must also
+produce byte-identical output.
 
 Process warm-up is paid by whichever arm runs first, so the rnd8 runs
 alternate the arm order over three repeats and take the minimum wall
 per arm.
 """
 
-import io
 import sys
 import time
 import timeit
@@ -24,9 +22,7 @@ from repro.bench.suite import build_benchmark
 from repro.core.config import EXTENDED
 from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
-from repro.obs.live import LiveProgress
-from repro.obs.stream import StreamingJsonlSink, TelemetryBus
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, StreamingJsonlSink, Tracer
 
 pytestmark = [
     pytest.mark.bench_smoke,
@@ -37,8 +33,7 @@ pytestmark = [
     ),
 ]
 
-#: Disabled tracing, and the enabled ``--live`` bus on top of it, must
-#: each cost < 2% of the disabled run's wall time.
+#: Disabled tracing must cost < 2% of the disabled run's wall time.
 OVERHEAD_BOUND = 0.02
 
 _SAMPLE_EVENT = {
@@ -78,18 +73,6 @@ def sink_event_cost(sink, iterations):
     return _median_per_call(timer, iterations)
 
 
-def bus_event_cost(iterations):
-    """Seconds per event through the ``--live`` bus: ``publish``
-    fanning out to one bounded subscription and a progress-line fold."""
-    bus = TelemetryBus()
-    bus.subscribe()
-    bus.attach(LiveProgress(stream=io.StringIO()).on_event)
-    try:
-        return sink_event_cost(bus.publish, iterations)
-    finally:
-        bus.close()
-
-
 def _timed_run(tracer):
     network = build_benchmark("rnd8")
     start = time.perf_counter()
@@ -115,20 +98,9 @@ def test_disabled_tracer_overhead_under_bound_on_rnd8():
     assert spans > 0
     disabled_wall = min(disabled_walls)
     bound = spans * null_span_cost(200_000) / disabled_wall
-    live_bound = spans * bus_event_cost(20_000) / disabled_wall
     assert bound < OVERHEAD_BOUND, (
         f"disabled tracing bound {bound:.4%} exceeds {OVERHEAD_BOUND:.0%}"
     )
-    assert live_bound < OVERHEAD_BOUND, (
-        f"enabled-bus bound {live_bound:.4%} exceeds {OVERHEAD_BOUND:.0%}"
-    )
-
-
-def test_bus_event_cost_is_micro():
-    # The --live bus path (fan-out + progress fold) rides every span;
-    # keep it a few microseconds so thousands of spans stay invisible
-    # next to a sub-second run.
-    assert bus_event_cost(5_000) < 1e-5
 
 
 def test_streaming_event_cost_is_bounded(tmp_path):

@@ -120,13 +120,11 @@ def test_worker_payload_is_self_contained():
     sim = SignatureSimulator(net, patterns=64)
     payload = make_payload(net, BASIC, sim.snapshot())
     assert isinstance(payload, bytes)
-    network, config, snapshot, trace, heartbeat_dir = pickle.loads(payload)
+    network, config, snapshot, trace = pickle.loads(payload)
     assert network is not net
     assert to_blif_str(network) == to_blif_str(net)
     assert config == BASIC
     assert snapshot["signatures"].keys() == sim.snapshot()["signatures"].keys()
-    # Tracing and heartbeats default to off in the payload; workers
-    # must not build live tracers or touch the filesystem unless the
-    # main process armed them.
+    # Tracing defaults to off in the payload; workers must not build
+    # live tracers unless the main process armed them.
     assert trace is False
-    assert heartbeat_dir is None

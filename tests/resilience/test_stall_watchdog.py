@@ -1,4 +1,4 @@
-"""Stall watchdog end to end: a wedged worker is contained, not waited on.
+"""Stall watchdog: unit bookkeeping, and a wedged worker contained.
 
 An injected sleep makes one shard silent far past the configured
 ``stall_timeout_seconds``.  The watchdog must flag it, the executor
@@ -16,7 +16,8 @@ from repro.bench.generators import planted_network
 from repro.core.config import BASIC
 from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, validate_trace_event
+from repro.parallel.executor import WATCHDOG_PROC, StallWatchdog
 from repro.resilience import inject
 
 PROC_BASIC = dataclasses.replace(BASIC, parallel_backend="process")
@@ -91,13 +92,52 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(BASIC, stall_timeout_seconds=0.0)
 
-    def test_heartbeat_dir_threads_through_config(self, tmp_path):
-        config = dataclasses.replace(
-            PROC_BASIC, heartbeat_dir=str(tmp_path)
-        )
-        network = _network()
-        stats = substitute_network(network, config, n_jobs=2)
-        assert to_blif_str(network) == _serial_blif()
-        assert stats.heartbeats_recorded > 0
-        beats = list(tmp_path.glob("worker-*.heartbeat.json"))
-        assert beats
+
+@pytest.mark.watchdog
+class TestStallWatchdog:
+    def _watchdog(self, threshold=2.0, start=100.0):
+        ticks = {"now": start}
+        watchdog = StallWatchdog(threshold, clock=lambda: ticks["now"])
+        return watchdog, ticks
+
+    def test_silence_measures_since_dispatch(self):
+        watchdog, ticks = self._watchdog()
+        watchdog.note_dispatch(0)
+        ticks["now"] = 103.5
+        assert watchdog.silence(0) == pytest.approx(3.5)
+        assert watchdog.silence(99) == 0.0
+
+    def test_note_result_clears_the_shard(self):
+        watchdog, ticks = self._watchdog()
+        watchdog.note_dispatch(0)
+        watchdog.note_result(0)
+        ticks["now"] = 200.0
+        assert watchdog.silence(0) == 0.0
+        watchdog.note_result(0)  # idempotent
+
+    def test_flag_stall_event_shape(self):
+        watchdog, ticks = self._watchdog(threshold=1.5)
+        watchdog.note_dispatch(3)
+        ticks["now"] = 104.0
+        event = watchdog.flag_stall(3, retries=2)
+        validate_trace_event(event)
+        assert event["kind"] == "stall"
+        assert event["proc"] == WATCHDOG_PROC
+        assert event["dur"] == 0.0
+        assert event["attrs"] == {
+            "shard": 3,
+            "silent_seconds": pytest.approx(4.0),
+            "threshold_seconds": 1.5,
+            "retries": 2,
+        }
+        assert watchdog.stalls_flagged == 1
+
+    def test_flag_stall_ids_are_unique(self):
+        watchdog, _ = self._watchdog()
+        ids = {watchdog.flag_stall(i)["id"] for i in range(5)}
+        assert len(ids) == 5
+        assert watchdog.stalls_flagged == 5
+
+    def test_rejects_nonpositive_threshold(self):
+        with pytest.raises(ValueError):
+            StallWatchdog(0.0)

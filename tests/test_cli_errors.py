@@ -1,4 +1,5 @@
-"""CLI error handling: malformed input exits 2 with a one-line message."""
+"""CLI error handling: malformed input and unwritable outputs exit 2
+with a one-line message."""
 
 import pytest
 
@@ -66,9 +67,31 @@ class TestOptimizeErrors:
             )
 
 
+class TestUnwritableOutputs:
+    """An output path in a missing directory is a one-line error and
+    exit 2, like an unreadable input; no output file appears."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--trace", "-o", "--stats-json", "--profile-json"]
+    )
+    def test_missing_directory(self, flag, tmp_path, capsys):
+        path = tmp_path / "missing" / "out"
+        code = main(
+            ["optimize", "bench:dec3", "--method", "basic", "--script",
+             "none", flag, str(path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {str(path)!r}: No such file or directory\n"
+        )
+        assert not path.parent.exists()
+
+
 class TestRemovedCommands:
-    """``repro compare`` and ``optimize --history`` no longer exist;
-    argparse rejects both with its usage error."""
+    """``repro compare``, ``repro tail`` and the optimize flags
+    ``--history``, ``--live``, ``--sample-resources`` and
+    ``--heartbeat-dir`` no longer exist; argparse rejects each with
+    its usage error."""
 
     def test_compare_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -83,3 +106,23 @@ class TestRemovedCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --history" in capsys.readouterr().err
         assert not ledger.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--live"], ["--sample-resources", "1"], ["--heartbeat-dir", "DIR"]],
+        ids=["live", "sample-resources", "heartbeat-dir"],
+    )
+    def test_telemetry_flag_rejected(self, extra, tmp_path, capsys):
+        extra = [str(tmp_path / "beats") if a == "DIR" else a for a in extra]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "bench:dec3", *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+        assert not (tmp_path / "beats").exists()
+
+    def test_tail_verb_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tail", "t.jsonl"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tail'" in capsys.readouterr().err

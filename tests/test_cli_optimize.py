@@ -106,3 +106,39 @@ class TestOptimize:
         ]
         assert final["attrs"]["backend"] == "bdd"
         assert final["attrs"]["status"] == "equal"
+
+
+class TestStatsJsonVerdict:
+    """``--stats-json`` records the final check's backend and status."""
+
+    def _report(self, tmp_path, *extra):
+        import json
+
+        stats = tmp_path / "stats.json"
+        code = main(
+            [
+                "optimize",
+                "bench:rnd1",
+                "--method",
+                "basic",
+                "-o",
+                str(tmp_path / "opt.blif"),
+                "--stats-json",
+                str(stats),
+                *extra,
+            ]
+        )
+        assert code == 0
+        return json.loads(stats.read_text())
+
+    def test_default_bdd_verdict(self, tmp_path):
+        report = self._report(tmp_path)
+        assert report["verify"] == {"backend": "bdd", "status": "equal"}
+
+    def test_sat_backend_verdict(self, tmp_path):
+        report = self._report(tmp_path, "--verify-backend", "sat")
+        assert report["verify"] == {"backend": "sat", "status": "equal"}
+
+    def test_no_verify_records_null(self, tmp_path):
+        report = self._report(tmp_path, "--no-verify")
+        assert report["verify"] is None
