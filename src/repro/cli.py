@@ -27,7 +27,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import json
+import os
 import sys
 from typing import Dict, List
 
@@ -200,33 +203,6 @@ def _optimize_main(argv: List[str]) -> int:
         ),
     )
     args = parser.parse_args(argv)
-
-    from repro.network.blif import BlifParseError, read_blif, to_blif_str
-    from repro.network.factor import network_literals
-    from repro.network.verify import exact_equivalent
-    from repro.scripts.flows import SCRIPTS, run_method
-
-    try:
-        if args.input.startswith("bench:"):
-            network = build_benchmark(args.input[len("bench:"):])
-        else:
-            with open(args.input) as handle:
-                network = read_blif(handle)
-    except BlifParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot read {args.input!r}: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        # build_benchmark raises KeyError("unknown benchmark ...").
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    reference = network.copy("reference")
-    initial = network_literals(network)
-
-    if args.script != "none":
-        SCRIPTS[args.script](network)
     overrides = {}
     if args.no_sim_filter:
         overrides["enable_sim_filter"] = False
@@ -258,6 +234,38 @@ def _optimize_main(argv: List[str]) -> int:
             "--verify-commits/--verify-backend/--trace/--profile/"
             "--profile-json/--stall-timeout do not apply to sis"
         )
+    # The outputs are written only after the final proof; check their
+    # directories now, so a mistyped path costs no run.
+    for path in (args.output, args.stats_json, args.profile_json, args.trace):
+        if path and not _output_dir_exists(path):
+            return 2
+
+    from repro.network.blif import BlifParseError, read_blif, to_blif_str
+    from repro.network.factor import network_literals
+    from repro.network.verify import exact_equivalent
+    from repro.scripts.flows import SCRIPTS, run_method
+
+    try:
+        if args.input.startswith("bench:"):
+            network = build_benchmark(args.input[len("bench:"):])
+        else:
+            with open(args.input) as handle:
+                network = read_blif(handle)
+    except BlifParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read {args.input!r}: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:
+        # build_benchmark raises KeyError("unknown benchmark ...").
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    reference = network.copy("reference")
+    initial = network_literals(network)
+
+    if args.script != "none":
+        SCRIPTS[args.script](network)
     tracer = None
     trace_sink = None
     if args.trace or args.profile or args.profile_json:
@@ -396,6 +404,16 @@ def _report_unwritable(path: str, exc: OSError) -> None:
     )
 
 
+def _output_dir_exists(path: str) -> bool:
+    """Whether *path*'s directory exists; if not, say so."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(parent):
+        return True
+    code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    _report_unwritable(path, OSError(code, os.strerror(code)))
+    return False
+
+
 def _write_file(path: str, text: str) -> bool:
     """Write *text* to *path*; on failure, say why and return False."""
     try:
@@ -463,24 +481,25 @@ def _trace_main(argv: List[str]) -> int:
         from repro.obs.analyze import analyze_trace, format_report
 
         text = format_report(analyze_trace(events, top_n=args.top)) + "\n"
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-    elif args.verb == "chrome":
-        from repro.obs.export import export_chrome_trace
-
-        export_chrome_trace(events, args.output or sys.stdout)
     else:
-        from repro.obs.export import export_folded_stacks
+        from repro.obs.export import export_chrome_trace, export_folded_stacks
 
-        export_folded_stacks(events, args.output or sys.stdout)
-    if args.output:
-        print(
-            f"# {args.verb}: {len(events)} spans -> {args.output}",
-            file=sys.stderr,
+        export = (
+            export_chrome_trace if args.verb == "chrome"
+            else export_folded_stacks
         )
+        buffer = io.StringIO()
+        export(events, buffer)
+        text = buffer.getvalue()
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    if not _write_file(args.output, text):
+        return 2
+    print(
+        f"# {args.verb}: {len(events)} spans -> {args.output}",
+        file=sys.stderr,
+    )
     return 0
 
 

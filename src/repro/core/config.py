@@ -165,14 +165,16 @@ class DivisionConfig:
     max_run_backtracks: Optional[int] = None
 
     #: Transactional commits: spot-check every accepted substitution
-    #: against the pre-optimization reference and roll back +
-    #: quarantine the pair on miscompare (see
+    #: against the last proven state of the network (at first the
+    #: input) and roll back + quarantine the pair on miscompare (see
     #: :mod:`repro.resilience.checkpoint`).
     verify_commits: bool = False
 
     #: With ``verify_commits``, run the exact equivalence check
     #: (``verify_backend``) every this-many commits; the others use
-    #: the cheap signature/simulation screen.
+    #: the cheap signature/simulation screen.  A proven check makes
+    #: the checked network the reference of the next ones, and it
+    #: also covers the screened commits since the last proof.
     verify_full_every: int = 16
 
     #: Failed speculative work batches are re-dispatched onto a fresh

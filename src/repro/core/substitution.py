@@ -422,9 +422,9 @@ def substitute_pass(
     when it trips the pass stops cleanly between commits and returns
     what it accepted so far.  *ledger* is an optional
     :class:`~repro.resilience.checkpoint.CommitLedger`: every accepted
-    rewrite is verified against the pre-optimization reference, rolled
-    back on miscompare, and the pair quarantined for the rest of the
-    run.
+    rewrite is verified against the last proven state of the network,
+    rolled back on miscompare, and the pair quarantined for the rest of
+    the run.
 
     *tracer* is an optional :class:`~repro.obs.tracer.Tracer`; the
     pass records ``enumerate``/``pair``/``divide``/``atpg``/``commit``/
@@ -687,7 +687,8 @@ def substitute_network(
     budget stops the run cleanly with the best-so-far network and a
     :class:`~repro.resilience.budget.BudgetReport` in
     ``stats.budget_report``.  With ``config.verify_commits`` every
-    accepted rewrite is verified against a pre-run reference copy,
+    accepted rewrite is verified against the last proven state (at
+    first a pre-run copy, or *reference*, which is never mutated),
     rolled back on miscompare, and the offending pair quarantined
     (incidents land in ``stats.incidents``).
 

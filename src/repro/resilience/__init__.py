@@ -11,10 +11,10 @@ the three pillars:
   best-so-far network and a :class:`BudgetReport` in the statistics.
 * :mod:`repro.resilience.checkpoint` — :class:`CommitLedger`: opt-in
   transactional commits; every accepted substitution is spot-checked
-  against the pre-optimization reference (full exact check every K
-  commits), and a miscompare or an unproven exact check rolls the
-  commit back and quarantines the (dividend, divisor) pair for the
-  rest of the run.
+  against the last proven state (full exact check every K commits,
+  each proof advancing that state), and a miscompare or an unproven
+  exact check rolls the commit back and quarantines the (dividend,
+  divisor) pair for the rest of the run.
 * :mod:`repro.resilience.inject` — the deterministic fault-injection
   hooks (kill-worker, worker exception, slow worker, corrupt result)
   used only by the test harness, so every recovery path in

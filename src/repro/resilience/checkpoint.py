@@ -3,15 +3,26 @@
 With ``DivisionConfig.verify_commits`` the substitution loop treats
 every accepted rewrite as a transaction: the touched nodes are
 snapshotted (the loop's existing undo buffer), the rewrite is applied,
-and the :class:`CommitLedger` spot-checks the whole network against the
-pre-optimization reference before the commit is kept.  The spot check
-is the cheap maintained-signature / random-simulation screen
+and the :class:`CommitLedger` spot-checks the whole network against its
+reference before the commit is kept.  The spot check is the cheap
+maintained-signature / random-simulation screen
 (:func:`~repro.network.verify.simulate_equivalent_prescreened`); every
 ``verify_full_every``-th commit is instead checked *exactly* through
 :func:`~repro.network.verify.exact_equivalent` (``verify_backend``).
 A commit is kept on an exact check only when the verdict proves
 equality: a difference and an unknown (exhausted SAT budget) both roll
 it back.
+
+The reference starts as the pre-optimization network and advances to
+a copy of the network after every proven exact check.  Equivalence is
+transitive, so proving against the last proven state proves against
+the input, and the proof also covers the commits only screened since
+the previous one.  Between the two states only the rewritten nodes and
+their fanout differ, which is all the structurally shared SAT miter
+(:func:`~repro.sat.cnf.build_miter`) leaves to the solver.  A failed
+check leaves the reference where it was, so with
+``verify_full_every=1`` a rollback restores exactly the last proven
+state.
 
 A rollback quarantines the (dividend, divisor) pair for the rest of
 the run — the pair is never evaluated or served from the speculative
@@ -39,10 +50,12 @@ Pair = Tuple[str, str]
 class CommitLedger:
     """Commit verification, rollback bookkeeping, and quarantine.
 
-    The ledger never mutates the network itself — the substitution
-    loop owns the undo buffer and calls :meth:`quarantine` after it has
-    restored the snapshot, so the rollback counts always describe
-    completed rollbacks.  Checks, rollbacks, incidents and the exact
+    The ledger never mutates the network itself, nor the *reference*
+    it was given: :attr:`reference` is replaced by a copy of the
+    network after each proven exact check.  The substitution loop owns
+    the undo buffer and calls :meth:`quarantine` after it has restored
+    the snapshot, so the rollback counts always describe completed
+    rollbacks.  Checks, rollbacks, incidents and the exact
     checks' solver work are recorded straight into the run's *stats*
     (a :class:`~repro.core.substitution.SubstitutionStats`).
     """
@@ -96,6 +109,12 @@ class CommitLedger:
                 self.stats.add_solver_work(verdict)
                 backend, ok = verdict.backend, bool(verdict)
                 self._last_status = verdict.status
+                if ok:
+                    # Equivalence is transitive: the next exact check
+                    # against this proven state also covers any commit
+                    # only screened in between.  A copy, because the
+                    # loop goes on mutating *network*.
+                    self.reference = network.copy()
             else:
                 self._last_check = backend = "simulation"
                 ok = simulate_equivalent_prescreened(

@@ -153,6 +153,7 @@ def sat_equivalent(
         lambda: solve_cnf(miter.cnf, conflict_budget=conflict_budget),
         pis=len(miter.pi_vars),
         pos=len(miter.diff_vars),
+        shared=miter.shared,
     )
     if not result.complete:
         return Verdict._from_solve(None, result, stats, None)

@@ -95,23 +95,23 @@ def encode_network(
 ) -> Dict[str, int]:
     """Tseitin-encode every node of *network* into *cnf*.
 
-    Returns a map from node name to its CNF variable.  Pass a
-    *var_map* pre-seeded with PI variables to share inputs between two
-    encodings (the miter construction); missing entries are allocated.
-    Encoding walks the topological order, so the map covers every node
-    of the network on return.
+    Returns a map from node name to its CNF variable.  A name
+    pre-seeded in *var_map* counts as already encoded: it keeps its
+    variable and gets no clauses, which is how the miter construction
+    shares inputs and structurally identical nodes between two
+    encodings.  Missing entries are allocated.  Encoding walks the
+    topological order, so the map covers every node of the network on
+    return.
     """
     values: Dict[str, int] = {} if var_map is None else var_map
     for name in network.topo_order():
+        if name in values:
+            continue
         node = network.nodes[name]
+        out = values[name] = cnf.new_var()
         if node.is_pi:
-            if name not in values:
-                values[name] = cnf.new_var()
             continue
         fanin_vars = [values[f] for f in node.fanins]
-        out = values.get(name)
-        if out is None:
-            out = values[name] = cnf.new_var()
         cube_lits: List[int] = []
         constant_one = False
         for cube in node.cover.cubes:
@@ -188,9 +188,12 @@ class Miter:
     cnf: Cnf
     #: Shared primary-input variables (union of both PI sets).
     pi_vars: Dict[str, int]
-    #: Per-PO difference variables (``po -> var``); the formula
-    #: asserts their disjunction.
+    #: Difference variables of the POs whose two sides kept distinct
+    #: variables (``po -> var``); the formula asserts their
+    #: disjunction.
     diff_vars: Dict[str, int]
+    #: Internal nodes of ``b`` that reuse ``a``'s variable.
+    shared: int
 
 
 def build_miter(a: Network, b: Network) -> Miter:
@@ -199,9 +202,15 @@ def build_miter(a: Network, b: Network) -> Miter:
     The caller guarantees ``sorted(a.pos) == sorted(b.pos)``.  PIs are
     matched by name (the union is allocated first, in sorted order, so
     variable numbering is deterministic); a PI one network lacks is a
-    free input to the other.  The returned formula is satisfiable iff
-    some input assignment makes at least one paired output differ —
-    i.e. UNSAT proves equivalence.
+    free input to the other, and a name that is a PI on one side only
+    is never shared.  A node of ``b`` with the name, fanin list and
+    cover of a node of ``a``, whose fanins all share their variables,
+    computes the same function of the same inputs: it takes ``a``'s
+    variable and emits no clauses.  A PO whose two sides share one
+    variable needs no XOR, so a pair with no differing PO is the empty
+    clause.  The returned formula is satisfiable iff some input
+    assignment makes at least one paired output differ — i.e. UNSAT
+    proves equivalence.
     """
     if sorted(a.pos) != sorted(b.pos):
         raise ValueError("miter requires identical primary-output names")
@@ -209,11 +218,28 @@ def build_miter(a: Network, b: Network) -> Miter:
     pi_vars: Dict[str, int] = {}
     for pi in sorted(set(a.pis) | set(b.pis)):
         pi_vars[pi] = cnf.new_var()
-    values_a = encode_network(cnf, a, dict(pi_vars))
-    values_b = encode_network(cnf, b, dict(pi_vars))
+    values_a = encode_network(cnf, a, {pi: pi_vars[pi] for pi in a.pis})
+    # b's PIs, then every node that reuses a's variable; topological
+    # order decides each node's fanins before the node itself.
+    known = {pi: pi_vars[pi] for pi in b.pis}
+    shared = 0
+    for name in b.topo_order():
+        node, twin = b.nodes[name], a.nodes.get(name)
+        if (
+            twin is not None
+            and not node.is_pi
+            and node.fanins == twin.fanins
+            and node.cover == twin.cover
+            and all(known.get(f) == values_a[f] for f in node.fanins)
+        ):
+            known[name] = values_a[name]
+            shared += 1
+    values_b = encode_network(cnf, b, known)
     diff_vars: Dict[str, int] = {}
     for po in sorted(a.pos):
         va, vb = values_a[po], values_b[po]
+        if va == vb:
+            continue
         x = cnf.new_var()
         # x <-> (va XOR vb)
         cnf.add_clause((-x, va, vb))
@@ -222,4 +248,4 @@ def build_miter(a: Network, b: Network) -> Miter:
         cnf.add_clause((x, va, -vb))
         diff_vars[po] = x
     cnf.add_clause(tuple(diff_vars[po] for po in sorted(diff_vars)))
-    return Miter(cnf=cnf, pi_vars=pi_vars, diff_vars=diff_vars)
+    return Miter(cnf=cnf, pi_vars=pi_vars, diff_vars=diff_vars, shared=shared)

@@ -14,11 +14,12 @@ import pytest
 from repro.bench.generators import planted_network
 from repro.bench.suite import build_benchmark
 from repro.core.config import BASIC, EXTENDED, SIMGUIDED
-from repro.core.substitution import substitute_network
+from repro.core.substitution import SubstitutionStats, substitute_network
 from repro.network.blif import to_blif_str
 from repro.network.verify import networks_equivalent
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.resilience import inject
+from repro.resilience.checkpoint import CommitLedger
 from repro.scripts.flows import script_a
 
 
@@ -134,6 +135,82 @@ class TestUnknownVerdict:
         assert to_blif_str(network) == prepared
 
 
+def _restate(network, index, complement=False):
+    """Reverse the cubes of the *index*-th multi-cube node: the same
+    function in a new structure (or, with *complement*, a wrong one)."""
+    from repro.twolevel.complement import complement as complement_cover
+    from repro.twolevel.cover import Cover
+
+    node = [n for n in network.internal_nodes() if len(n.cover) > 1][index]
+    cover = Cover(node.cover.num_vars, node.cover.cubes[::-1])
+    if complement:
+        cover = complement_cover(cover)
+    node.set_function(list(node.fanins), cover)
+
+
+class TestAdvancingReference:
+    """After an exact proof the ledger holds a copy of the proven
+    network as its reference; the caller's reference never changes."""
+
+    def _ledger(self, network, every=1):
+        reference = network.copy(network.name)
+        config = dataclasses.replace(
+            BASIC,
+            verify_commits=True,
+            verify_full_every=every,
+            verify_backend="sat",
+        )
+        ledger = CommitLedger(reference, config, SubstitutionStats())
+        return reference, ledger
+
+    def test_proven_commit_becomes_the_reference(self):
+        network = _network()
+        reference, ledger = self._ledger(network)
+        original = to_blif_str(reference)
+        _restate(network, 0)
+        assert ledger.verify_commit(network, "f", "d", NULL_TRACER)
+        assert ledger.reference is not network
+        assert ledger.reference is not reference
+        assert to_blif_str(ledger.reference) == to_blif_str(network)
+        assert to_blif_str(reference) == original
+        # A copy, not an alias: later rewrites leave the proven state.
+        proven = to_blif_str(ledger.reference)
+        _restate(network, 1)
+        assert to_blif_str(ledger.reference) == proven
+
+    def test_reference_moves_only_at_exact_checks(self):
+        network = _network()
+        reference, ledger = self._ledger(network, every=2)
+        _restate(network, 0)
+        assert ledger.verify_commit(network, "f", "d", NULL_TRACER)
+        assert ledger.reference is reference  # a screen proves nothing
+        _restate(network, 1)
+        assert ledger.verify_commit(network, "f", "d", NULL_TRACER)
+        assert to_blif_str(ledger.reference) == to_blif_str(network)
+        # The exact check covered both commits: one solve, two edits.
+        assert ledger.stats.sat_solves == 1
+
+    @pytest.mark.parametrize("status", ["different", "unknown"])
+    def test_failed_check_keeps_the_last_proven_state(self, status):
+        network = _network()
+        _, ledger = self._ledger(network)
+        _restate(network, 0)
+        assert ledger.verify_commit(network, "f", "d", NULL_TRACER)
+        proven = ledger.reference
+        if status == "different":
+            _restate(network, 1, complement=True)
+        else:
+            # An equal pair the solver cannot finish without search.
+            ledger.config = dataclasses.replace(
+                ledger.config, sat_conflict_budget=0
+            )
+            _restate(network, 1)
+        assert not ledger.verify_commit(network, "f", "d", NULL_TRACER)
+        ledger.quarantine("f", "d")
+        assert ledger.stats.incidents[-1]["verdict"] == status
+        assert ledger.reference is proven
+
+
 def _spans(tracer, kind):
     return [event for event in tracer.events if event["kind"] == kind]
 
@@ -163,6 +240,9 @@ class TestLedgerTracing:
             parent = verify_ids[solve["parent"]]
             assert parent["attrs"]["backend"] == "sat"
             assert parent["attrs"]["status"] == "equal"
+            # Checked against the last proven state, most of the
+            # network is shared and only the changed cone is encoded.
+            assert solve["attrs"]["shared"] >= 1
 
     def test_simguided_ledger_checks_are_spans(self):
         network = build_benchmark("rnd8")

@@ -7,7 +7,9 @@ Three layers:
 * a hypothesis property test checking CDCL verdicts against a
   bit-parallel brute-force enumerator on random small CNF,
 * Tseitin round-trips: a network encoding is satisfiable exactly by
-  assignments consistent with the network's own evaluation.
+  assignments consistent with the network's own evaluation,
+* shared miters: a node the two sides hold in common reuses one
+  variable, and only what differs is left to the solver.
 """
 
 import itertools
@@ -16,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.network import Network
+from repro.sat.check import sat_equivalent
 from repro.sat.cnf import Cnf, build_miter, encode_circuit, encode_network
 from repro.sat.solver import CdclSolver, solve_cnf
 from tests.conftest import random_network
@@ -257,10 +261,112 @@ def test_miter_rejects_mismatched_outputs():
 
 
 def test_miter_of_identical_networks_is_unsat():
+    # Every node is shared and no PO is left to XOR: the empty clause,
+    # refuted without a conflict even at a zero conflict budget.
     network = random_network(7, n_pis=4, n_nodes=4)
     miter = build_miter(network, network.copy())
-    result = solve_cnf(miter.cnf)
+    assert miter.diff_vars == {}
+    assert miter.shared == len(network.internal_nodes())
+    result = solve_cnf(miter.cnf, conflict_budget=0)
     assert result.satisfiable is False and result.complete
+    assert result.conflicts == 0
+
+
+# ----------------------------------------------------------------------
+# Shared miters: structurally identical logic needs no proof
+# ----------------------------------------------------------------------
+def substitution6():
+    """SNIPPETS.md's ``example_Substitution6``: ``x2 = x1 (t1 + f)``
+    implies ``x1``, so ``out = x1 + x2`` is just ``x1``."""
+    net = Network("example_Substitution6")
+    for pi in "abcdef":
+        net.add_pi(pi)
+    net.parse_node("t1", "a b", ["a", "b"])
+    net.parse_node("t2", "c d", ["c", "d"])
+    net.parse_node("t3", "c e", ["c", "e"])
+    net.parse_node("u", "t1 + t2", ["t1", "t2"])
+    net.parse_node("v", "t1 + t3", ["t1", "t3"])
+    net.parse_node("x1", "u v", ["u", "v"])
+    net.parse_node("x2", "x1 t1 + x1 f", ["x1", "t1", "f"])
+    net.parse_node("out", "x1 + x2", ["x1", "x2"])
+    net.add_po("out")
+    return net
+
+
+@pytest.mark.parametrize("change", ["fanin list", "fanin function"])
+def test_changed_fanin_is_not_shared(change):
+    def build(h, g_fanins):
+        net = Network("n")
+        for pi in ("p", "q", "r"):
+            net.add_pi(pi)
+        net.parse_node("h", h, ["p", "q"])
+        net.parse_node("g", " ".join(g_fanins), g_fanins)
+        net.add_po("g")
+        return net
+
+    a = build("p q", ["h", "r"])
+    if change == "fanin list":
+        # Same name and cover, but g reads p where a's g reads r.
+        b = build("p q", ["h", "p"])
+    else:
+        # Same name, fanin list and cover, but fanin h computes p + q.
+        b = build("p + q", ["h", "r"])
+    miter = build_miter(a, b)
+    assert miter.shared == (1 if change == "fanin list" else 0)
+    assert list(miter.diff_vars) == ["g"]
+    verdict = sat_equivalent(a, b)
+    assert verdict.status == "different"
+    assert (
+        a.evaluate(verdict.counterexample)["g"]
+        != b.evaluate(verdict.counterexample)["g"]
+    )
+
+
+@pytest.mark.parametrize("pi_side", ["a", "b"])
+def test_pi_on_one_side_only_is_not_shared(pi_side):
+    # ``x`` is an AND node on one side and a free input on the other:
+    # ``y = x + p`` reads different signals, so the pair differs.
+    internal = Network("internal")
+    free = Network("free")
+    for net in (internal, free):
+        net.add_pi("p")
+        net.add_pi("q")
+    internal.parse_node("x", "p q", ["p", "q"])
+    free.add_pi("x")
+    for net in (internal, free):
+        net.parse_node("y", "x + p", ["x", "p"])
+        net.add_po("y")
+    a, b = (free, internal) if pi_side == "a" else (internal, free)
+    assert build_miter(a, b).shared == 0
+    verdict = sat_equivalent(a, b)
+    assert verdict.status == "different"
+    assert (
+        internal.evaluate(verdict.counterexample)["y"]
+        != free.evaluate(verdict.counterexample)["y"]
+    )
+
+
+class TestSubstitution6:
+    def test_redundant_node_to_zero_proves_equal(self):
+        original, edited = substitution6(), substitution6()
+        edited.replace_with_constant("x2", False)
+        miter = build_miter(original, edited)
+        # t1, t2, t3, u, v, x1 reuse a's variables; x2 and out differ.
+        assert miter.shared == 6
+        assert list(miter.diff_vars) == ["out"]
+        verdict = sat_equivalent(original, edited)
+        assert verdict.status == "equal"
+        assert verdict.conflicts >= 1
+
+    def test_redundant_node_to_one_is_caught(self):
+        original, edited = substitution6(), substitution6()
+        edited.replace_with_constant("x2", True)
+        verdict = sat_equivalent(original, edited)
+        assert verdict.status == "different"
+        witness = verdict.counterexample
+        assert sorted(witness) == list("abcdef")
+        assert original.evaluate(witness)["out"] is False
+        assert edited.evaluate(witness)["out"] is True
 
 
 def test_cnf_stats_and_literal_validation():

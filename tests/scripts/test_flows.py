@@ -122,18 +122,36 @@ class TestHarness:
 
     @pytest.mark.parametrize("runner", ["script_a", "script_algebraic"])
     def test_harness_raises_on_unknown_verdict(self, runner, monkeypatch):
-        # add10 has 21 PIs, so the final check runs on SAT; with a zero
-        # conflict budget it cannot complete, and an unproven method
-        # must fail the table rather than pass it.
+        # add10 has 21 PIs, so the final check runs on SAT.  simguided
+        # is the method that rewrites it (the others hand back the
+        # prepared network, a pair the shared miter proves without a
+        # single conflict).  With a zero conflict budget its check
+        # cannot complete, and an unproven method must fail the table
+        # rather than pass it.
         from repro.sat import check
+        from repro.scripts import flows
 
+        real, default = flows.exact_equivalent, check.DEFAULT_CONFLICT_BUDGET
+        full_budget = []
+
+        def exact_equivalent(a, b, **kwargs):
+            # The same check at the default budget, kept for the
+            # assertion below; the table gets the zero-budget verdict.
+            full_budget.append(real(a, b, conflict_budget=default))
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(flows, "exact_equivalent", exact_equivalent)
         monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", 0)
         suite = {"add10": build_benchmark("add10")}
         with pytest.raises(AssertionError, match="equivalence unknown"):
             if runner == "script_a":
-                run_script_table(suite, "A", methods=["sis"])
+                run_script_table(suite, "A", methods=["simguided"])
             else:
-                run_script_algebraic_table(suite, methods=["sis"])
+                run_script_algebraic_table(suite, methods=["simguided"])
+        # Budget 0 is a genuine unknown: the proof needs search.
+        [verdict] = full_budget
+        assert verdict.status == "equal"
+        assert verdict.conflicts >= 1
 
 
 class TestTableContainers:

@@ -6,6 +6,19 @@ import pytest
 from repro.cli import main
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail if the preparation script or the optimizer starts: a bad
+    command line must be reported before either."""
+    from repro.scripts import flows
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(flows, "run_method", fail)
+    monkeypatch.setitem(flows.SCRIPTS, "A", fail)
+
+
 class TestOptimizeErrors:
     def test_malformed_blif_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.blif"
@@ -50,8 +63,8 @@ class TestOptimizeErrors:
         out = capsys.readouterr().out
         assert ".model" in out and ".end" in out
 
-    def test_resilience_flags_rejected_for_sis(self):
-        with pytest.raises(SystemExit):
+    def test_resilience_flags_rejected_for_sis(self, no_run):
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "optimize",
@@ -61,25 +74,49 @@ class TestOptimizeErrors:
                     "--verify-commits",
                 ]
             )
-        with pytest.raises(SystemExit):
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 ["optimize", "bench:dec3", "--method", "sis", "--deadline", "5"]
             )
+        assert excinfo.value.code == 2
 
 
 class TestUnwritableOutputs:
     """An output path in a missing directory is a one-line error and
-    exit 2, like an unreadable input; no output file appears."""
+    exit 2, like an unreadable input, given before the run starts; no
+    output file appears."""
 
     @pytest.mark.parametrize(
         "flag", ["--trace", "-o", "--stats-json", "--profile-json"]
     )
-    def test_missing_directory(self, flag, tmp_path, capsys):
+    def test_missing_directory(self, flag, no_run, tmp_path, capsys):
         path = tmp_path / "missing" / "out"
         code = main(
-            ["optimize", "bench:dec3", "--method", "basic", "--script",
-             "none", flag, str(path)]
+            ["optimize", "bench:dec3", "--method", "basic", flag, str(path)]
         )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {str(path)!r}: No such file or directory\n"
+        )
+        assert not path.parent.exists()
+
+
+class TestTraceUnwritableOutput:
+    """``repro trace VERB FILE -o PATH`` with PATH in a missing
+    directory is the same one-line error and exit 2 as ``optimize``."""
+
+    @pytest.mark.parametrize("verb", ["report", "chrome", "flame"])
+    def test_missing_directory(self, verb, tmp_path, capsys):
+        from repro.obs.tracer import Tracer
+
+        trace = tmp_path / "run.jsonl"
+        tracer = Tracer()
+        with tracer.span("run"):
+            pass
+        tracer.export_jsonl(str(trace))
+        path = tmp_path / "missing" / "out"
+        code = main(["trace", verb, str(trace), "-o", str(path)])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: cannot write {str(path)!r}: No such file or directory\n"
