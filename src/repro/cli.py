@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import json
 import os
 import sys
@@ -481,16 +480,15 @@ def _trace_main(argv: List[str]) -> int:
         from repro.obs.analyze import analyze_trace, format_report
 
         text = format_report(analyze_trace(events, top_n=args.top)) + "\n"
-    else:
-        from repro.obs.export import export_chrome_trace, export_folded_stacks
+    elif args.verb == "chrome":
+        from repro.obs.export import to_chrome_trace
 
-        export = (
-            export_chrome_trace if args.verb == "chrome"
-            else export_folded_stacks
-        )
-        buffer = io.StringIO()
-        export(events, buffer)
-        text = buffer.getvalue()
+        text = json.dumps(to_chrome_trace(events), indent=1, sort_keys=True)
+        text += "\n"
+    else:
+        from repro.obs.export import to_folded_stacks
+
+        text = "".join(line + "\n" for line in to_folded_stacks(events))
     if not args.output:
         sys.stdout.write(text)
         return 0

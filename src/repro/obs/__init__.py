@@ -58,8 +58,6 @@ from repro.obs.analyze import (
 )
 from repro.obs.export import (
     chrome_to_events,
-    export_chrome_trace,
-    export_folded_stacks,
     to_chrome_trace,
     to_folded_stacks,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "top_spans",
     "worker_utilization",
     "chrome_to_events",
-    "export_chrome_trace",
-    "export_folded_stacks",
     "to_chrome_trace",
     "to_folded_stacks",
 ]

@@ -24,8 +24,7 @@ procs across perf_counter epochs.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List
 
 from repro.obs.tracer import TRACE_SCHEMA_VERSION
 
@@ -120,18 +119,6 @@ def chrome_to_events(document: Dict[str, object]) -> List[dict]:
     return events
 
 
-def export_chrome_trace(events: Iterable[dict], destination) -> None:
-    """Write :func:`to_chrome_trace` JSON to a path or file object."""
-    document = to_chrome_trace(events)
-    if hasattr(destination, "write"):
-        json.dump(document, destination, indent=1, sort_keys=True)
-        destination.write("\n")
-    else:
-        with open(destination, "w") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-
-
 # ----------------------------------------------------------------------
 # Folded stacks (flamegraph.pl / speedscope input)
 # ----------------------------------------------------------------------
@@ -162,14 +149,3 @@ def to_folded_stacks(events: Iterable[dict]) -> List[str]:
     return [
         f"{stack} {weight}" for stack, weight in sorted(weights.items())
     ]
-
-
-def export_folded_stacks(events: Iterable[dict], destination) -> None:
-    """Write :func:`to_folded_stacks` lines to a path or file object."""
-    lines = to_folded_stacks(events)
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as handle:
-            handle.write(text)

@@ -32,6 +32,7 @@ PROFILE_PHASES = (
     "commit",
     "verify",
     "resub_window",
+    "resub_care",
     "resub_resyn",
     "resub_validate",
     "shm_publish",

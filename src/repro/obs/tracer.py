@@ -62,6 +62,7 @@ SPAN_KINDS = frozenset(
         "sat_solve",  # one CDCL solve (equivalence or fault miter)
         "worker_batch",  # one shard evaluated by a worker context
         "resub_window",    # simguided: divisor window for one target
+        "resub_care",      # simguided: ODC care mask for one target
         "resub_resyn",     # simguided: subset enumeration + resynthesis
         "resub_validate",  # simguided: exact check of one candidate
         "shm_publish",   # engine: signature bitmap published to /dev/shm

@@ -15,11 +15,11 @@ directly from signatures and then proves it:
    divisors for the target (:mod:`repro.resub.window`).
 2. **Resynthesize** (``resub_resyn`` span): enumerate divisor subsets
    smallest-first and build a cover matching the target's signature on
-   every care pattern (:mod:`repro.resub.resyn`); the care set is the
-   simulated patterns minus the target's exact observability don't
-   cares when the network is small enough.  Satisfiability don't cares
-   need no handling at all — unreachable fanin combinations never
-   occur in simulation.
+   every care pattern (:mod:`repro.resub.resyn`); the care set
+   (``resub_care`` span) is the simulated patterns minus those under
+   which the target is exactly unobservable, when the network is small
+   enough.  Satisfiability don't cares need no handling at all —
+   unreachable fanin combinations never occur in simulation.
 3. **Clean**: excitation-only ATPG redundancy removal on the candidate
    cover — a literal (cube) whose stuck-at fault cannot even be
    excited given the divisors' logic is dropped.  Untestable faults
@@ -36,6 +36,16 @@ Because every accepted commit is exactly equivalent to the pre-run
 reference, the final network is exactly equivalent to the input by
 construction — the property the cross-engine differential suite
 (``tests/resub/``) locks in.
+
+The loop revisits the same small problems constantly (every pass,
+every target with a similar window), so three results are reused
+rather than recomputed, each keyed on everything it reads and hence
+byte-identical to a fresh computation: espresso covers by truth table
+(process-wide, in :mod:`repro.resub.resyn`), cleaned covers by target,
+cover and divisor states (one dict per run, only without
+``global_dc``), and the observability test, which runs only at the
+fanin minterms the samples reach
+(:meth:`~repro.network.dontcares.DontCareComputer.unobservable_patterns`).
 """
 
 from __future__ import annotations
@@ -43,16 +53,16 @@ from __future__ import annotations
 import itertools
 import time
 import types
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import DivisionConfig
 from repro.core.division import RegionRemover, build_analysis_circuit
 from repro.core.substitution import SubstitutionStats, _Snapshot
 from repro.network.dontcares import DontCareComputer
 from repro.network.factor import factored_literals, network_literals
-from repro.network.network import Network, eval_cover_packed
+from repro.network.network import Network
 from repro.network.verify import exact_equivalent
-from repro.obs.tracer import NULL_TRACER, as_tracer
+from repro.obs.tracer import as_tracer
 from repro.resilience.budget import BudgetExhausted, RunBudget
 from repro.resilience.checkpoint import CommitLedger
 from repro.resub.resyn import resynthesize_window
@@ -78,6 +88,7 @@ def _clean_cover(
     cover: Cover,
     config: DivisionConfig,
     budget,
+    memo: Optional[Dict[tuple, Tuple[Cover, int]]] = None,
 ) -> Tuple[Cover, int]:
     """ATPG-clean a candidate cover; returns (cover, removals).
 
@@ -93,6 +104,13 @@ def _clean_cover(
     the fault untestable at the target and therefore at every PO:
     removal is sound regardless of what the exact validation later
     decides.
+
+    *memo* (one dict per run) keeps results across calls.  Without
+    ``global_dc`` the analysis circuit holds only the divisors' gates,
+    so the result is a function of the target's name, the cover and
+    each divisor's ``(name, fanins, cover)``, which is the key.  With
+    ``global_dc`` the circuit reads the whole network outside TFO(f),
+    and nothing is memoized.
     """
     if not divisors or cover.is_zero():
         return cover, 0
@@ -102,6 +120,19 @@ def _clean_cover(
         # Free PIs admit no implications, so no conflict can ever
         # arise; skip building the circuit.
         return cover, 0
+    key = None
+    if memo is not None and not config.global_dc:
+        key = (
+            f_name,
+            cover,
+            tuple(
+                (d, tuple(network.nodes[d].fanins), network.nodes[d].cover)
+                for d in divisors
+            ),
+        )
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
     circuit = build_analysis_circuit(network, f_name, list(divisors), config)
     remover = RegionRemover(
         circuit=circuit,
@@ -118,7 +149,10 @@ def _clean_cover(
         len(divisors),
         tuple(remover.region[i] for i in sorted(remover.region)),
     )
-    return cleaned, remover.wires_removed + remover.cubes_removed
+    result = (cleaned, remover.wires_removed + remover.cubes_removed)
+    if key is not None:
+        memo[key] = result
+    return result
 
 
 def _validate_exact(
@@ -154,11 +188,10 @@ def _care_mask(
     care = sim.mask
     if dc_computer is None:
         return care
-    odc = dc_computer.observability_dc(node.name)
-    if odc.is_zero():
-        return care
     fanin_sigs = [sim.signatures[f] for f in node.fanins]
-    return care & ~eval_cover_packed(odc, fanin_sigs, sim.mask)
+    return care & ~dc_computer.unobservable_patterns(
+        node.name, fanin_sigs, care
+    )
 
 
 def _resub_pass(
@@ -170,6 +203,7 @@ def _resub_pass(
     budget,
     ledger,
     tracer,
+    clean_memo: Optional[Dict[tuple, Tuple[Cover, int]]] = None,
 ) -> None:
     use_dc = (
         config.resub_use_dontcares
@@ -204,11 +238,14 @@ def _resub_pass(
             win_span.annotate(divisors=len(window.divisors))
         if window.divisors:
             stats.resub_windows += 1
-        if use_dc and dc_computer is None:
-            dc_computer = DontCareComputer(
-                network, max_pis=config.resub_odc_max_pis
-            )
-        care = _care_mask(sim, node, dc_computer)
+        care = sim.mask
+        if use_dc:
+            with tracer.span("resub_care", f=f_name):
+                if dc_computer is None:
+                    dc_computer = DontCareComputer(
+                        network, max_pis=config.resub_odc_max_pis
+                    )
+                care = _care_mask(sim, node, dc_computer)
         target_sig = sim.signatures[f_name]
         old_lits = factored_literals(node.cover)
         committed = False
@@ -246,7 +283,8 @@ def _resub_pass(
                         # above the target is not worth cleaning.
                         continue
                     cleaned, removed = _clean_cover(
-                        network, f_name, subset, cover, config, budget
+                        network, f_name, subset, cover, config, budget,
+                        clean_memo,
                     )
                     stats.resub_wires_cleaned += removed
                     if factored_literals(cleaned) >= old_lits:
@@ -332,6 +370,7 @@ def simguided_substitute(
         ledger = CommitLedger(
             reference, config, stats, types.SimpleNamespace(sim=sim)
         )
+    clean_memo: Dict[tuple, Tuple[Cover, int]] = {}
     with tracer.span(
         "run", circuit=network.name, mode=config.mode, method="simguided"
     ) as run_span:
@@ -343,7 +382,7 @@ def simguided_substitute(
                 try:
                     _resub_pass(
                         network, reference, config, stats, sim,
-                        budget, ledger, tracer,
+                        budget, ledger, tracer, clean_memo,
                     )
                 except BudgetExhausted:
                     # Clean stop between commits; everything applied so

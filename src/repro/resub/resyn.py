@@ -23,14 +23,31 @@ Agreement on the sampled patterns proves nothing about the function —
 exactly like the divisor filter's containment test, it is a cheap
 one-way screen.  The engine (:mod:`repro.resub.engine`) validates
 every surviving candidate exactly before committing it.
+
+The minimization is memoized on its whole input, ``(k, on-minterms,
+dc-minterms)``: the engine resynthesizes the same small truth tables
+over and over (every pass, every target sharing a divisor pattern),
+and espresso is deterministic, so a cached cover is the cover a fresh
+call would return.  Sharing it is safe because covers are immutable.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import functools
+from typing import Optional, Sequence, Tuple
 
 from repro.twolevel.cover import Cover
 from repro.twolevel.minimize import espresso
+
+
+@functools.lru_cache(maxsize=4096)
+def _minimize_cached(
+    k: int, on_minterms: Tuple[int, ...], dc_minterms: Tuple[int, ...]
+) -> Cover:
+    return espresso(
+        Cover.from_minterms(on_minterms, k),
+        Cover.from_minterms(dc_minterms, k),
+    )
 
 
 def resynthesize_window(
@@ -88,7 +105,4 @@ def resynthesize_window(
         return Cover.zero(k)
     if not off_seen and not dc_minterms:
         return Cover.one(k)
-    on = Cover.from_minterms(on_minterms, k)
-    if not dc_minterms:
-        return espresso(on)
-    return espresso(on, Cover.from_minterms(dc_minterms, k))
+    return _minimize_cached(k, tuple(on_minterms), tuple(dc_minterms))

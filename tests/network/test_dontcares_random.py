@@ -8,7 +8,10 @@ these sizes:
 * every satisfiability don't-care pattern is truly unreachable;
 * on every reachable pattern inside the observability don't-care set,
   the node's value provably cannot influence any primary output;
-* ``full_simplify`` preserves equivalence and never grows the network.
+* ``full_simplify`` preserves equivalence and never grows the network;
+* the sampled care-mask query, ``unobservable_patterns``, equals the
+  full observability cover evaluated on the simulated patterns, bit for
+  bit, on every internal node.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import pytest
 
 from repro.network.dontcares import DontCareComputer, full_simplify
 from repro.network.factor import network_literals
+from repro.network.network import eval_cover_packed
 from repro.network.verify import networks_equivalent
+from repro.sim.signature import SignatureSimulator
 
 from tests.conftest import random_network
 
@@ -121,3 +126,57 @@ def test_random_population_exercises_nonempty_dc_sets():
             if not computer.satisfiability_dc(node.name).is_zero():
                 found += 1
     assert found > 0
+
+
+def _sampled_networks(seed):
+    """A narrow network (samples reach nearly every fanin minterm) and
+    a wide one (samples leave reachable minterms unvisited)."""
+    return (
+        random_network(seed, n_pis=4, n_nodes=5),
+        random_network(seed, n_pis=10, n_nodes=14),
+    )
+
+
+@pytest.mark.parametrize("patterns", [64, 256])
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_sampled_unobservable_mask_matches_odc_cover(seed, patterns):
+    for network in _sampled_networks(seed):
+        computer = DontCareComputer(network)
+        sim = SignatureSimulator(network, patterns=patterns, seed=seed)
+        for node in network.internal_nodes():
+            sigs = [sim.signatures[f] for f in node.fanins]
+            expected = eval_cover_packed(
+                computer.observability_dc(node.name), sigs, sim.mask
+            )
+            assert computer.unobservable_patterns(
+                node.name, sigs, sim.mask
+            ) == expected, f"{network.name} {node.name} at {patterns}"
+
+
+def test_sampled_population_exercises_masks_and_pruning():
+    """Anti-vacuity for the test above: some sampled mask is non-empty,
+    and some node has a reachable fanin minterm no sample hits (the
+    branch the sampled walk prunes)."""
+    unobservable = pruned = 0
+    for seed in SEEDS[:10]:
+        for network in _sampled_networks(seed):
+            computer = DontCareComputer(network)
+            sim = SignatureSimulator(network, patterns=64, seed=seed)
+            for node in network.internal_nodes():
+                sigs = [sim.signatures[f] for f in node.fanins]
+                if computer.unobservable_patterns(node.name, sigs, sim.mask):
+                    unobservable += 1
+                sdc = computer.satisfiability_dc(node.name)
+                reachable = {
+                    m
+                    for m in range(1 << len(node.fanins))
+                    if not sdc.evaluate(m)
+                }
+                sampled = {
+                    sum(((sig >> p) & 1) << i for i, sig in enumerate(sigs))
+                    for p in range(sim.num_patterns)
+                }
+                if reachable - sampled:
+                    pruned += 1
+    assert unobservable > 0
+    assert pruned > 0

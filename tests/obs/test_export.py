@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.cli import main
 from repro.obs.analyze import build_forest
 from repro.obs.export import (
     chrome_to_events,
-    export_chrome_trace,
-    export_folded_stacks,
     to_chrome_trace,
     to_folded_stacks,
 )
@@ -47,15 +46,14 @@ def test_golden_trace_round_trips_losslessly():
     assert chrome_to_events(document) == events  # exact fields back
 
 
-def test_random_traces_round_trip(tmp_path):
+def test_random_traces_round_trip():
     for seed in (1, 2, 3):
         events = random_trace(seed, procs=3)
         document = to_chrome_trace(events)
         assert chrome_to_events(document) == events
-        # Through a file as well (what `repro trace chrome -o` writes).
-        out = tmp_path / f"t{seed}.json"
-        export_chrome_trace(events, out)
-        assert chrome_to_events(json.loads(out.read_text())) == events
+        # Through JSON text as well (what `repro trace chrome` prints).
+        text = json.dumps(document, indent=1, sort_keys=True)
+        assert chrome_to_events(json.loads(text)) == events
 
 
 def test_chrome_pids_stable_and_main_first():
@@ -106,10 +104,13 @@ def test_folded_stacks_keep_zero_weights():
 
 
 def test_folded_stacks_file_export(tmp_path):
+    # `repro trace flame -o` writes the renderer's lines, one per line.
     events = read_jsonl(GOLDEN_TRACE)
     out = tmp_path / "trace.folded"
-    export_folded_stacks(events, out)
-    assert out.read_text().splitlines() == to_folded_stacks(events)
+    assert main(["trace", "flame", str(GOLDEN_TRACE), "-o", str(out)]) == 0
+    assert out.read_text() == "".join(
+        line + "\n" for line in to_folded_stacks(events)
+    )
 
 
 def test_empty_trace_exports():
