@@ -679,7 +679,8 @@ def evaluate_division(
     the divisor's ``(fanins, cover)`` state — plus, with
     ``config.global_dc``/``config.oracle_dc``, of the rest of the
     network — which is exactly the validity contract the commit
-    protocol in :mod:`repro.parallel.engine` relies on.
+    protocol in :mod:`repro.parallel.engine` and the attempt memo
+    (:class:`~repro.core.substitution.AttemptMemo`) rely on.
     """
     if f_name not in network.nodes or divisor_name not in network.nodes:
         return None

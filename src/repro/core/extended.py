@@ -349,6 +349,12 @@ def choose_core_divisor(
     return best
 
 
+def core_prefix(divisor_name: str) -> str:
+    """The fresh-name prefix of a core node exposed from *divisor_name*
+    (both decompositions take ``network.fresh_name`` of it)."""
+    return f"{divisor_name}_core"
+
+
 def decompose_divisor(
     network: Network, divisor_name: str, cube_indices: Sequence[int]
 ) -> str:
@@ -364,7 +370,7 @@ def decompose_divisor(
     if not selected or selected == set(range(cover.num_cubes())):
         raise ValueError("core must be a proper, non-empty cube subset")
 
-    core_name = network.fresh_name(f"{divisor_name}_core")
+    core_name = network.fresh_name(core_prefix(divisor_name))
     core_cover = Cover(
         cover.num_vars, [cover.cubes[i] for i in sorted(selected)]
     )
@@ -401,7 +407,7 @@ def decompose_divisor_pos(
     if not selected or selected == set(range(dual.num_cubes())):
         raise ValueError("core must be a proper, non-empty sum-term subset")
 
-    core_name = network.fresh_name(f"{divisor_name}_core")
+    core_name = network.fresh_name(core_prefix(divisor_name))
     selected_dual = Cover(
         dual.num_vars, [dual.cubes[i] for i in sorted(selected)]
     )

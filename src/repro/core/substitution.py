@@ -26,6 +26,7 @@ from repro.core.division import (
 from repro.core.extended import (
     build_vote_table,
     choose_core_divisor,
+    core_prefix,
     decompose_divisor,
     decompose_divisor_pos,
 )
@@ -39,6 +40,12 @@ class SubstitutionStats:
     """Bookkeeping for one :func:`substitute_network` run."""
 
     attempts: int = 0
+    #: Division attempts skipped because the run's
+    #: :class:`AttemptMemo` holds a failure on exactly what they read
+    #: (basic pairs and extended votes alike).  A skip counts here and
+    #: not in ``attempts``; it makes no divide call and charges no
+    #: budget.  Deterministic, like ``attempts``.
+    attempts_memoized: int = 0
     accepted: int = 0
     wires_removed: int = 0
     cubes_removed: int = 0
@@ -240,12 +247,112 @@ def _note_mutation(sim_filter, names: Sequence[str]) -> None:
         sim_filter.note_mutation(names)
 
 
+#: A node's division-relevant state: its fanin names plus its
+#: (immutable) cover.  Without global don't cares a basic division's
+#: outcome is a pure function of the dividend's and the divisor's
+#: states, so two equal states mean an unchanged outcome: the attempt
+#: memo's key and the speculative store's validity rule.
+NodeState = Tuple[Tuple[str, ...], object]
+
+
+def node_state(network: Network, name: str) -> Optional[NodeState]:
+    """*name*'s :data:`NodeState`, or ``None`` when it is gone."""
+    node = network.nodes.get(name)
+    if node is None:
+        return None
+    return (tuple(node.fanins), node.cover)
+
+
+class AttemptMemo:
+    """The failed division attempts of one :func:`substitute_network`
+    run, keyed on everything each attempt reads (DESIGN §16).
+
+    * A basic pair reads the dividend's and the divisor's
+      :data:`NodeState`: ``(f, state(f), d, state(d))``.  The signature
+      filter's viable variants are not part of the key, because the
+      variants it drops would return ``None`` anyway.
+    * An extended vote reads its form, the dividend's state and the
+      state of every pooled divisor (after the POS pre-filter).
+    * With ``global_dc`` an attempt reads every node outside TFO(f),
+      and with ``oracle_dc`` the whole network.  Those keys also carry
+      the number of rewrites committed so far in the run: a failed
+      attempt or a rollback restores the network exactly, so an
+      unchanged count means an unchanged network.
+
+    A failed core extraction has already taken a fresh name for its
+    rolled-back core node, which advances the network's name counter
+    for good.  Its entry keeps that name prefix, and :meth:`skip`
+    takes one fresh name again, exactly as the skipped attempt would
+    have, so later core nodes keep their names.
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        config: DivisionConfig,
+        stats: SubstitutionStats,
+    ):
+        self.network = network
+        self.stats = stats
+        self._whole_network = config.global_dc or config.oracle_dc
+        #: Failed key -> the fresh-name prefix its attempt consumed.
+        self._failed: Dict[tuple, Optional[str]] = {}
+
+    def _commits(self) -> Optional[int]:
+        # Absolute, not per run: it only grows while this memo lives.
+        return self.stats.accepted if self._whole_network else None
+
+    def pair_key(self, f_name: str, d_name: str) -> tuple:
+        network = self.network
+        return (
+            f_name,
+            node_state(network, f_name),
+            d_name,
+            node_state(network, d_name),
+            self._commits(),
+        )
+
+    def extended_key(
+        self, form: str, f_name: str, divisors: Sequence[str]
+    ) -> tuple:
+        network = self.network
+        return (
+            form,
+            f_name,
+            node_state(network, f_name),
+            tuple((d, node_state(network, d)) for d in divisors),
+            self._commits(),
+        )
+
+    def pair_failed(self, f_name: str, d_name: str) -> bool:
+        """Has the pair failed on the current states?  No side effects:
+        the speculative engine asks this before shipping a pair."""
+        return self.pair_key(f_name, d_name) in self._failed
+
+    def skip(self, key: tuple) -> bool:
+        """True when *key* has failed before.  The hit is counted, and
+        a failed core extraction's fresh name is taken again."""
+        if key not in self._failed:
+            return False
+        prefix = self._failed[key]
+        if prefix is not None:
+            self.network.fresh_name(prefix)
+        self.stats.attempts_memoized += 1
+        return True
+
+    def record(self, key: tuple, name_prefix: Optional[str] = None) -> None:
+        """Remember a failure that left the network as it was, apart
+        from the fresh name taken with *name_prefix*, if any."""
+        self._failed[key] = name_prefix
+
+
 def _try_extended(
     network: Network,
     f_name: str,
     divisors: List[str],
     config: DivisionConfig,
     stats: SubstitutionStats,
+    memo: AttemptMemo,
     form: str = "sop",
     sim_filter=None,
     budget=None,
@@ -260,6 +367,11 @@ def _try_extended(
     attempted on compactly product-formed functions (small complement
     covers) — on SOP-heavy nodes the dual space explodes and the basic
     POS attempts already cover the whole-divisor case.
+
+    An attempt whose key (see :class:`AttemptMemo`) has failed before
+    is skipped; every failure that leaves the network as it was is
+    recorded in *memo*.  A rolled-back commit is not: its pair is
+    quarantined, and the next vote records the quarantined choice.
     """
     if form == "pos":
         from repro.twolevel.complement import complement as _complement
@@ -277,6 +389,9 @@ def _try_extended(
         ]
         if not divisors:
             return False
+    key = memo.extended_key(form, f_name, divisors)
+    if memo.skip(key):
+        return False
     with tracer.span("vote", f=f_name, form=form) as vote_span:
         table = build_vote_table(network, f_name, divisors, config, form=form)
         choice = choose_core_divisor(table, config)
@@ -285,9 +400,11 @@ def _try_extended(
             candidates=sum(1 for entry in table.entries if entry.candidates),
         )
     if choice is None:
+        memo.record(key)
         return False
     d_name = choice.divisor_name
     if ledger is not None and ledger.is_quarantined(f_name, d_name):
+        memo.record(key)
         return False
     d_node = network.nodes[d_name]
     whole = len(choice.cube_indices) == len(
@@ -298,6 +415,7 @@ def _try_extended(
     if whole and form == "pos":
         # Whole-divisor POS division is already tried by the basic
         # per-divisor loop; only the decomposition case is new here.
+        memo.record(key)
         return False
     if whole:
         result = boolean_divide(
@@ -305,6 +423,7 @@ def _try_extended(
             tracer=tracer,
         )
         if result is None or result.gain <= 0:
+            memo.record(key)
             return False
         with tracer.span(
             "commit", f=f_name, d=d_name, via="extended-whole"
@@ -356,6 +475,7 @@ def _try_extended(
     if result is None:
         snapshot.restore()
         _note_mutation(sim_filter, [f_name, d_name, core_name])
+        memo.record(key, core_prefix(d_name))
         return False
     with tracer.span(
         "commit", f=f_name, d=d_name, via="extended-core"
@@ -370,6 +490,7 @@ def _try_extended(
         if after_total >= before_total:
             snapshot.restore()
             _note_mutation(sim_filter, [f_name, d_name, core_name])
+            memo.record(key, core_prefix(d_name))
             commit_span.annotate(accepted=False)
             return False
         if ledger is not None and not ledger.verify_commit(
@@ -399,6 +520,7 @@ def substitute_pass(
     budget=None,
     ledger=None,
     tracer=None,
+    memo: Optional[AttemptMemo] = None,
 ) -> int:
     """One sweep over all nodes; returns accepted substitutions.
 
@@ -430,14 +552,24 @@ def substitute_pass(
     pass records ``enumerate``/``pair``/``divide``/``atpg``/``commit``/
     ``verify`` spans under the caller's ``pass`` span.  ``None``
     traces nothing and costs nothing.
+
+    *memo* is the run's :class:`AttemptMemo` over *network* and
+    *stats*; :func:`substitute_network` passes one memo to every pass,
+    so an attempt that failed in an earlier pass on the same node
+    states is skipped (counted in ``stats.attempts_memoized``).  The
+    memo only skips attempts whose outcome it knows, so the pass
+    result is byte-identical either way.  ``None`` gives the pass a
+    memo of its own.
     """
     if stats is None:
         stats = SubstitutionStats()
+    if memo is None:
+        memo = AttemptMemo(network, config, stats)
     accepted_before = stats.accepted
     try:
         _run_pass(
             network, config, stats, sim_filter, store, budget, ledger,
-            as_tracer(tracer),
+            as_tracer(tracer), memo,
         )
     except BudgetExhausted:
         # Clean stop: every commit so far is applied (and verified, in
@@ -455,7 +587,19 @@ def _run_pass(
     budget,
     ledger,
     tracer,
+    memo: AttemptMemo,
 ) -> None:
+    """The body of :func:`substitute_pass`: basic pairs per dividend,
+    then the extended votes (SOP, and POS as a second phase).
+
+    The memo is consulted where an attempt would start: for a basic
+    pair after the quarantine check and after the signature filter's
+    prune accounting, in the live and the speculative path alike, so
+    ``divisors_pruned`` and ``variants_pruned`` count exactly as
+    without it and an ``n_jobs=2`` run counts like a serial one.  A
+    pair whose result is ``None`` (evaluated live or served from the
+    store) is recorded as failed.
+    """
     accepted_before = stats.accepted
     n_enabled = len(enabled_attempts(config))
     names = [node.name for node in network.internal_nodes()]
@@ -527,23 +671,18 @@ def _run_pass(
                         d_name,
                         mutated=stats.accepted - accepted_before,
                     )
+                pair_speculative = outcome is not None
+                attempts = None
                 if outcome is not None:
-                    pair_speculative = True
                     if outcome.pruned:
                         stats.divisors_pruned += 1
                         pair_span.annotate(
                             speculative=True, pruned=True
                         )
                         continue
-                    stats.attempts += 1
-                    stats.divide_calls += outcome.divide_calls
-                    if budget is not None:
-                        budget.charge_divide_calls(outcome.divide_calls)
                     stats.variants_pruned += outcome.variants_pruned
-                    result = outcome.result
+                    calls = outcome.divide_calls
                 else:
-                    pair_speculative = False
-                    attempts = None
                     if sim_filter is not None:
                         # Pruning is evaluated against the *current*
                         # network state, so a skip is a proof
@@ -557,11 +696,20 @@ def _run_pass(
                             pair_span.annotate(pruned=True)
                             continue
                         stats.variants_pruned += n_enabled - len(attempts)
-                    stats.attempts += 1
                     calls = n_enabled if attempts is None else len(attempts)
-                    stats.divide_calls += calls
-                    if budget is not None:
-                        budget.charge_divide_calls(calls)
+                key = memo.pair_key(f_name, d_name)
+                if memo.skip(key):
+                    pair_span.annotate(
+                        speculative=pair_speculative, memo=True
+                    )
+                    continue
+                stats.attempts += 1
+                stats.divide_calls += calls
+                if budget is not None:
+                    budget.charge_divide_calls(calls)
+                if outcome is not None:
+                    result = outcome.result
+                else:
                     result = divide_node_pair(
                         network,
                         f_name,
@@ -573,6 +721,7 @@ def _run_pass(
                         tracer=tracer,
                     )
                 if result is None:
+                    memo.record(key)
                     pair_span.annotate(
                         speculative=pair_speculative, accepted=False
                     )
@@ -617,6 +766,7 @@ def _run_pass(
                     divisors,
                     config,
                     stats,
+                    memo,
                     sim_filter=sim_filter,
                     budget=budget,
                     ledger=ledger,
@@ -645,6 +795,7 @@ def _run_pass(
                     divisors,
                     config,
                     stats,
+                    memo,
                     form="pos",
                     sim_filter=sim_filter,
                     budget=budget,
@@ -698,6 +849,11 @@ def substitute_network(
     the parallel engine).  The default ``None`` traces nothing, costs
     (near) nothing, and the optimized network is byte-identical either
     way — tracing never influences control flow.
+
+    One :class:`AttemptMemo` lives for the run: every pass skips the
+    attempts that already failed on the node states they read, and
+    the speculative engine does not ship them.  Nothing persists
+    across runs.
     """
     tracer = as_tracer(tracer)
     if config.method == "simguided":
@@ -741,6 +897,7 @@ def substitute_network(
         from repro.parallel.engine import SpeculativeEngine
 
         engine = SpeculativeEngine(config)
+    memo = AttemptMemo(network, config, stats)
     #: The budget may be shared across several runs accumulating into
     #: the same *stats*; charge only this run's ATPG-incomplete delta
     #: (the ledger on the budget is cumulative).
@@ -757,7 +914,10 @@ def substitute_network(
                     store = None
                     if engine is not None:
                         store = engine.precompute(
-                            network, sim_filter=sim_filter, tracer=tracer
+                            network,
+                            sim_filter=sim_filter,
+                            tracer=tracer,
+                            memo=memo,
                         )
                     try:
                         accepted = substitute_pass(
@@ -769,6 +929,7 @@ def substitute_network(
                             budget=budget,
                             ledger=ledger,
                             tracer=tracer,
+                            memo=memo,
                         )
                     finally:
                         if engine is not None and store is not None:

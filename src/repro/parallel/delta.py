@@ -42,12 +42,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.substitution import NodeState, node_state
 from repro.network.network import Network
 from repro.network.node import Node
-
-#: A node's division-relevant state: fanin names plus the (immutable)
-#: cover object.  Shared with :mod:`repro.parallel.engine`.
-NodeState = Tuple[Tuple[str, ...], object]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,10 +75,7 @@ class DeltaRecord:
 
 def capture_states(network: Network) -> Dict[str, NodeState]:
     """The per-node state map a delta diff runs against."""
-    return {
-        name: (tuple(node.fanins), node.cover)
-        for name, node in network.nodes.items()
-    }
+    return {name: node_state(network, name) for name in network.nodes}
 
 
 def diff_network(
@@ -96,8 +90,8 @@ def diff_network(
     """
     updates: List[NodeUpdate] = []
     states: Dict[str, NodeState] = {}
-    for name, node in network.nodes.items():
-        state = (tuple(node.fanins), node.cover)
+    for name in network.nodes:
+        state = node_state(network, name)
         states[name] = state
         if shipped.get(name) != state:
             updates.append(NodeUpdate(name, state[0], state[1]))
@@ -126,8 +120,8 @@ def cumulative_record(
     """
     updates: List[NodeUpdate] = []
     ever = set(ever_updated)
-    for name, node in network.nodes.items():
-        state = (tuple(node.fanins), node.cover)
+    for name in network.nodes:
+        state = node_state(network, name)
         if name in ever or base_states.get(name) != state:
             updates.append(NodeUpdate(name, state[0], state[1]))
     gone = [name for name in base_states if name not in network.nodes]

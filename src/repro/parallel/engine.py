@@ -11,7 +11,8 @@ overlapping phases per substitution pass:
 freezes the network into a base payload (shipped once — signature
 bitmaps ride in a ``multiprocessing.shared_memory`` segment when
 available), spawns the executor, and enumerates the same candidate
-pairs the serial greedy loop would visit.  From then on only
+pairs the serial greedy loop would visit, less those the run's attempt
+memo already knows fail (DESIGN §16).  From then on only
 :class:`~repro.parallel.delta.DeltaRecord` lists of the committed
 rewrites ever cross the process boundary — at every pass start *and*
 mid-pass, right before each shard submitted after a commit — and the
@@ -62,6 +63,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import DivisionConfig
+from repro.core.substitution import AttemptMemo, NodeState, node_state
 from repro.network.network import Network
 from repro.obs.tracer import as_tracer
 from repro.parallel.delta import (
@@ -76,21 +78,9 @@ from repro.resilience import inject
 
 Pair = Tuple[str, str]
 
-#: A node's division-relevant state: fanin names plus the (immutable)
-#: cover object.  Two states compare equal iff every division outcome
-#: involving the node is unchanged (non-GDC modes).
-NodeState = Tuple[Tuple[str, ...], object]
-
 #: Prefix of every shared-memory segment the engine creates, so the
 #: hygiene tests can scan ``/dev/shm`` for leaks.
 SHM_PREFIX = "repro_sig_"
-
-
-def _node_state(network: Network, name: str) -> Optional[NodeState]:
-    node = network.nodes.get(name)
-    if node is None:
-        return None
-    return (tuple(node.fanins), node.cover)
 
 
 class SpeculativeStore:
@@ -115,10 +105,7 @@ class SpeculativeStore:
         #: With global don't cares / oracle mode every outcome depends
         #: on the whole network, so any commit invalidates everything.
         self.whole_network_sensitive = whole_network_sensitive
-        self._states: Dict[str, NodeState] = {
-            name: (tuple(node.fanins), node.cover)
-            for name, node in network.nodes.items()
-        }
+        self._states: Dict[str, NodeState] = capture_states(network)
         self._outcomes: Dict[Pair, PairOutcome] = {}
         self._stale: Set[Pair] = set()
         #: Submit-time endpoint states for pairs shipped after mid-pass
@@ -153,7 +140,7 @@ class SpeculativeStore:
         return len(self._outcomes)
 
     def _unchanged(self, network: Network, name: str) -> bool:
-        return self._states.get(name) == _node_state(network, name)
+        return self._states.get(name) == node_state(network, name)
 
     def endpoints_unchanged(self, network: Network, pair: Pair) -> bool:
         return self._unchanged(network, pair[0]) and self._unchanged(
@@ -190,8 +177,8 @@ class SpeculativeStore:
             expected = self._expected.get(pair)
             if expected is not None:
                 valid = expected == (
-                    _node_state(network, f_name),
-                    _node_state(network, d_name),
+                    node_state(network, f_name),
+                    node_state(network, d_name),
                 )
             else:
                 valid = self._unchanged(
@@ -213,8 +200,8 @@ def enumerate_candidate_pairs(
     during the commit phase can change later dividends' candidate
     lists, in which case the missing pairs simply evaluate live.
     """
-    # Imported here: repro.core.substitution lazily imports this module,
-    # so a top-level import back into it would be circular.
+    # Looked up at call time, so a replaced ``_candidate_divisors``
+    # lists the same divisors here as in the serial loop.
     from repro.core.substitution import _candidate_divisors
 
     pairs: List[Pair] = []
@@ -655,10 +642,7 @@ class SpeculativeEngine:
             or d.is_constant()
         ):
             return None
-        return (
-            (tuple(f.fanins), f.cover),
-            (tuple(d.fanins), d.cover),
-        )
+        return node_state(network, pair[0]), node_state(network, pair[1])
 
     def note_batch_bytes(self, pairs: Sequence[Pair]) -> None:
         """Account one shard's wire payload: its pair list plus the
@@ -673,7 +657,11 @@ class SpeculativeEngine:
     # Per-pass cycle
     # ------------------------------------------------------------------
     def precompute(
-        self, network: Network, sim_filter=None, tracer=None
+        self,
+        network: Network,
+        sim_filter=None,
+        tracer=None,
+        memo: Optional[AttemptMemo] = None,
     ) -> SpeculativeStore:
         """Start one pass: ship what changed, prime the pipeline, and
         return the pass's lazily-filling store.
@@ -683,6 +671,13 @@ class SpeculativeEngine:
         worker's locally-recorded spans are absorbed into the main
         trace (tagged with the worker's ``proc`` label) as shards are
         reaped.
+
+        *memo* is the run's
+        :class:`~repro.core.substitution.AttemptMemo`: a pair that has
+        already failed on its current endpoint states is not shipped,
+        because the commit loop skips it without reading an outcome.
+        It stays in ``store.divisors``, so the divisor lists the loop
+        walks do not change.
         """
         tracer = as_tracer(tracer)
         config = self.config
@@ -697,6 +692,8 @@ class SpeculativeEngine:
             enum_span.annotate(pairs=len(pairs))
         for f_name, d_name in pairs:
             store.divisors.setdefault(f_name, []).append(d_name)
+        if memo is not None:
+            pairs = [pair for pair in pairs if not memo.pair_failed(*pair)]
         if not pairs:
             return store
         batches = shard_pairs(pairs, config.batch_size)

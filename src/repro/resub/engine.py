@@ -262,9 +262,8 @@ def _resub_pass(
                     if budget is not None:
                         budget.check_deadline()
                     subsets_tried += 1
-                    label = _divisor_label(subset)
                     if ledger is not None and ledger.is_quarantined(
-                        f_name, label
+                        f_name, _divisor_label(subset)
                     ):
                         continue
                     cover = resynthesize_window(
@@ -289,6 +288,7 @@ def _resub_pass(
                     stats.resub_wires_cleaned += removed
                     if factored_literals(cleaned) >= old_lits:
                         continue
+                    label = _divisor_label(subset)
                     with tracer.span(
                         "commit", f=f_name, d=label, via="resub"
                     ) as commit_span:

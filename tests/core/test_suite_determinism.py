@@ -17,6 +17,10 @@ on each suite circuit:
   serial BLIF and every serial counter, except the signature-cache
   tallies that the speculative evaluations add to, and a rerun of it
   reproduces its own ``parallel_*`` counters.
+
+The counters compared include ``attempts_memoized``, the attempts the
+run's attempt memo skipped, which must be live on the suite for these
+comparisons to cover it.
 """
 
 import dataclasses
@@ -115,3 +119,13 @@ def test_jobs2_reproduces_serial_run(name, serial_run):
     rerun_blif, rerun_counters = _run(name, BASIC, n_jobs=2)
     assert rerun_blif == blif
     assert _differences(counters, rerun_counters, counters) == {}
+
+
+@pytest.mark.parametrize("label", sorted(CONFIGS))
+def test_memo_counter_is_live(label, serial_run):
+    skipped = {
+        name: serial_run(name, label)[1]["attempts_memoized"]
+        for name in benchmark_names()
+    }
+    assert sum(1 for count in skipped.values() if count) >= 10, skipped
+
