@@ -14,7 +14,7 @@ Usage::
     # optimize a BLIF netlist (or a named suite circuit, bench:NAME)
     python -m repro optimize design.blif --method ext -o out.blif
     python -m repro optimize bench:rnd2 --script A --method ext_gdc
-    python -m repro optimize design.blif --jobs 4 --stats-json run.json
+    python -m repro optimize design.blif --deadline 300 --stats-json run.json
     # simulation-guided resubstitution engine instead of division
     python -m repro optimize design.blif --method simguided -o out.blif
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from typing import Dict, List
@@ -110,22 +111,10 @@ def _optimize_main(argv: List[str]) -> int:
         help="random patterns per simulation signature (default: 256)",
     )
     parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for the substitution engine (default: 1; "
-            ">1 enables speculative parallel evaluation — output is "
-            "byte-identical to a serial run)"
-        ),
-    )
-    parser.add_argument(
         "--stats-json",
         metavar="PATH",
-        help="write the full run statistics (worker counters included) "
-        "and the final check's backend and verdict as JSON",
+        help="write the full run statistics and the final check's "
+        "backend and verdict as JSON",
     )
     parser.add_argument(
         "--deadline",
@@ -166,11 +155,10 @@ def _optimize_main(argv: List[str]) -> int:
         metavar="FILE.jsonl",
         help=(
             "record a structured trace of the run (spans for every "
-            "pass, pair, divide, ATPG sweep, commit and verify — "
-            "worker spans merged in) as JSON lines, each written as "
-            "its span closes, so a killed run still leaves a "
-            "parseable trace; tracing never changes the optimized "
-            "output"
+            "pass, pair, divide, ATPG sweep, commit and verify) as "
+            "JSON lines, each written as its span closes, so a "
+            "killed run still leaves a parseable trace; tracing "
+            "never changes the optimized output"
         ),
     )
     parser.add_argument(
@@ -190,17 +178,6 @@ def _optimize_main(argv: List[str]) -> int:
             "alongside --stats-json)"
         ),
     )
-    parser.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "with -j >1: flag a worker shard silent past SECONDS as a "
-            "stall and contain it through the retry ladder instead of "
-            "waiting forever (default: off)"
-        ),
-    )
     args = parser.parse_args(argv)
     overrides = {}
     if args.no_sim_filter:
@@ -209,29 +186,21 @@ def _optimize_main(argv: List[str]) -> int:
         if args.sim_patterns < 1:
             parser.error("--sim-patterns must be >= 1")
         overrides["sim_patterns"] = args.sim_patterns
-    if args.jobs is not None:
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
-        overrides["n_jobs"] = args.jobs
     if args.deadline is not None:
-        if args.deadline < 0:
-            parser.error("--deadline must be >= 0")
+        if not (math.isfinite(args.deadline) and args.deadline >= 0):
+            parser.error("--deadline must be a finite number >= 0")
         overrides["deadline_seconds"] = args.deadline
     if args.verify_commits:
         overrides["verify_commits"] = True
     if args.verify_backend is not None:
         overrides["verify_backend"] = args.verify_backend
-    if args.stall_timeout is not None:
-        if args.stall_timeout <= 0:
-            parser.error("--stall-timeout must be > 0")
-        overrides["stall_timeout_seconds"] = args.stall_timeout
     if (
         overrides or args.trace or args.profile or args.profile_json
     ) and args.method == "sis":
         parser.error(
-            "--no-sim-filter/--sim-patterns/--jobs/--deadline/"
+            "--no-sim-filter/--sim-patterns/--deadline/"
             "--verify-commits/--verify-backend/--trace/--profile/"
-            "--profile-json/--stall-timeout do not apply to sis"
+            "--profile-json do not apply to sis"
         )
     # The outputs are written only after the final proof; check their
     # directories now, so a mistyped path costs no run.
@@ -372,7 +341,6 @@ def _optimize_main(argv: List[str]) -> int:
             "circuit": network.name,
             "method": args.method,
             "script": args.script,
-            "jobs": args.jobs if args.jobs is not None else 1,
             "literals_initial": initial,
             "literals_final": int(stats["literals"]),
             "cpu_seconds": stats["cpu"],
@@ -435,10 +403,10 @@ def _trace_main(argv: List[str]) -> int:
         prog="repro trace",
         description=(
             "Analyze or convert a --trace JSONL file: 'report' prints "
-            "the critical path, per-kind rollup and worker "
-            "utilization; 'chrome' converts losslessly to Chrome "
-            "trace-event / Perfetto JSON; 'flame' emits folded "
-            "flamegraph.pl stack lines weighted by self wall time."
+            "the critical path, per-kind rollup and slowest spans; "
+            "'chrome' converts losslessly to Chrome trace-event / "
+            "Perfetto JSON; 'flame' emits folded flamegraph.pl stack "
+            "lines weighted by self wall time."
         ),
     )
     parser.add_argument("verb", choices=["report", "chrome", "flame"])

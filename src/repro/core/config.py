@@ -16,6 +16,7 @@ The module-level constants :data:`BASIC`, :data:`EXTENDED` and
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 
@@ -121,32 +122,10 @@ class DivisionConfig:
     #: cache.
     containment_cache_size: int = 8192
 
-    #: Worker processes for the speculative-evaluation engine (see
-    #: :mod:`repro.parallel`).  ``1`` runs the plain serial loop;
-    #: ``>1`` freezes a network snapshot per pass, evaluates surviving
-    #: candidate pairs across workers and commits the results through
-    #: the deterministic protocol, so output is byte-identical to the
-    #: serial path.
+    #: Has no effect: every run takes the serial loop.  Still checked
+    #: (``>= 1``) because the ``planted-ext-j2`` benchmark workload sets
+    #: it; it retires together with that workload.
     n_jobs: int = 1
-
-    #: Candidate pairs per work unit shipped to a worker.  Small
-    #: batches balance load and keep speculation fresh; large batches
-    #: amortize the per-shard round trip (pickle + queue wakeup).
-    #: 32 measured best on the suite: half the round trips of 16 with
-    #: fewer invalidated outcomes than 64.
-    batch_size: int = 32
-
-    #: "process" uses a persistent :class:`concurrent.futures.
-    #: ProcessPoolExecutor`; "serial" runs the same speculative engine
-    #: in-process (debugging and the commit-protocol tests — no
-    #: pickling across processes, same snapshot/commit semantics);
-    #: "auto" (the default) picks "process" when the machine has more
-    #: than one CPU and the first pass has enough candidate pairs to
-    #: repay the pool's start-up
-    #: (:data:`repro.parallel.executor.AUTO_POOL_MIN_PAIRS`), and the
-    #: in-process engine otherwise — the protocol and its output are
-    #: identical either way.
-    parallel_backend: str = "auto"
 
     #: Wall-clock budget for one :func:`substitute_network` run, in
     #: seconds.  The run stops cleanly at the next pass/pair boundary
@@ -177,23 +156,6 @@ class DivisionConfig:
     #: also covers the screened commits since the last proof.
     verify_full_every: int = 16
 
-    #: Failed speculative work batches are re-dispatched onto a fresh
-    #: process pool this many times before the shard degrades to the
-    #: in-process serial backend.
-    max_shard_retries: int = 2
-
-    #: Shards kept in flight per worker by the pipelined dispatcher
-    #: (window = ``max(2, n_jobs * pipeline_depth)``), so worker
-    #: evaluation overlaps the main process's commit loop instead of
-    #: meeting it at a per-pass barrier.
-    pipeline_depth: int = 2
-
-    #: Ship signature bitmaps to the persistent pool through one
-    #: ``multiprocessing.shared_memory`` segment instead of pickling
-    #: them into every worker (falls back to the inline snapshot where
-    #: shared memory is unavailable).
-    share_signatures: bool = True
-
     #: ``method="simguided"``: divisor candidates collected into each
     #: target node's window (closest supports first; the truth-table
     #: core enumerates subsets of this pool).
@@ -219,15 +181,6 @@ class DivisionConfig:
     #: don't cares buy).
     resub_odc_max_pis: int = 12
 
-    #: Stall watchdog: a speculative shard silent for more than this
-    #: many seconds is flagged (a ``stall`` trace event + the
-    #: ``stalls_detected`` counter) and fed into the containment ladder
-    #: (redispatch → fresh pool → in-process fallback) instead of
-    #: being waited on forever.  ``None`` (the default) disables the
-    #: watchdog — results and timing are then exactly the pre-telemetry
-    #: behavior.
-    stall_timeout_seconds: Optional[float] = None
-
     def __post_init__(self):
         if self.mode not in ("basic", "extended"):
             raise ValueError("mode must be 'basic' or 'extended'")
@@ -247,14 +200,11 @@ class DivisionConfig:
             raise ValueError("cache sizes must be >= 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.parallel_backend not in ("auto", "process", "serial"):
-            raise ValueError(
-                "parallel_backend must be 'auto', 'process' or 'serial'"
-            )
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise ValueError("deadline_seconds must be >= 0")
+        if self.deadline_seconds is not None and not (
+            math.isfinite(self.deadline_seconds)
+            and self.deadline_seconds >= 0
+        ):
+            raise ValueError("deadline_seconds must be finite and >= 0")
         if self.max_divide_calls is not None and self.max_divide_calls < 0:
             raise ValueError("max_divide_calls must be >= 0")
         if (
@@ -264,21 +214,12 @@ class DivisionConfig:
             raise ValueError("max_run_backtracks must be >= 0")
         if self.verify_full_every < 1:
             raise ValueError("verify_full_every must be >= 1")
-        if (
-            self.stall_timeout_seconds is not None
-            and self.stall_timeout_seconds <= 0
-        ):
-            raise ValueError("stall_timeout_seconds must be > 0")
         if self.verify_backend not in ("auto", "bdd", "sat"):
             raise ValueError(
                 "verify_backend must be 'auto', 'bdd' or 'sat'"
             )
         if self.sat_conflict_budget < 0:
             raise ValueError("sat_conflict_budget must be >= 0")
-        if self.max_shard_retries < 0:
-            raise ValueError("max_shard_retries must be >= 0")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
 
 
 #: Configuration 1 of the paper's experiments.

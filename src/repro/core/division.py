@@ -658,41 +658,3 @@ def divide_node_pair(
                 best = result
     return best
 
-
-def evaluate_division(
-    network: Network,
-    f_name: str,
-    divisor_name: str,
-    config: DivisionConfig,
-    attempts: Optional[Sequence[Tuple[bool, str]]] = None,
-    circuit: Optional[Circuit] = None,
-    tracer=None,
-) -> Optional[DivisionResult]:
-    """Side-effect-free division of one candidate pair (worker entry).
-
-    This is :func:`divide_node_pair` behind the guards the substitution
-    loop normally provides, packaged for speculative evaluation: every
-    argument and the returned :class:`DivisionResult` are picklable, the
-    network is only *read* (``oracle_dc`` mode mutates-and-restores a
-    node transiently, which is safe because workers operate on private
-    snapshot copies), and the outcome is a pure function of *f*'s and
-    the divisor's ``(fanins, cover)`` state — plus, with
-    ``config.global_dc``/``config.oracle_dc``, of the rest of the
-    network — which is exactly the validity contract the commit
-    protocol in :mod:`repro.parallel.engine` and the attempt memo
-    (:class:`~repro.core.substitution.AttemptMemo`) rely on.
-    """
-    if f_name not in network.nodes or divisor_name not in network.nodes:
-        return None
-    f_node = network.nodes[f_name]
-    if f_node.is_pi or f_node.is_constant() or f_node.cover is None:
-        return None
-    return divide_node_pair(
-        network,
-        f_name,
-        divisor_name,
-        config,
-        circuit=circuit,
-        attempts=attempts,
-        tracer=tracer,
-    )

@@ -67,48 +67,9 @@ class SubstitutionStats:
     sim_cache_misses: int = 0
     #: Nodes re-evaluated by incremental re-simulation after rewrites.
     resim_nodes: int = 0
-    #: Worker processes used by the speculative engine (0 = plain
-    #: serial path, 1 = in-process/serial backend).
-    parallel_jobs: int = 0
-    #: Work units shipped to the executor across all passes.
-    parallel_batches: int = 0
-    #: Candidate pairs speculatively evaluated against snapshots
-    #: (including pairs the worker-side filter pruned).
-    parallel_pairs_evaluated: int = 0
-    #: Speculative outcomes committed without re-evaluation.
-    parallel_pairs_reused: int = 0
-    #: Speculative outcomes discarded because a committed rewrite
-    #: touched their dividend/divisor (re-evaluated live).
-    parallel_pairs_invalidated: int = 0
-    #: Delta records shipped to the persistent worker pool across
-    #: passes, and the node rewrites/deletions they carried.
-    parallel_deltas_shipped: int = 0
-    parallel_delta_nodes: int = 0
-    #: Pairs dropped at shard-submit time because a commit had already
-    #: rewritten one of their endpoints (never sent to a worker).
-    parallel_pairs_stale_skipped: int = 0
-    #: Wire accounting for the parallel protocol: bytes of the
-    #: one-time base snapshot payload(s) and of the summed per-shard
-    #: payloads (pair lists + delta log).
-    parallel_snapshot_bytes: int = 0
-    parallel_batch_bytes: int = 0
-    #: Per-phase wall seconds of the parallel protocol
-    #: (``snapshot_ship``, ``worker_build``, ``evaluate``,
-    #: ``dispatch_wait``), accumulated across runs.
-    parallel_phase_seconds: Dict[str, float] = dataclasses.field(
-        default_factory=dict
-    )
     #: D-alg searches that ran out of backtracks/deadline; their
     #: verdicts were treated conservatively as "not redundant".
     atpg_incomplete: int = 0
-    #: Worker-side failures the executor contained (broken pools,
-    #: worker exceptions, pickling errors).
-    worker_faults: int = 0
-    #: Failed work batches re-dispatched onto a fresh process pool.
-    shards_redispatched: int = 0
-    #: Times speculative work fell back to in-process evaluation
-    #: (exhausted shard retries, or a whole-pass speculation failure).
-    degraded_to_serial: int = 0
     #: Commit verifications run / rolled back, and pairs quarantined,
     #: under ``config.verify_commits``.
     commits_verified: int = 0
@@ -144,9 +105,6 @@ class SubstitutionStats:
     #: Literals/cubes dropped from candidate covers by the
     #: excitation-only ATPG redundancy cleanup.
     resub_wires_cleaned: int = 0
-    #: Shards the executor's stall watchdog flagged as silent past
-    #: the threshold.  Timing-dependent, so it may differ between runs.
-    stalls_detected: int = 0
     #: Structured incident records (JSON-ready dicts) — one per
     #: rolled-back commit; surfaces through ``--stats-json``.
     incidents: List[Dict[str, object]] = dataclasses.field(
@@ -251,7 +209,7 @@ def _note_mutation(sim_filter, names: Sequence[str]) -> None:
 #: (immutable) cover.  Without global don't cares a basic division's
 #: outcome is a pure function of the dividend's and the divisor's
 #: states, so two equal states mean an unchanged outcome: the attempt
-#: memo's key and the speculative store's validity rule.
+#: memo's key.
 NodeState = Tuple[Tuple[str, ...], object]
 
 
@@ -323,11 +281,6 @@ class AttemptMemo:
             tuple((d, node_state(network, d)) for d in divisors),
             self._commits(),
         )
-
-    def pair_failed(self, f_name: str, d_name: str) -> bool:
-        """Has the pair failed on the current states?  No side effects:
-        the speculative engine asks this before shipping a pair."""
-        return self.pair_key(f_name, d_name) in self._failed
 
     def skip(self, key: tuple) -> bool:
         """True when *key* has failed before.  The hit is counted, and
@@ -516,7 +469,6 @@ def substitute_pass(
     config: DivisionConfig,
     stats: Optional[SubstitutionStats] = None,
     sim_filter=None,
-    store=None,
     budget=None,
     ledger=None,
     tracer=None,
@@ -528,15 +480,6 @@ def substitute_pass(
     over *network* whose signatures are current; candidate (divisor,
     variant) attempts it refutes are skipped.  Because the filter is
     sound, the pass produces the same network with or without it.
-
-    *store* is an optional
-    :class:`~repro.parallel.engine.SpeculativeStore` of division
-    outcomes pre-evaluated against a snapshot of *network* taken at
-    pass start.  The greedy visit order and every commit decision are
-    unchanged — the store only short-circuits pair evaluations whose
-    speculative outcome is provably still valid, so the pass result is
-    byte-identical with or without it (the deterministic commit
-    protocol; see DESIGN.md).
 
     *budget* is an optional
     :class:`~repro.resilience.budget.RunBudget`, checked before every
@@ -568,7 +511,7 @@ def substitute_pass(
     accepted_before = stats.accepted
     try:
         _run_pass(
-            network, config, stats, sim_filter, store, budget, ledger,
+            network, config, stats, sim_filter, budget, ledger,
             as_tracer(tracer), memo,
         )
     except BudgetExhausted:
@@ -583,7 +526,6 @@ def _run_pass(
     config: DivisionConfig,
     stats: SubstitutionStats,
     sim_filter,
-    store,
     budget,
     ledger,
     tracer,
@@ -592,15 +534,12 @@ def _run_pass(
     """The body of :func:`substitute_pass`: basic pairs per dividend,
     then the extended votes (SOP, and POS as a second phase).
 
-    The memo is consulted where an attempt would start: for a basic
-    pair after the quarantine check and after the signature filter's
-    prune accounting, in the live and the speculative path alike, so
-    ``divisors_pruned`` and ``variants_pruned`` count exactly as
-    without it and an ``n_jobs=2`` run counts like a serial one.  A
-    pair whose result is ``None`` (evaluated live or served from the
-    store) is recorded as failed.
+    Each basic pair goes quarantine check, signature filter, memo,
+    divide, commit.  The memo is consulted after the filter's prune
+    accounting, so ``divisors_pruned`` and ``variants_pruned`` count
+    exactly as without it.  A pair whose result is ``None`` is
+    recorded as failed.
     """
-    accepted_before = stats.accepted
     n_enabled = len(enabled_attempts(config))
     names = [node.name for node in network.internal_nodes()]
     for f_name in names:
@@ -610,14 +549,7 @@ def _run_pass(
         if node.is_pi or node.is_constant() or node.cover is None:
             continue
         with tracer.span("enumerate", f=f_name) as enum_span:
-            divisors = None
-            if store is not None and stats.accepted == accepted_before:
-                # Nothing committed this pass yet (a rejected rewrite is
-                # restored): the network is the one the speculative
-                # enumeration listed candidates on.
-                divisors = store.divisors.get(f_name)
-            if divisors is None:
-                divisors = _candidate_divisors(network, f_name, config)
+            divisors = _candidate_divisors(network, f_name, config)
             enum_span.annotate(divisors=len(divisors))
         if not divisors:
             continue
@@ -629,8 +561,8 @@ def _run_pass(
         # minus TFO(f) and is divisor-independent, so it is built once
         # per dividend (rewrites of f itself never invalidate it — f's
         # own gates are excluded by construction).  It is built lazily:
-        # when every pair of this dividend commits from the speculative
-        # store, no live evaluation needs it.
+        # when the filter or the memo skips every pair of this
+        # dividend, no division needs it.
         shared_circuit = None
 
         def _gdc_circuit(f_name=f_name):
@@ -649,82 +581,42 @@ def _run_pass(
             if ledger is not None and ledger.is_quarantined(
                 f_name, d_name
             ):
-                # Checked before the store: a rollback restores the
-                # pre-commit node state exactly, so the stale
-                # speculative outcome would otherwise be served again.
                 continue
             with tracer.span("pair", f=f_name, d=d_name) as pair_span:
-                outcome = None
-                if store is not None:
-                    # A valid speculative outcome equals what the live
-                    # evaluation below would produce (the store's
-                    # validity contract), so committing from it
-                    # preserves the serial greedy sequence exactly.
-                    # ``mutated`` is the count of commits this pass
-                    # (int, truthy once anything landed): the store's
-                    # whole-network invalidation trigger, and the
-                    # dispatcher's cue for when a mid-pass delta ship
-                    # could actually carry something new.
-                    outcome = store.lookup(
-                        network,
-                        f_name,
-                        d_name,
-                        mutated=stats.accepted - accepted_before,
-                    )
-                pair_speculative = outcome is not None
                 attempts = None
-                if outcome is not None:
-                    if outcome.pruned:
+                if sim_filter is not None:
+                    # Pruning is evaluated against the *current*
+                    # network state, so a skip is a proof
+                    # divide_node_pair would return None right now —
+                    # never a changed outcome.
+                    attempts = sim_filter.viable_attempts(f_name, d_name)
+                    if not attempts:
                         stats.divisors_pruned += 1
-                        pair_span.annotate(
-                            speculative=True, pruned=True
-                        )
+                        pair_span.annotate(pruned=True)
                         continue
-                    stats.variants_pruned += outcome.variants_pruned
-                    calls = outcome.divide_calls
-                else:
-                    if sim_filter is not None:
-                        # Pruning is evaluated against the *current*
-                        # network state, so a skip is a proof
-                        # divide_node_pair would return None right now
-                        # — never a changed outcome.
-                        attempts = sim_filter.viable_attempts(
-                            f_name, d_name
-                        )
-                        if not attempts:
-                            stats.divisors_pruned += 1
-                            pair_span.annotate(pruned=True)
-                            continue
-                        stats.variants_pruned += n_enabled - len(attempts)
-                    calls = n_enabled if attempts is None else len(attempts)
+                    stats.variants_pruned += n_enabled - len(attempts)
+                calls = n_enabled if attempts is None else len(attempts)
                 key = memo.pair_key(f_name, d_name)
                 if memo.skip(key):
-                    pair_span.annotate(
-                        speculative=pair_speculative, memo=True
-                    )
+                    pair_span.annotate(memo=True)
                     continue
                 stats.attempts += 1
                 stats.divide_calls += calls
                 if budget is not None:
                     budget.charge_divide_calls(calls)
-                if outcome is not None:
-                    result = outcome.result
-                else:
-                    result = divide_node_pair(
-                        network,
-                        f_name,
-                        d_name,
-                        config,
-                        circuit=_gdc_circuit(),
-                        attempts=attempts,
-                        budget=budget,
-                        tracer=tracer,
-                    )
+                result = divide_node_pair(
+                    network,
+                    f_name,
+                    d_name,
+                    config,
+                    circuit=_gdc_circuit(),
+                    attempts=attempts,
+                    budget=budget,
+                    tracer=tracer,
+                )
                 if result is None:
                     memo.record(key)
-                    pair_span.annotate(
-                        speculative=pair_speculative, accepted=False
-                    )
+                    pair_span.annotate(accepted=False)
                     continue
                 with tracer.span(
                     "commit", f=f_name, d=d_name, via="basic"
@@ -746,9 +638,7 @@ def _run_pass(
                     commit_span.annotate(
                         accepted=True, gain=result.gain
                     )
-                    pair_span.annotate(
-                        speculative=pair_speculative, accepted=True
-                    )
+                    pair_span.annotate(accepted=True)
 
         if config.mode == "extended":
             # Extended division over the pooled candidates; repeat while
@@ -810,7 +700,6 @@ def substitute_network(
     config: DivisionConfig,
     reference: Optional[Network] = None,
     stats: Optional[SubstitutionStats] = None,
-    n_jobs: Optional[int] = None,
     budget=None,
     tracer=None,
 ) -> SubstitutionStats:
@@ -822,13 +711,6 @@ def substitute_network(
     sim-filter cache/resim counters and the literal totals) is *added*,
     never overwritten, so multi-run flows can aggregate one ledger
     across calls.
-
-    *n_jobs* overrides ``config.n_jobs``.  With more than one job each
-    pass runs the speculative engine (:mod:`repro.parallel`): candidate
-    pairs are evaluated against a frozen snapshot on worker processes
-    (or in-process for ``parallel_backend="serial"``) and committed in
-    the serial greedy order through the deterministic protocol, so the
-    optimized network is byte-identical to a serial run.
 
     *budget* is an optional
     :class:`~repro.resilience.budget.RunBudget` shared with the caller
@@ -845,15 +727,13 @@ def substitute_network(
 
     *tracer* is an optional :class:`~repro.obs.tracer.Tracer`; the run
     records a ``run`` span with one ``pass`` span per sweep and the
-    pipeline spans beneath (worker-recorded spans are merged in from
-    the parallel engine).  The default ``None`` traces nothing, costs
+    pipeline spans beneath.  The default ``None`` traces nothing, costs
     (near) nothing, and the optimized network is byte-identical either
     way — tracing never influences control flow.
 
     One :class:`AttemptMemo` lives for the run: every pass skips the
-    attempts that already failed on the node states they read, and
-    the speculative engine does not ship them.  Nothing persists
-    across runs.
+    attempts that already failed on the node states they read.
+    Nothing persists across runs.
     """
     tracer = as_tracer(tracer)
     if config.method == "simguided":
@@ -870,8 +750,6 @@ def substitute_network(
             budget=budget,
             tracer=tracer,
         )
-    if n_jobs is not None and n_jobs != config.n_jobs:
-        config = dataclasses.replace(config, n_jobs=n_jobs)
     if stats is None:
         stats = SubstitutionStats()
     if budget is None:
@@ -891,60 +769,33 @@ def substitute_network(
     ledger = None
     if config.verify_commits:
         ledger = CommitLedger(reference, config, stats, sim_filter)
-    engine = None
-    if config.n_jobs > 1:
-        # Lazy for the same circularity reason as the filter above.
-        from repro.parallel.engine import SpeculativeEngine
-
-        engine = SpeculativeEngine(config)
     memo = AttemptMemo(network, config, stats)
     #: The budget may be shared across several runs accumulating into
     #: the same *stats*; charge only this run's ATPG-incomplete delta
     #: (the ledger on the budget is cumulative).
     atpg_incomplete_before = budget.atpg_incomplete if budget else 0
-    try:
-        with tracer.span(
-            "run", circuit=network.name, mode=config.mode,
-            jobs=config.n_jobs,
-        ) as run_span:
-            for index in range(config.max_passes):
-                if budget is not None and budget.exhausted():
-                    break
-                with tracer.span("pass", index=index) as pass_span:
-                    store = None
-                    if engine is not None:
-                        store = engine.precompute(
-                            network,
-                            sim_filter=sim_filter,
-                            tracer=tracer,
-                            memo=memo,
-                        )
-                    try:
-                        accepted = substitute_pass(
-                            network,
-                            config,
-                            stats,
-                            sim_filter=sim_filter,
-                            store=store,
-                            budget=budget,
-                            ledger=ledger,
-                            tracer=tracer,
-                            memo=memo,
-                        )
-                    finally:
-                        if engine is not None and store is not None:
-                            engine.finish_pass(store)
-                    pass_span.annotate(accepted=accepted)
-                if accepted == 0:
-                    break
-            network.sweep_dangling()
-            run_span.annotate(accepted=stats.accepted)
-    finally:
-        # The engine owns OS resources (worker processes, a shared
-        # memory segment); close unconditionally so a budget stop or
-        # an engine error can never leak them.
-        if engine is not None:
-            engine.close()
+    with tracer.span(
+        "run", circuit=network.name, mode=config.mode
+    ) as run_span:
+        for index in range(config.max_passes):
+            if budget is not None and budget.exhausted():
+                break
+            with tracer.span("pass", index=index) as pass_span:
+                accepted = substitute_pass(
+                    network,
+                    config,
+                    stats,
+                    sim_filter=sim_filter,
+                    budget=budget,
+                    ledger=ledger,
+                    tracer=tracer,
+                    memo=memo,
+                )
+                pass_span.annotate(accepted=accepted)
+            if accepted == 0:
+                break
+        network.sweep_dangling()
+        run_span.annotate(accepted=stats.accepted)
     if sim_filter is not None:
         # Pick up nodes dropped by the sweep, then fold the filter's
         # counters into the run statistics.  Accumulate — *stats* may
@@ -953,26 +804,6 @@ def substitute_network(
         stats.sim_cache_hits += sim_filter.cache_hits
         stats.sim_cache_misses += sim_filter.cache_misses
         stats.resim_nodes += sim_filter.sim.nodes_resimulated
-    if engine is not None:
-        engine.collect()
-        stats.parallel_jobs = max(stats.parallel_jobs, engine.jobs)
-        stats.parallel_batches += engine.batches
-        stats.parallel_pairs_evaluated += engine.pairs_evaluated
-        stats.parallel_pairs_reused += engine.reused
-        stats.parallel_pairs_invalidated += engine.invalidated
-        stats.worker_faults += engine.worker_faults
-        stats.shards_redispatched += engine.shards_redispatched
-        stats.degraded_to_serial += engine.degraded_to_serial
-        stats.stalls_detected += engine.stalls
-        stats.parallel_deltas_shipped += engine.deltas_shipped
-        stats.parallel_delta_nodes += engine.delta_nodes
-        stats.parallel_pairs_stale_skipped += engine.pairs_stale_skipped
-        stats.parallel_snapshot_bytes += engine.snapshot_bytes
-        stats.parallel_batch_bytes += engine.batch_bytes
-        for phase, seconds in engine.phase_seconds.items():
-            stats.parallel_phase_seconds[phase] = (
-                stats.parallel_phase_seconds.get(phase, 0.0) + seconds
-            )
     if budget is not None:
         stats.atpg_incomplete += (
             budget.atpg_incomplete - atpg_incomplete_before

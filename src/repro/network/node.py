@@ -144,13 +144,5 @@ class Node:
     def copy(self) -> "Node":
         return Node(self.name, list(self.fanins), self.cover)
 
-    def __getstate__(self):
-        # Explicit state so ``__slots__`` pickles under protocols 0/1
-        # too (the worker-serialization contract).
-        return (self.name, self.fanins, self.cover)
-
-    def __setstate__(self, state) -> None:
-        self.name, self.fanins, self.cover = state
-
     def __repr__(self) -> str:
         return f"Node({self.to_str()})"

@@ -15,19 +15,16 @@ Two zero-dependency building blocks:
 Built on top of those, the analytics storey:
 
 * :mod:`repro.obs.analyze` — span-forest reconstruction, critical
-  path, per-kind/per-proc self-time aggregates, hottest spans, worker
-  utilization and speculative-store reuse rates (``repro trace
-  report``);
+  path, per-kind/per-proc self-time aggregates and hottest spans
+  (``repro trace report``);
 * :mod:`repro.obs.export` — lossless Chrome trace-event / Perfetto
   conversion and folded-stack flamegraph lines (``repro trace
   chrome|flame``).
 
 The tracer is threaded through :func:`~repro.core.substitution.
-substitute_network`, the division engine, the ATPG loops and the
-parallel stack — worker processes record spans locally and ship them
-back with their shard results, so one merged trace covers a
-multi-process run.  The CLI exposes ``--trace FILE.jsonl`` and
-``--profile``.
+substitute_network`, the division engine, the ATPG loops, the
+simguided engine and the exact checks.  The CLI exposes ``--trace
+FILE.jsonl`` and ``--profile``.
 """
 
 from repro.obs.tracer import (
@@ -52,9 +49,7 @@ from repro.obs.analyze import (
     build_forest,
     critical_path,
     format_report,
-    ledger_rates,
     top_spans,
-    worker_utilization,
 )
 from repro.obs.export import (
     chrome_to_events,
@@ -80,9 +75,7 @@ __all__ = [
     "build_forest",
     "critical_path",
     "format_report",
-    "ledger_rates",
     "top_spans",
-    "worker_utilization",
     "chrome_to_events",
     "to_chrome_trace",
     "to_folded_stacks",

@@ -1,4 +1,4 @@
-"""Trace analytics: span forest, critical path, hot spans, utilization.
+"""Trace analytics: span forest, critical path, hot spans.
 
 The tracer (:mod:`repro.obs.tracer`) writes schema-v1 events — flat
 JSONL lines with ``(proc, id)`` primary keys and ``parent`` links.
@@ -8,16 +8,11 @@ answers the questions the raw data cannot:
 * **Where did the time go?**  :func:`critical_path` walks the heaviest
   root-to-leaf chain; :func:`aggregate_by_kind` /
   :func:`aggregate_by_proc_kind` roll wall/CPU/self-wall up per span
-  kind (and per recording process, so worker seconds are not
-  misattributed to the main process's clock).
+  kind (and per recording process, since each proc has its own
+  clock).
 * **Which candidates dominate?**  :func:`top_spans` ranks the slowest
   ``pair`` / ``divide`` / ``atpg`` spans with their attrs, so "which
   divisor pairs dominate ATPG backtracks" is one function call.
-* **Were the workers busy?**  :func:`worker_utilization` reports each
-  ``worker-*`` process's busy fraction and idle gaps between its root
-  spans; :func:`ledger_rates` reads the speculative-store economics
-  (pairs speculated vs. served vs. invalidated-and-re-evaluated) off
-  the ``speculate`` and ``pair`` spans.
 
 Everything operates on plain event dicts (from
 :func:`~repro.obs.tracer.read_jsonl` or a live
@@ -29,7 +24,7 @@ report``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Span kinds ranked by default in the hot-span report.
 DEFAULT_TOP_KINDS = ("pair", "divide", "atpg")
@@ -58,12 +53,12 @@ class SpanNode:
 
 
 class SpanForest:
-    """The reconstructed span trees of one (possibly merged) trace.
+    """The reconstructed span trees of one trace.
 
     Parent links only resolve within one ``proc`` (span ids are
     per-tracer); a span whose parent id is ``-1`` — or references an
-    id its own proc never recorded, which happens when a worker's
-    partial trace is merged — is a root.
+    id its own proc never recorded, as in a trace cut short before its
+    enclosing spans closed — is a root.
     """
 
     def __init__(self, events: Iterable[dict]):
@@ -192,95 +187,6 @@ def top_spans(
 
 
 # ----------------------------------------------------------------------
-# Worker utilization and speculative-store economics
-# ----------------------------------------------------------------------
-def worker_utilization(forest: SpanForest) -> Dict[str, Dict[str, object]]:
-    """Busy fraction and idle gaps for every ``worker-*`` proc.
-
-    A worker's *window* runs from its first root span's start to its
-    last root span's end (all on the worker's own clock, so the
-    numbers are exact).  *Busy* is the summed duration of its root
-    spans (``worker_batch`` in practice — they never overlap within
-    one process); everything between consecutive roots is an idle gap:
-    time the worker existed but had no shard to chew on.
-    """
-    report: Dict[str, Dict[str, object]] = {}
-    by_proc: Dict[str, List[SpanNode]] = {}
-    for root in forest.roots:
-        proc = root.event["proc"]
-        if proc.startswith("worker-"):
-            by_proc.setdefault(proc, []).append(root)
-    for proc, roots in sorted(by_proc.items()):
-        roots.sort(key=lambda n: n.event["start"])
-        window_start = roots[0].event["start"]
-        window_end = max(r.event["end"] for r in roots)
-        window = window_end - window_start
-        busy = sum(r.dur for r in roots)
-        gaps: List[float] = []
-        previous_end = roots[0].event["end"]
-        for root in roots[1:]:
-            gap = root.event["start"] - previous_end
-            if gap > 0:
-                gaps.append(gap)
-            previous_end = max(previous_end, root.event["end"])
-        pairs = sum(
-            int(r.event["attrs"].get("pairs", 0)) for r in roots
-        )
-        report[proc] = {
-            "batches": len(roots),
-            "pairs": pairs,
-            "window_seconds": window,
-            "busy_seconds": busy,
-            "busy_fraction": (busy / window) if window > 0 else 1.0,
-            "idle_gaps": len(gaps),
-            "idle_seconds": sum(gaps),
-            "max_idle_gap_seconds": max(gaps) if gaps else 0.0,
-        }
-    return report
-
-
-def ledger_rates(forest: SpanForest) -> Optional[Dict[str, object]]:
-    """Speculative-store economics, read off the engine's spans.
-
-    ``None`` for serial traces (no ``speculate`` span).  Otherwise:
-    how many pairs the engine speculated on, how many main-loop pairs
-    were *served* from the store (``pair`` spans annotated
-    ``speculative: true`` — reuse), and how many had to be re-evaluated
-    live after an invalidating commit (``speculative: false``).
-    """
-    speculated = 0
-    speculate_spans = 0
-    for node in forest.nodes.values():
-        if node.event["kind"] == "speculate":
-            speculate_spans += 1
-            speculated += int(node.event["attrs"].get("pairs", 0))
-    if speculate_spans == 0:
-        return None
-    served = 0
-    re_evaluated = 0
-    for node in forest.nodes.values():
-        event = node.event
-        if event["kind"] != "pair" or event["proc"] != "main":
-            continue
-        flag = event["attrs"].get("speculative")
-        if flag is True:
-            served += 1
-        elif flag is False:
-            re_evaluated = re_evaluated + 1
-    considered = served + re_evaluated
-    return {
-        "speculate_spans": speculate_spans,
-        "pairs_speculated": speculated,
-        "pairs_served": served,
-        "pairs_re_evaluated": re_evaluated,
-        "reuse_rate": (served / considered) if considered else 0.0,
-        "invalidation_rate": (
-            re_evaluated / considered if considered else 0.0
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
 # The full bundle and its text rendering
 # ----------------------------------------------------------------------
 def analyze_trace(
@@ -297,8 +203,6 @@ def analyze_trace(
         "by_kind": aggregate_by_kind(forest),
         "by_proc_kind": aggregate_by_proc_kind(forest),
         "top_spans": top_spans(forest, kinds=top_kinds, n=top_n),
-        "worker_utilization": worker_utilization(forest),
-        "ledger": ledger_rates(forest),
     }
 
 
@@ -358,30 +262,4 @@ def format_report(analysis: Dict[str, object]) -> str:
                 f"[{entry['proc']}:{entry['id']}]  "
                 f"{_format_attrs(entry['attrs'])}"
             )
-
-    utilization = analysis["worker_utilization"]
-    lines.append("")
-    if utilization:
-        lines.append("worker utilization:")
-        for proc, row in utilization.items():
-            lines.append(
-                f"  {proc:<16}{row['batches']:>4} batches  "
-                f"{row['pairs']:>5} pairs  "
-                f"busy {row['busy_fraction'] * 100:>5.1f}%  "
-                f"idle {row['idle_seconds'] * 1e3:.1f} ms "
-                f"in {row['idle_gaps']} gap(s)"
-            )
-    else:
-        lines.append("worker utilization: (serial trace — no workers)")
-
-    ledger = analysis["ledger"]
-    if ledger is not None:
-        lines.append("")
-        lines.append(
-            f"speculative store: {ledger['pairs_speculated']} pairs "
-            f"speculated, {ledger['pairs_served']} served "
-            f"({ledger['reuse_rate'] * 100:.1f}% reuse), "
-            f"{ledger['pairs_re_evaluated']} re-evaluated live "
-            f"({ledger['invalidation_rate'] * 100:.1f}% invalidated)"
-        )
     return "\n".join(lines)

@@ -6,10 +6,8 @@ time (wall minus the wall time of direct children, so nested phases —
 ``divide`` inside ``pair`` inside ``pass`` — don't triple-bill the
 same seconds when read as a breakdown).
 
-Self time is computed within one ``proc`` clock domain only; worker
-events merged into a main-process trace roll up independently, which
-is the honest reading — a worker's ``divide`` seconds did not elapse
-on the main process's critical path.
+Self time is computed within one ``proc`` clock domain only: a span
+is never billed against a same-numbered span of another proc.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ PROFILE_PHASES = (
     "run",
     "pass",
     "enumerate",
-    "speculate",
-    "worker_batch",
     "pair",
     "vote",
     "divide",
@@ -35,10 +31,6 @@ PROFILE_PHASES = (
     "resub_care",
     "resub_resyn",
     "resub_validate",
-    "shm_publish",
-    "delta_ship",
-    "delta_apply",
-    "stall",
 )
 
 
@@ -71,7 +63,7 @@ def profile_events(events: Iterable[dict]) -> Dict[str, Dict[str, object]]:
 
 
 def profile_tracer(tracer) -> Dict[str, Dict[str, object]]:
-    """Rollup of everything *tracer* has recorded (absorbed included)."""
+    """Rollup of everything *tracer* has recorded."""
     return profile_events(tracer.events)
 
 

@@ -16,13 +16,11 @@ Design constraints (these are load-bearing for the rest of the repo):
   byte-identical results (the tracer never influences control flow).
 * **Injectable clocks.**  Wall and CPU clocks are constructor
   arguments so span timing is unit-testable without sleeping.
-* **Multi-process merges.**  Span ids are only unique per tracer; each
-  event carries the tracer's ``proc`` label, so ``(proc, id)`` is
-  unique in a merged trace.  Worker tracers :meth:`~Tracer.drain`
-  their events after each batch and the main process
-  :meth:`~Tracer.absorb`\\ s them — timestamps stay in the recording
-  process's clock domain (they are comparable *within* a proc, not
-  across procs; durations are always meaningful).
+* **Process labels.**  Span ids are only unique per tracer; each
+  event carries the tracer's ``proc`` label, so ``(proc, id)`` is the
+  key of a span even in a trace file that concatenates several
+  tracers' events.  Timestamps are comparable *within* a proc, not
+  across procs; durations are always meaningful.
 * **Crash-durable traces.**  :class:`StreamingJsonlSink` writes each
   event to disk the moment it is recorded, so a killed run still
   leaves a trace that ``read_jsonl(path, tolerant=True)`` parses.
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Dict, IO, Iterable, List, Optional, Union
+from typing import Callable, Dict, IO, List, Optional, Union
 
 #: Bumped when an event's required fields change.
 TRACE_SCHEMA_VERSION = 1
@@ -51,8 +49,7 @@ SPAN_KINDS = frozenset(
     {
         "run",        # one substitute_network call
         "pass",       # one sweep over the network
-        "enumerate",  # candidate-pair enumeration (serial or engine)
-        "speculate",  # engine: evaluate all pairs against the snapshot
+        "enumerate",  # candidate-divisor enumeration for one dividend
         "pair",       # one (dividend, divisor) candidate
         "vote",       # extended division: vote table + core choice
         "divide",     # one boolean_divide invocation
@@ -60,15 +57,10 @@ SPAN_KINDS = frozenset(
         "commit",     # apply + accept bookkeeping of one rewrite
         "verify",     # an equivalence check (ledger commit or final)
         "sat_solve",  # one CDCL solve (equivalence or fault miter)
-        "worker_batch",  # one shard evaluated by a worker context
         "resub_window",    # simguided: divisor window for one target
         "resub_care",      # simguided: ODC care mask for one target
         "resub_resyn",     # simguided: subset enumeration + resynthesis
         "resub_validate",  # simguided: exact check of one candidate
-        "shm_publish",   # engine: signature bitmap published to /dev/shm
-        "delta_apply",   # worker: catch-up replay of commit deltas
-        "delta_ship",    # engine: cumulative delta handed to a shard
-        "stall",         # watchdog instant: shard silent past the threshold
     }
 )
 
@@ -108,12 +100,6 @@ class NullTracer:
 
     def span(self, kind: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
-
-    def drain(self) -> List[dict]:
-        return []
-
-    def absorb(self, events: Iterable[dict]) -> None:
-        pass
 
     def export_jsonl(self, destination) -> None:
         pass
@@ -190,11 +176,10 @@ class Tracer:
 
     *clock* / *cpu_clock* are injectable for tests (defaults:
     :func:`time.perf_counter` / :func:`time.process_time`).  *proc*
-    labels every event this tracer records; worker processes use
-    ``worker-<pid>`` so merged traces stay attributable.
+    labels every event this tracer records.
 
     *sink*, when set, is called with every event dict the moment it is
-    recorded (span close or :meth:`absorb`) — the hook
+    recorded (on span close) — the hook
     :class:`StreamingJsonlSink` hangs off.  A sink must never affect
     the run: the first exception it raises detaches it (recorded in
     :attr:`sink_error`) and recording continues.
@@ -237,27 +222,6 @@ class Tracer:
             except Exception as exc:  # sinks must never break the run
                 self._sink = None
                 self.sink_error = exc
-
-    # ------------------------------------------------------------------
-    # Multi-process plumbing
-    # ------------------------------------------------------------------
-    def drain(self) -> List[dict]:
-        """Return and clear the recorded events (worker → shard result)."""
-        events, self.events = self.events, []
-        return events
-
-    def absorb(self, events: Iterable[dict]) -> None:
-        """Merge foreign (worker-recorded) events into this trace.
-
-        Events keep their own ``proc``/``id``/timestamps — ``(proc,
-        id)`` stays unique and durations stay exact; only ordering
-        across clock domains is approximate.
-        """
-        if self._sink is None:
-            self.events.extend(events)
-        else:
-            for event in events:
-                self._emit(event)
 
     # ------------------------------------------------------------------
     # Export

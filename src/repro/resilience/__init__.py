@@ -1,9 +1,9 @@
-"""Run governance: budgets, fault containment, verified checkpoints.
+"""Run governance: budgets and verified checkpoints.
 
 Long substitution runs must degrade gracefully instead of crashing or
 silently corrupting the network (the contract ABC-style resub engines
 enforce with verify-after-optimize spot checks).  This package holds
-the three pillars:
+its two pillars:
 
 * :mod:`repro.resilience.budget` — :class:`RunBudget`: wall-clock
   deadline plus total divide-call and ATPG-backtrack caps, checked at
@@ -15,10 +15,6 @@ the three pillars:
   each proof advancing that state), and a miscompare or an unproven
   exact check rolls the commit back and quarantines the (dividend,
   divisor) pair for the rest of the run.
-* :mod:`repro.resilience.inject` — the deterministic fault-injection
-  hooks (kill-worker, worker exception, slow worker, corrupt result)
-  used only by the test harness, so every recovery path in
-  :mod:`repro.parallel` is exercised in CI.
 """
 
 from repro.resilience.budget import (
@@ -27,12 +23,10 @@ from repro.resilience.budget import (
     RunBudget,
 )
 from repro.resilience.checkpoint import CommitLedger
-from repro.resilience.inject import InjectionPlan
 
 __all__ = [
     "BudgetExhausted",
     "BudgetReport",
     "RunBudget",
     "CommitLedger",
-    "InjectionPlan",
 ]

@@ -25,10 +25,9 @@ check leaves the reference where it was, so with
 state.
 
 A rollback quarantines the (dividend, divisor) pair for the rest of
-the run — the pair is never evaluated or served from the speculative
-store again — and appends a structured incident record (a JSON-ready
-dict) that surfaces through ``SubstitutionStats.incidents`` and the
-CLI's ``--stats-json``.
+the run — the pair is never evaluated again — and appends a
+structured incident record (a JSON-ready dict) that surfaces through
+``SubstitutionStats.incidents`` and the CLI's ``--stats-json``.
 """
 
 from __future__ import annotations

@@ -345,9 +345,6 @@ def simguided_substitute(
     delegates here for ``config.method == "simguided"``): same stats
     accumulation contract, same budget clean-stop semantics, same
     transactional-commit machinery under ``config.verify_commits``.
-    ``config.n_jobs`` is ignored — the engine is serial; its hot loop
-    is the bitwise resynthesis, which parallelizes poorly compared to
-    division's independent pair evaluations.
     """
     tracer = as_tracer(tracer)
     if stats is None:

@@ -145,7 +145,7 @@ def run_method(
         "cpu": elapsed,
     }
     if isinstance(outcome, SubstitutionStats):
-        # Full run statistics (worker counters included) for callers
+        # Full run statistics for callers
         # that report more than the table columns, e.g. the CLI's
         # ``--stats-json``.
         result["stats"] = dataclasses.asdict(outcome)

@@ -64,15 +64,10 @@ class DivisorFilter:
     explicit full reset.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        config: DivisionConfig,
-        sim: Optional[SignatureSimulator] = None,
-    ):
+    def __init__(self, network: Network, config: DivisionConfig):
         self.network = network
         self.config = config
-        self.sim = sim or SignatureSimulator(
+        self.sim = SignatureSimulator(
             network, patterns=config.sim_patterns, seed=config.sim_seed
         )
         self._sig_cache = LRUCache(config.sim_cache_size)

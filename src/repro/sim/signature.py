@@ -23,41 +23,10 @@ unchanged).
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable
 
 from repro.network.network import Network, eval_cover_packed
-
-
-@dataclasses.dataclass(frozen=True)
-class SharedSignatureRef:
-    """Picklable handle to signature bitmaps parked in shared memory.
-
-    The bitmaps — one ``patterns``-bit integer per signal, the bulk of
-    a :meth:`SignatureSimulator.snapshot` — live in a POSIX shared
-    memory segment (``multiprocessing.shared_memory``); this ref
-    carries only the segment name plus the small per-node metadata, so
-    shipping a simulator to a pool of workers costs one buffer write
-    total instead of one pickled copy per worker.
-
-    Lifecycle contract (see :meth:`SignatureSimulator.to_shared` /
-    :meth:`SignatureSimulator.from_shared`): the publishing process
-    *creates* the segment and must eventually ``unlink()`` it exactly
-    once; consumers *attach*, read, and ``close()`` — never unlink.
-    """
-
-    shm_name: str
-    patterns: int
-    seed: int
-    generation: int
-    names: Tuple[str, ...]
-    node_generation: Tuple[int, ...]
-    po_baseline: Dict[str, int]
-
-    def byte_width(self) -> int:
-        """Bytes per signature record in the segment."""
-        return (self.patterns + 7) // 8
 
 
 class SignatureSimulator:
@@ -129,130 +98,6 @@ class SignatureSimulator:
         return {
             pi: self.signatures[pi] for pi in self.network.pis
         }
-
-    # ------------------------------------------------------------------
-    # Snapshot shipping (parallel workers)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """A picklable snapshot of the simulator's current state.
-
-        Used to ship the signatures of a frozen network to process-pool
-        workers (:mod:`repro.parallel.worker`) without each worker
-        re-simulating from scratch.  Plain ints and dicts only.
-        """
-        return {
-            "patterns": self.num_patterns,
-            "seed": self.seed,
-            "signatures": dict(self.signatures),
-            "node_generation": dict(self.node_generation),
-            "generation": self.generation,
-            "po_baseline": dict(self._po_baseline),
-        }
-
-    @classmethod
-    def from_snapshot(
-        cls, network: Network, snapshot: Dict[str, object]
-    ) -> "SignatureSimulator":
-        """Rebuild a simulator over *network* from :meth:`snapshot`.
-
-        *network* must be the same network (typically an unpickled
-        copy) the snapshot was taken from; signatures are restored
-        verbatim instead of being re-simulated, so the result agrees
-        bit-for-bit with the originating simulator.
-        """
-        sim = cls.__new__(cls)
-        sim.network = network
-        sim.num_patterns = snapshot["patterns"]
-        sim.seed = snapshot["seed"]
-        sim.mask = (1 << sim.num_patterns) - 1
-        sim.signatures = dict(snapshot["signatures"])
-        sim.node_generation = dict(snapshot["node_generation"])
-        sim.generation = snapshot["generation"]
-        sim.nodes_resimulated = 0
-        sim._po_baseline = dict(snapshot["po_baseline"])
-        return sim
-
-    # ------------------------------------------------------------------
-    # Shared-memory shipping (persistent worker pool)
-    # ------------------------------------------------------------------
-    def to_shared(self, name: str):
-        """Publish the signature bitmaps into a shared memory segment.
-
-        Returns ``(shm, ref)``: the live
-        :class:`multiprocessing.shared_memory.SharedMemory` (the caller
-        owns it and must ``close()`` + ``unlink()`` it when the run
-        ends — typically from the engine's ``close()`` inside a
-        ``finally``) and the picklable :class:`SharedSignatureRef` to
-        put on the wire.  Raises ``OSError``/``ImportError`` where
-        shared memory is unavailable; callers fall back to the inline
-        :meth:`snapshot` dict.
-        """
-        from multiprocessing import shared_memory
-
-        names = tuple(self.signatures)
-        width = (self.num_patterns + 7) // 8
-        size = max(1, width * len(names))
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        try:
-            buf = shm.buf
-            for i, node_name in enumerate(names):
-                buf[i * width:(i + 1) * width] = self.signatures[
-                    node_name
-                ].to_bytes(width, "little")
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        ref = SharedSignatureRef(
-            shm_name=shm.name,
-            patterns=self.num_patterns,
-            seed=self.seed,
-            generation=self.generation,
-            names=names,
-            node_generation=tuple(
-                self.node_generation[n] for n in names
-            ),
-            po_baseline=dict(self._po_baseline),
-        )
-        return shm, ref
-
-    @classmethod
-    def from_shared(
-        cls, network: Network, ref: SharedSignatureRef
-    ) -> "SignatureSimulator":
-        """Rebuild a simulator from a :class:`SharedSignatureRef`.
-
-        Attaches to the segment, reads the bitmaps back into per-node
-        integers, and closes the local mapping immediately — the
-        consumer never unlinks (the publisher owns the segment's
-        lifetime).  Like :meth:`from_snapshot`, the result agrees
-        bit-for-bit with the publishing simulator.
-        """
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=ref.shm_name)
-        try:
-            width = ref.byte_width()
-            raw = bytes(shm.buf)
-            signatures = {
-                name: int.from_bytes(
-                    raw[i * width:(i + 1) * width], "little"
-                )
-                for i, name in enumerate(ref.names)
-            }
-        finally:
-            shm.close()
-        sim = cls.__new__(cls)
-        sim.network = network
-        sim.num_patterns = ref.patterns
-        sim.seed = ref.seed
-        sim.mask = (1 << ref.patterns) - 1
-        sim.signatures = signatures
-        sim.node_generation = dict(zip(ref.names, ref.node_generation))
-        sim.generation = ref.generation
-        sim.nodes_resimulated = 0
-        sim._po_baseline = dict(ref.po_baseline)
-        return sim
 
     # ------------------------------------------------------------------
     # Incremental maintenance

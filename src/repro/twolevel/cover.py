@@ -275,14 +275,6 @@ class Cover:
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
-    def __getstate__(self):
-        # Explicit state so ``__slots__`` pickles under protocols 0/1
-        # too (the worker-serialization contract).
-        return (self.num_vars, self.cubes)
-
-    def __setstate__(self, state) -> None:
-        self.num_vars, self.cubes = state
-
     def __iter__(self) -> Iterator[Cube]:
         return iter(self.cubes)
 

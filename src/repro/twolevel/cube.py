@@ -302,15 +302,6 @@ class Cube:
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------
-    def __getstate__(self) -> Tuple[int, int]:
-        # Explicit state: ``__slots__`` classes are otherwise
-        # unpicklable under protocols 0/1 (the worker-serialization
-        # contract covers every protocol).
-        return (self.pos, self.neg)
-
-    def __setstate__(self, state: Tuple[int, int]) -> None:
-        self.pos, self.neg = state
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Cube)

@@ -120,15 +120,6 @@ def fat_divisor_network() -> Network:
     return net
 
 
-@pytest.fixture
-def pool_for_every_run(monkeypatch):
-    """Let the ``"auto"`` backend spawn the process pool however few
-    candidate pairs a run has — for tests whose subject is the pool."""
-    from repro.parallel import executor
-
-    monkeypatch.setattr(executor, "AUTO_POOL_MIN_PAIRS", 0)
-
-
 def assert_equivalent(before: Network, after: Network) -> None:
     from repro.network.verify import networks_equivalent
 

@@ -226,7 +226,7 @@ def test_skipped_core_extraction_takes_its_fresh_name(
 
 
 # ----------------------------------------------------------------------
-# Budget, counters, trace and speculation
+# Budget, counters and trace
 # ----------------------------------------------------------------------
 def test_memo_hits_charge_no_divide_calls(never_hit):
     config = dataclasses.replace(BASIC, max_divide_calls=10**6)
@@ -251,31 +251,3 @@ def test_skipped_pairs_are_annotated_in_the_trace():
     assert len(skipped) == stats.attempts_memoized
     assert not any(event["attrs"].get("accepted") for event in skipped)
 
-
-def test_speculation_ships_no_failed_pair():
-    from repro.parallel.engine import SpeculativeEngine
-
-    config = dataclasses.replace(
-        UNFILTERED, n_jobs=2, parallel_backend="serial"
-    )
-    shipped = {}
-    for fail in (False, True):
-        network = _failing_pair()
-        stats = SubstitutionStats()
-        memo = AttemptMemo(network, config, stats)
-        if fail:
-            memo.record(memo.pair_key("f", "d"))
-        tracer = Tracer()
-        engine = SpeculativeEngine(config)
-        try:
-            store = engine.precompute(network, tracer=tracer, memo=memo)
-            engine.finish_pass(store)
-        finally:
-            engine.close()
-        # The failed pair keeps its place in the divisor lists.
-        assert store.divisors == {"d": ["f"], "f": ["d"]}
-        (speculate,) = [
-            e for e in tracer.events if e["kind"] == "speculate"
-        ]
-        shipped[fail] = speculate["attrs"]["pairs"]
-    assert shipped == {False: 2, True: 1}

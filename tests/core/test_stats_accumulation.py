@@ -28,13 +28,12 @@ from repro.resilience.budget import RunBudget
 
 from tests.conftest import random_network
 
-#: Every int/float field of SubstitutionStats that must behave as an
-#: accumulating counter (gauge-like fields are excluded:
-#: ``parallel_jobs`` is a max, ``budget_report`` a replace).
+#: Every int/float field of SubstitutionStats, each an accumulating
+#: counter (``budget_report``, a replace, is not numeric).
 _NUMERIC_FIELDS = [
     f.name
     for f in dataclasses.fields(SubstitutionStats)
-    if f.type in ("int", "float") and f.name != "parallel_jobs"
+    if f.type in ("int", "float")
 ]
 
 

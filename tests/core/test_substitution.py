@@ -1,8 +1,12 @@
 """Tests for the network-level substitution passes."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.suite import build_benchmark
 from repro.core.config import BASIC, EXTENDED, EXTENDED_GDC, DivisionConfig
 from repro.core.substitution import (
     SubstitutionStats,
@@ -10,6 +14,7 @@ from repro.core.substitution import (
     substitute_network,
     substitute_pass,
 )
+from repro.network.blif import to_blif_str
 from repro.network.factor import network_literals
 from repro.network.network import Network
 from repro.network.verify import networks_equivalent
@@ -215,3 +220,22 @@ class TestStatsAccumulation:
         ledger = SubstitutionStats()
         out = substitute_network(self._fresh(), BASIC, stats=ledger)
         assert out is ledger
+
+
+class TestInertJobs:
+    """``n_jobs`` has no effect: a run that sets it takes the serial
+    loop and reports the same network and counters."""
+
+    def test_n_jobs_changes_nothing(self):
+        runs = []
+        for jobs in (1, 2):
+            network = build_benchmark("rnd3")
+            config = dataclasses.replace(EXTENDED, n_jobs=jobs)
+            stats = dataclasses.asdict(substitute_network(network, config))
+            stats.pop("cpu_seconds")
+            runs.append((to_blif_str(network), stats))
+        assert runs[0] == runs[1]
+
+    def test_n_jobs_is_still_checked(self):
+        with pytest.raises(ValueError):
+            DivisionConfig(n_jobs=0)

@@ -3,8 +3,7 @@
 Drives the acceptance criteria end to end:
 
 * ``repro trace report`` on a trace produced with ``--trace`` from the
-  golden parallel run prints critical path + per-kind rollup + worker
-  utilization;
+  golden run prints critical path + per-kind rollup + slowest spans;
 * ``repro trace chrome`` preserves the span count (lossless export);
 * ``--profile-json`` archives the profile rollup.
 """
@@ -20,12 +19,12 @@ from repro.cli import main
 from repro.obs.tracer import read_jsonl
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
-GOLDEN_INPUT = REPO / "tests" / "parallel" / "golden" / "input.blif"
+GOLDEN_INPUT = REPO / "tests" / "golden" / "input.blif"
 
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
-    """One golden-input parallel run with every archive flag on."""
+    """One golden-input run with every archive flag on."""
     tmp = tmp_path_factory.mktemp("traced_run")
     paths = {
         "out": tmp / "out.blif",
@@ -39,8 +38,6 @@ def traced_run(tmp_path_factory):
             str(GOLDEN_INPUT),
             "--method",
             "ext",
-            "-j",
-            "2",
             "-o",
             str(paths["out"]),
             "--trace",
@@ -63,8 +60,8 @@ class TestTraceVerbs:
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "per-kind rollup" in out
-        assert "worker utilization" in out
-        # The parallel run's heaviest chain starts at the run span.
+        assert "slowest pair spans" in out
+        # The run's heaviest chain starts at the run span.
         assert "run" in out.splitlines()[3]
 
     def test_chrome_export_preserves_span_count(

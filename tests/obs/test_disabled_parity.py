@@ -48,13 +48,13 @@ def test_traced_run_output_and_stats_identical(seed):
     assert tracer.events, "enabled tracer recorded nothing"
 
 
-def test_traced_parallel_run_identical_to_serial():
-    serial_net = random_network(99, n_pis=5, n_nodes=8)
+def test_traced_run_identical_to_untraced():
+    plain_net = random_network(99, n_pis=5, n_nodes=8)
     traced_net = random_network(99, n_pis=5, n_nodes=8)
-    substitute_network(serial_net, EXTENDED)
+    substitute_network(plain_net, EXTENDED)
     tracer = Tracer()
-    substitute_network(traced_net, EXTENDED, n_jobs=2, tracer=tracer)
-    assert to_blif_str(traced_net) == to_blif_str(serial_net)
+    substitute_network(traced_net, EXTENDED, tracer=tracer)
+    assert to_blif_str(traced_net) == to_blif_str(plain_net)
 
 
 def test_null_tracer_equivalent_to_no_tracer():
@@ -69,12 +69,12 @@ def test_null_tracer_equivalent_to_no_tracer():
 
 
 def test_golden_blif_unchanged_with_and_without_trace(tmp_path):
-    """The PR-3 parallel golden is still what a traced run produces."""
+    """The committed golden is still what a traced run produces."""
     import pathlib
 
     from repro.cli import main
 
-    golden_dir = pathlib.Path(__file__).parent.parent / "parallel" / "golden"
+    golden_dir = pathlib.Path(__file__).parent.parent / "golden"
     golden = (golden_dir / "serial_ext.blif").read_text()
     out = tmp_path / "out.blif"
     trace = tmp_path / "t.jsonl"

@@ -105,8 +105,8 @@ def test_exception_marks_span_aborted_and_propagates():
 
 
 def test_every_pipeline_kind_is_declared():
-    for kind in ("run", "pass", "enumerate", "speculate", "pair",
-                 "divide", "atpg", "commit", "verify", "worker_batch"):
+    for kind in ("run", "pass", "enumerate", "pair", "vote",
+                 "divide", "atpg", "commit", "verify"):
         assert kind in SPAN_KINDS
 
 
@@ -118,9 +118,6 @@ def test_null_tracer_is_inert():
     assert NULL_TRACER.events == []
     with NULL_TRACER.span("run", anything=1) as span:
         span.annotate(more=2)
-    assert NULL_TRACER.events == []
-    assert NULL_TRACER.drain() == []
-    NULL_TRACER.absorb([{"junk": True}])
     assert NULL_TRACER.events == []
     NULL_TRACER.export_jsonl("/nonexistent/dir/never_written.jsonl")
 
@@ -137,35 +134,6 @@ def test_as_tracer_normalizes_none():
     assert as_tracer(tracer) is tracer
     null = NullTracer()
     assert as_tracer(null) is null
-
-
-# ----------------------------------------------------------------------
-# Multi-process plumbing
-# ----------------------------------------------------------------------
-def test_drain_returns_and_clears():
-    tracer = make_tracer()
-    with tracer.span("pair"):
-        pass
-    events = tracer.drain()
-    assert [e["kind"] for e in events] == ["pair"]
-    assert tracer.events == []
-    assert tracer.drain() == []
-
-
-def test_absorb_merges_foreign_events_keeping_proc_identity():
-    main = make_tracer(proc="main")
-    worker = make_tracer(proc="worker-123")
-    with main.span("run"):
-        with worker.span("worker_batch"):
-            with worker.span("pair"):
-                pass
-        main.absorb(worker.drain())
-    procs = {e["proc"] for e in main.events}
-    assert procs == {"main", "worker-123"}
-    keys = {(e["proc"], e["id"]) for e in main.events}
-    assert len(keys) == len(main.events)
-    # Worker ids overlap main ids numerically; proc disambiguates.
-    assert {e["id"] for e in main.events if e["proc"] == "main"} == {0}
 
 
 # ----------------------------------------------------------------------

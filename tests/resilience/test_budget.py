@@ -1,6 +1,7 @@
 """Unit tests for :mod:`repro.resilience.budget` (fake-clock driven)."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -154,5 +155,8 @@ class TestFromConfig:
             DivisionConfig(max_run_backtracks=-2)
         with pytest.raises(ValueError):
             DivisionConfig(verify_full_every=0)
-        with pytest.raises(ValueError):
-            DivisionConfig(max_shard_retries=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_deadline(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            DivisionConfig(deadline_seconds=value)

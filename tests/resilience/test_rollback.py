@@ -1,10 +1,10 @@
 """Verified checkpoints: corrupt results are rolled back + quarantined.
 
-The injected fault is the nastiest kind the speculative engine can
-receive: a :class:`DivisionResult` that is structurally valid and
-picklable but functionally *wrong* (its cover complemented).  It sails
-through the commit plumbing untouched — only the transactional
-verification of ``verify_commits`` can catch it.
+The injected fault is the nastiest kind a commit can receive: a
+:class:`DivisionResult` that is structurally valid but functionally
+*wrong* (its cover complemented).  It sails through the commit
+plumbing untouched — only the transactional verification of
+``verify_commits`` can catch it.
 """
 
 import dataclasses
@@ -13,14 +13,15 @@ import pytest
 
 from repro.bench.generators import planted_network
 from repro.bench.suite import build_benchmark
+from repro.core import substitution
 from repro.core.config import BASIC, EXTENDED, SIMGUIDED
 from repro.core.substitution import SubstitutionStats, substitute_network
 from repro.network.blif import to_blif_str
 from repro.network.verify import networks_equivalent
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience import inject
 from repro.resilience.checkpoint import CommitLedger
 from repro.scripts.flows import script_a
+from repro.twolevel.complement import complement
 
 
 def _network(seed=4242):
@@ -29,26 +30,42 @@ def _network(seed=4242):
     )
 
 
-#: Serial in-process backend keeps the corruption deterministic (no
-#: process scheduling); one giant batch puts the first profitable pair
-#: — the first commit the pass will attempt — in batch 0, where the
-#: injection strikes.
+#: Every commit gets an exact check, so the corrupt one is caught at
+#: its own commit.
 TRANSACTIONAL = dataclasses.replace(
-    BASIC,
-    parallel_backend="serial",
-    batch_size=10_000,
-    verify_commits=True,
-    verify_full_every=1,
+    BASIC, verify_commits=True, verify_full_every=1
 )
 
 
+@pytest.fixture
+def corrupt_first_result(monkeypatch):
+    """Complement the cover of the first division result the run gets.
+
+    The corrupted result keeps its fanins and (positive) gain, so the
+    pass commits it; later results are left alone.
+    """
+    divide = substitution.divide_node_pair
+    corrupted = []
+
+    def corrupting(*args, **kwargs):
+        result = divide(*args, **kwargs)
+        if result is None or corrupted:
+            return result
+        corrupted.append(result)
+        return dataclasses.replace(
+            result, new_cover=complement(result.new_cover)
+        )
+
+    monkeypatch.setattr(substitution, "divide_node_pair", corrupting)
+
+
 @pytest.mark.fault_injection
+@pytest.mark.usefixtures("corrupt_first_result")
 class TestRollback:
     def _corrupted_run(self):
         network = _network()
         reference = network.copy(network.name)
-        with inject.injected(inject.plan(corrupt_on_batch=0)):
-            stats = substitute_network(network, TRANSACTIONAL, n_jobs=2)
+        stats = substitute_network(network, TRANSACTIONAL)
         return network, reference, stats
 
     def test_corrupt_commit_is_rolled_back_and_quarantined(self):
@@ -72,10 +89,9 @@ class TestRollback:
         json.dumps(stats.incidents)  # JSON-ready for --stats-json
 
     def test_quarantined_pair_stays_out(self):
-        # The quarantined pair is the one the corrupt outcome named;
-        # it must not be committed later in the run (its speculative
-        # outcome is still in the store and still "valid" because the
-        # rollback restored the exact pre-commit node state).
+        # The quarantined pair is the one the corrupt result named; it
+        # must not be committed later in the run, although the
+        # rollback restored the exact pre-commit node state.
         network, reference, stats = self._corrupted_run()
         assert stats.commits_rolled_back == stats.pairs_quarantined
         assert networks_equivalent(reference, network)

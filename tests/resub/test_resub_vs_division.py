@@ -5,7 +5,7 @@ to its input — every commit is validated against the pre-run reference
 with BDDs or the SAT miter before it sticks — and that the factored
 literal count never grows.  This suite checks both promises on a
 population of ~40 seeded planted networks (the same generator family
-as the parallel differential suite), and cross-checks the engines
+as the three-oracle corpus), and cross-checks the engines
 against each other: division's output and simguided's output must land
 in the same equivalence class, because each is equivalent to the same
 input.

@@ -1,6 +1,6 @@
 """Golden byte-parity under the SAT verification backend.
 
-The committed golden pair (``tests/parallel/golden``) pins the
+The committed golden pair (``tests/golden``) pins the
 optimizer's exact output.  Verification must never perturb it:
 a run with ``--verify-backend sat`` — final equivalence proved by the
 CNF/CDCL miter instead of BDDs — must still reproduce
@@ -18,7 +18,7 @@ from repro.core.substitution import substitute_network
 from repro.network.blif import read_blif, to_blif_str
 from repro.scripts.flows import script_a
 
-GOLDEN = pathlib.Path(__file__).parents[1] / "parallel" / "golden"
+GOLDEN = pathlib.Path(__file__).parents[1] / "golden"
 
 
 def test_sat_backend_matches_committed_golden(tmp_path):

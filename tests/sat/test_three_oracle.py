@@ -1,8 +1,8 @@
 """Three-oracle differential harness: SAT vs BDD vs exhaustive sim.
 
-Every network pair in a seeded ~40-network corpus (the parallel
-suite's fuzz generator plus wide extras the BDD oracle alone could
-not screen exhaustively) is judged by up to three independent
+Every network pair in a seeded ~40-network corpus (30 small planted
+networks plus wide extras the BDD oracle alone could not screen
+exhaustively) is judged by up to three independent
 equivalence oracles:
 
 * the CNF-miter CDCL backend (``repro.sat``),
@@ -20,6 +20,7 @@ backend) joins them as one more oracle.
 
 import pytest
 
+from repro.bench.generators import planted_network, planted_pos_network
 from repro.core.config import BASIC
 from repro.core.substitution import substitute_network
 from repro.network.ops import eliminate
@@ -27,14 +28,39 @@ from repro.network.verify import exact_equivalent, networks_equivalent
 from repro.sat.check import sat_equivalent
 from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
-from tests.parallel.test_parallel_vs_serial import _build, _fuzz_cases
 
 pytestmark = pytest.mark.three_oracle
 
 #: Exhaustive simulation is the third oracle only up to this many PIs.
 _EXHAUSTIVE_PI_LIMIT = 12
 
-#: Wide extras beyond the parallel suite's 30 cases: the BDD oracle
+
+def _fuzz_cases():
+    """30 deterministic (kind, seed, sizes) specs, small but varied."""
+    cases = []
+    for i in range(20):
+        cases.append(
+            ("sop", 1000 + 17 * i, 7 + i % 4, 3 + i % 3, 4 + i % 3)
+        )
+    for i in range(10):
+        cases.append(("pos", 5000 + 29 * i, 8 + i % 3, 3, 4 + i % 2))
+    return cases
+
+
+def _build(case):
+    kind, seed, n_pis, n_divisors, n_targets = case
+    name = f"fuzz_{kind}{seed}"
+    builder = planted_network if kind == "sop" else planted_pos_network
+    return builder(
+        name,
+        seed=seed,
+        n_pis=n_pis,
+        n_divisors=n_divisors,
+        n_targets=n_targets,
+    )
+
+
+#: Wide extras beyond the 30 small cases: the BDD oracle
 #: still runs (planted networks stay structurally small), exhaustive
 #: simulation bows out above 12 PIs, and seed 424 is the 24-PI
 #: acceptance pair from the issue.

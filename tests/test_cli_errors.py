@@ -81,6 +81,17 @@ class TestOptimizeErrors:
             )
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_deadline_must_be_finite_and_non_negative(
+        self, value, no_run, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "bench:dec3", "--deadline", value])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro optimize: error: --deadline must be a finite number >= 0"
+        )
+
 
 class TestUnwritableOutputs:
     """An output path in a missing directory is a one-line error and
@@ -126,9 +137,9 @@ class TestTraceUnwritableOutput:
 
 class TestRemovedCommands:
     """``repro compare``, ``repro tail`` and the optimize flags
-    ``--history``, ``--live``, ``--sample-resources`` and
-    ``--heartbeat-dir`` no longer exist; argparse rejects each with
-    its usage error."""
+    ``--history``, ``--live``, ``--sample-resources``,
+    ``--heartbeat-dir``, ``-j/--jobs`` and ``--stall-timeout`` no
+    longer exist; argparse rejects each with its usage error."""
 
     def test_compare_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -157,6 +168,18 @@ class TestRemovedCommands:
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(extra)}" in err
         assert not (tmp_path / "beats").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["-j", "2"], ["--jobs", "2"], ["--stall-timeout", "5"]],
+        ids=["j", "jobs", "stall-timeout"],
+    )
+    def test_parallel_flag_rejected(self, extra, no_run, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "bench:dec3", *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
 
     def test_tail_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,6 +9,32 @@ from repro.network.blif import read_blif
 from repro.network.verify import networks_equivalent
 from repro.bench.suite import build_benchmark
 
+#: ``input.blif`` is a planted network and ``serial_ext.blif`` the
+#: committed output of ``repro optimize input.blif --method ext
+#: --script A`` (regeneration recipe in TESTING.md).
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_serial_run_still_matches_golden(tmp_path):
+    # Guards the golden file itself: if the optimizer's behaviour
+    # changes, this fails alongside the suites that read the golden
+    # (regenerate it) rather than implicating one of them.
+    out = tmp_path / "serial.blif"
+    code = main(
+        [
+            "optimize",
+            str(GOLDEN / "input.blif"),
+            "--method",
+            "ext",
+            "--script",
+            "A",
+            "-o",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / "serial_ext.blif").read_bytes()
+
 
 class TestOptimize:
     def test_bench_source_to_file(self, tmp_path, capsys):
