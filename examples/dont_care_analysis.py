@@ -9,15 +9,13 @@ information explicit:
    which the node's value cannot reach an output) with BDDs,
 2. show `full_simplify` using them to shrink a node,
 3. show the GDC substitution pass discovering the same reduction
-   through implication conflicts alone,
-4. print the optimized network in equation format.
+   through implication conflicts alone, and print the optimized nodes.
 
 Run:  python examples/dont_care_analysis.py
 """
 
 from repro import EXTENDED_GDC, network_literals, networks_equivalent, substitute_network
 from repro.network.dontcares import DontCareComputer, full_simplify
-from repro.network.eqn import to_eqn_str
 from repro.network.network import Network
 
 
@@ -62,9 +60,6 @@ def main() -> None:
     for node in implied.internal_nodes():
         print("  " + node.to_str())
     assert networks_equivalent(build(), implied)
-
-    print("\noptimized network in .eqn format:")
-    print(to_eqn_str(implied))
 
 
 if __name__ == "__main__":

@@ -2,34 +2,20 @@
 
 The espresso-style minimizer is the substrate behind ``simplify`` and
 the espresso-with-don't-cares division baseline.  This walkthrough
-reads a small PLA, minimizes it heuristically and exactly, and shows
+parses a small cover, minimizes it heuristically and exactly, and shows
 the effect of a don't-care set — the mechanism the paper's intro
 describes for forcing a divisor literal into a cover.
 
 Run:  python examples/two_level_minimize.py
 """
 
-from repro.twolevel import Cover, Cube, espresso, read_pla, to_pla_str
+from repro.twolevel import Cover, Cube, espresso
 from repro.twolevel.minimize import minimize_exact_small
-from repro.twolevel.pla import cover_to_pla
-
-PLA = """
-.i 4
-.o 1
-.ilb a b c d
-.ob f
-11-- 1
-1-1- 1
-10-0 1
-0001 1
-.e
-"""
 
 
 def main() -> None:
-    pla = read_pla(PLA)
-    f = pla.cover("f")
-    names = pla.input_names
+    names = ["a", "b", "c", "d"]
+    f = Cover.parse("ab + ac + ab'd' + a'b'c'd", names)
     print(f"f = {f.to_str(names)}")
     print(f"  {f.num_cubes()} cubes, {f.num_literals()} literals (SOP)")
 
@@ -54,9 +40,6 @@ def main() -> None:
         f"  {with_dc.num_cubes()} cubes, "
         f"{with_dc.num_literals()} literals"
     )
-
-    print("\nminimized PLA:")
-    print(to_pla_str(cover_to_pla(heuristic, names)))
 
 
 if __name__ == "__main__":

@@ -16,12 +16,7 @@ replaced by a constant — i.e. removed.
   removal for circuits (the classical RAR substrate of Section II).
 """
 
-from repro.atpg.implication import (
-    Conflict,
-    ImplicationEngine,
-    imply,
-    learn_implications,
-)
+from repro.atpg.implication import Conflict, imply
 from repro.atpg.fault import StuckAtFault, mandatory_assignments
 from repro.atpg.redundancy import wire_is_redundant, redundancy_removal
 from repro.atpg.simulate import (
@@ -32,14 +27,12 @@ from repro.atpg.simulate import (
 from repro.atpg.dalg import generate_test, prove_redundant, build_miter
 
 __all__ = [
-    "ImplicationEngine",
     "Conflict",
     "imply",
     "StuckAtFault",
     "mandatory_assignments",
     "wire_is_redundant",
     "redundancy_removal",
-    "learn_implications",
     "fault_coverage",
     "faulty_evaluate",
     "find_test_exhaustive",

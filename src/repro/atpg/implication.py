@@ -26,10 +26,6 @@ the engine's semantics, not an implementation detail: a signal with no
 driving gate has no fanout entries, so assigning it re-examines no
 gate, and which implications fire then depends on when the gates
 reading it are examined.
-
-:class:`ImplicationEngine` and :func:`learn_implications` are a
-name-based view of the same engine for callers that work with signal
-names.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.circuit.circuit import Circuit, CompiledCircuit
-from repro.circuit.gate import Gate
 
 
 class Conflict(Exception):
@@ -308,70 +303,3 @@ def imply(
         return None
     return state
 
-
-class ImplicationEngine:
-    """Name-based implication state over one circuit.
-
-    The engine never mutates the circuit.  Use :meth:`assign` to add
-    assignments and :meth:`propagate` to reach a fixpoint; both raise
-    :class:`Conflict` on contradiction.  :meth:`fork` makes an
-    independent copy for case analysis.
-    """
-
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        self.state = Implications(circuit.compiled())
-
-    @property
-    def values(self) -> Dict[str, bool]:
-        """Every assigned signal's value, in assignment order."""
-        state = self.state
-        names = state.compiled.names
-        result = {names[s]: state.values[s] for s in state.trail}
-        if state.extra:
-            result.update(state.extra)
-        return result
-
-    def value(self, signal: str) -> Optional[bool]:
-        return self.state.value(signal)
-
-    def assign(self, signal: str, value: bool) -> None:
-        """Record an assignment (raises :class:`Conflict`)."""
-        self.state.assign_name(signal, value)
-
-    def assign_many(self, assignments: Iterable[Tuple[str, bool]]) -> None:
-        for signal, value in assignments:
-            self.assign(signal, value)
-
-    def fork(self) -> "ImplicationEngine":
-        copy = ImplicationEngine.__new__(ImplicationEngine)
-        copy.circuit = self.circuit
-        copy.state = self.state.copy()
-        return copy
-
-    def propagate(self) -> None:
-        """Run direct implications to a fixpoint."""
-        self.state.propagate()
-
-    def run(self, assignments: Iterable[Tuple[str, bool]]) -> bool:
-        """Assign then propagate; returns False instead of raising."""
-        try:
-            self.assign_many(assignments)
-            self.propagate()
-        except Conflict:
-            return False
-        return True
-
-    def unjustified_gates(self) -> List[Gate]:
-        """Gates whose known output is not yet explained by any input."""
-        names = self.state.compiled.names
-        return [
-            self.circuit.gates[names[g]] for g in self.state.unjustified()
-        ]
-
-
-def learn_implications(
-    engine: ImplicationEngine, depth: int = 1, max_gates: int = 200
-) -> None:
-    """Recursive learning on *engine* (see :meth:`Implications.learn`)."""
-    engine.state.learn(depth, max_gates)

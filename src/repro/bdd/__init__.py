@@ -9,21 +9,9 @@ paper's related-work section discusses.
 """
 
 from repro.bdd.bdd import BddManager, BDD_ZERO, BDD_ONE
-from repro.bdd.reorder import (
-    rebuild_with_order,
-    reorder,
-    shared_size,
-    sift_order,
-    translate_assignment,
-)
 
 __all__ = [
     "BddManager",
     "BDD_ZERO",
     "BDD_ONE",
-    "rebuild_with_order",
-    "reorder",
-    "shared_size",
-    "sift_order",
-    "translate_assignment",
 ]

@@ -7,9 +7,9 @@ here serve as a verification oracle and a division baseline rather than
 as the primary engine.
 
 Supported operations: ``ite`` (hence all two-operand connectives),
-negation, restriction, existential/universal quantification, variable
-composition, generalized cofactor (constrain), satisfy-count and cube
-enumeration, and conversion to/from two-level covers.
+negation, restriction, existential quantification, generalized
+cofactor (constrain), evaluation and cube enumeration, and conversion
+to/from two-level covers.
 """
 
 from __future__ import annotations
@@ -131,14 +131,6 @@ class BddManager:
         """Semantic implication test ``f <= g``."""
         return self.and_(f, self.not_(g)) == BDD_ZERO
 
-    def and_many(self, fs) -> int:
-        result = BDD_ONE
-        for f in fs:
-            result = self.and_(result, f)
-            if result == BDD_ZERO:
-                break
-        return result
-
     def or_many(self, fs) -> int:
         result = BDD_ZERO
         for f in fs:
@@ -172,17 +164,6 @@ class BddManager:
     def exists(self, f: int, var: int) -> int:
         return self.or_(
             self.restrict(f, var, False), self.restrict(f, var, True)
-        )
-
-    def forall(self, f: int, var: int) -> int:
-        return self.and_(
-            self.restrict(f, var, False), self.restrict(f, var, True)
-        )
-
-    def compose(self, f: int, var: int, g: int) -> int:
-        """Substitute the function *g* for variable *var* inside *f*."""
-        return self.ite(
-            g, self.restrict(f, var, True), self.restrict(f, var, False)
         )
 
     def constrain(self, f: int, c: int) -> int:
@@ -227,46 +208,6 @@ class BddManager:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def sat_count(self, f: int) -> int:
-        """Number of satisfying assignments over all manager variables."""
-        cache: Dict[int, int] = {}
-
-        def count(node: int) -> int:
-            if node == BDD_ZERO:
-                return 0
-            if node == BDD_ONE:
-                return 1
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            var = self.var_of(node)
-            lo, hi = self.low(node), self.high(node)
-            lo_gap = self.var_of(lo) - var - 1
-            hi_gap = self.var_of(hi) - var - 1
-            result = (count(lo) << lo_gap) + (count(hi) << hi_gap)
-            cache[node] = result
-            return result
-
-        if f == BDD_ZERO:
-            return 0
-        if f == BDD_ONE:
-            return 1 << self.num_vars
-        return count(f) << self.var_of(f)
-
-    def pick_one(self, f: int) -> Optional[int]:
-        """A satisfying assignment as a bit vector, or ``None``."""
-        if f == BDD_ZERO:
-            return None
-        assignment = 0
-        node = f
-        while not self.is_terminal(node):
-            if self.high(node) != BDD_ZERO:
-                assignment |= 1 << self.var_of(node)
-                node = self.high(node)
-            else:
-                node = self.low(node)
-        return assignment
-
     def evaluate(self, f: int, assignment: int) -> bool:
         node = f
         while not self.is_terminal(node):

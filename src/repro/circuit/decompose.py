@@ -16,7 +16,7 @@ nodes become one AND gate named ``f`` itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.twolevel.cover import Cover
 from repro.circuit.circuit import Circuit
@@ -77,11 +77,3 @@ def network_to_circuit(network: Network) -> Circuit:
             for gate in node_region_gates(node):
                 circuit.add_gate(gate)
     return circuit
-
-
-def circuit_node_values(
-    circuit: Circuit, assignment: Dict[str, bool], names: List[str]
-) -> Dict[str, bool]:
-    """Evaluate the circuit and project the values of chosen signals."""
-    values = circuit.evaluate(assignment)
-    return {name: values[name] for name in names}

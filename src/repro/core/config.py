@@ -16,8 +16,9 @@ The module-level constants :data:`BASIC`, :data:`EXTENDED` and
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
+
+from repro.resilience.budget import check_limits
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,18 +201,11 @@ class DivisionConfig:
             raise ValueError("cache sizes must be >= 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if self.deadline_seconds is not None and not (
-            math.isfinite(self.deadline_seconds)
-            and self.deadline_seconds >= 0
-        ):
-            raise ValueError("deadline_seconds must be finite and >= 0")
-        if self.max_divide_calls is not None and self.max_divide_calls < 0:
-            raise ValueError("max_divide_calls must be >= 0")
-        if (
-            self.max_run_backtracks is not None
-            and self.max_run_backtracks < 0
-        ):
-            raise ValueError("max_run_backtracks must be >= 0")
+        check_limits(
+            self.deadline_seconds,
+            self.max_divide_calls,
+            self.max_run_backtracks,
+        )
         if self.verify_full_every < 1:
             raise ValueError("verify_full_every must be >= 1")
         if self.verify_backend not in ("auto", "bdd", "sat"):

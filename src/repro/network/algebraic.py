@@ -176,19 +176,6 @@ def all_kernels(cover: Cover) -> List[Tuple[Cover, Cube]]:
     return kernels
 
 
-def level0_kernels(cover: Cover) -> List[Tuple[Cover, Cube]]:
-    """Kernels that themselves contain no further kernels."""
-    result = []
-    for kernel, cokernel in all_kernels(cover):
-        inner = all_kernels(kernel)
-        nontrivial = [
-            k for k, _ in inner if frozenset(k.cubes) != frozenset(kernel.cubes)
-        ]
-        if not nontrivial:
-            result.append((kernel, cokernel))
-    return result
-
-
 def quick_divisor(cover: Cover) -> Optional[Cover]:
     """One level-0 kernel, found greedily (SIS's QUICK_DIVISOR).
 

@@ -71,13 +71,6 @@ class Node:
     def fanin_index(self, name: str) -> int:
         return self.fanins.index(name)
 
-    def depends_on(self, name: str) -> bool:
-        """True if *name* is a fanin actually used by the cover."""
-        if self.cover is None or name not in self.fanins:
-            return False
-        bit = 1 << self.fanins.index(name)
-        return bool(self.cover.support() & bit)
-
     # ------------------------------------------------------------------
     def set_function(self, fanins: Sequence[str], cover: Cover) -> None:
         """Replace the node's function in place."""
@@ -102,32 +95,6 @@ class Node:
             var_map[old_index] = new_index
         self.cover = self.cover.remap(var_map, len(keep))
         self.fanins = [self.fanins[i] for i in keep]
-
-    def substitute_fanin_name(self, old: str, new: str) -> None:
-        """Rename a fanin reference (the function is unchanged)."""
-        if new in self.fanins and old in self.fanins:
-            # Merge the two variables: remap old's variable onto new's.
-            old_index = self.fanins.index(old)
-            new_index = self.fanins.index(new)
-            var_map = list(range(len(self.fanins)))
-            var_map[old_index] = new_index
-            n = len(self.fanins)
-            cubes = []
-            for cube in self.cover.cubes:
-                literals = {}
-                conflict = False
-                for var, phase in cube.literals():
-                    target = var_map[var]
-                    if target in literals and literals[target] != phase:
-                        conflict = True
-                        break
-                    literals[target] = phase
-                if not conflict:
-                    cubes.append(Cube.from_literals(literals.items()))
-            self.cover = Cover(n, cubes)
-            self.prune_unused_fanins()
-            return
-        self.fanins = [new if f == old else f for f in self.fanins]
 
     # ------------------------------------------------------------------
     def literal_occurrences(self, fanin: str) -> Tuple[int, int]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.network.factor import factored_literals
 from repro.network.network import Network
@@ -104,81 +104,3 @@ def _collapse_too_wide(
         if estimated > 4096:
             return True
     return False
-
-
-def propagate_constants(network: Network) -> int:
-    """Fold constant node values into fanouts (subset of sweep)."""
-    folded = 0
-    for name in network.topo_order():
-        node = network.nodes.get(name)
-        if node is None or node.is_pi:
-            continue
-        if node.cover is None:
-            continue
-        value = node.constant_value()
-        if value is None:
-            continue
-        for fanout in network.fanouts()[name]:
-            network.substitute_function(fanout, name)
-            folded += 1
-    network.sweep_dangling()
-    return folded
-
-
-def network_stats(network: Network) -> Dict[str, int]:
-    """A metrics snapshot used by the experiment harness."""
-    from repro.network.factor import network_literals
-
-    return {
-        "pis": len(network.pis),
-        "pos": len(network.pos),
-        "nodes": len(network.internal_nodes()),
-        "cubes": network.num_cubes(),
-        "sop_literals": network.sop_literals(),
-        "literals": network_literals(network),
-        "depth": network.depth(),
-    }
-
-
-def collapse_network(network: Network, max_pis: int = 20) -> int:
-    """Collapse every PO cone to a single two-level node over the PIs.
-
-    The SIS ``collapse`` command.  Intermediate nodes are inlined
-    bottom-up; non-PO internal nodes disappear.  Returns the number of
-    nodes eliminated.  Guarded by *max_pis* (two-level covers over
-    many inputs explode).
-    """
-    if len(network.pis) > max_pis:
-        raise ValueError(
-            f"refusing to collapse a network with {len(network.pis)} PIs"
-        )
-    eliminated = 0
-    changed = True
-    while changed:
-        changed = False
-        for name in network.topo_order():
-            node = network.nodes.get(name)
-            if node is None or node.is_pi:
-                continue
-            if name in network.pos:
-                continue
-            fanouts = network.fanouts()[name]
-            if not fanouts:
-                continue
-            network.collapse_into_fanouts(name)
-            eliminated += 1
-            changed = True
-            break  # topo order is stale after a collapse
-    network.sweep_dangling()
-    # Inline any remaining internal-node references between POs.
-    for po in list(network.pos):
-        node = network.nodes[po]
-        while any(
-            not network.nodes[f].is_pi for f in node.fanins
-        ):
-            for fanin in list(node.fanins):
-                if not network.nodes[fanin].is_pi:
-                    network.substitute_function(po, fanin)
-                    break
-    network.sweep_dangling()
-    return eliminated

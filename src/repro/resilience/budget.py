@@ -24,8 +24,30 @@ new work, and fold :meth:`RunBudget.report` into the run statistics.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Callable, Optional
+
+
+def check_limits(
+    deadline_seconds: Optional[float],
+    max_divide_calls: Optional[int],
+    max_backtracks: Optional[int],
+) -> None:
+    """Raise ``ValueError`` unless every set limit is usable: the
+    deadline finite and >= 0, the counts >= 0 (``None`` is unlimited).
+
+    :class:`RunBudget` and :class:`~repro.core.config.DivisionConfig`
+    both call this, so the messages name the config's fields.
+    """
+    if deadline_seconds is not None and not (
+        math.isfinite(deadline_seconds) and deadline_seconds >= 0
+    ):
+        raise ValueError("deadline_seconds must be finite and >= 0")
+    if max_divide_calls is not None and max_divide_calls < 0:
+        raise ValueError("max_divide_calls must be >= 0")
+    if max_backtracks is not None and max_backtracks < 0:
+        raise ValueError("max_run_backtracks must be >= 0")
 
 
 class BudgetExhausted(Exception):
@@ -59,7 +81,8 @@ class RunBudget:
 
     All limits are optional; a limit of ``None`` never trips.  The
     *clock* is injectable so deadline behaviour is unit-testable
-    without sleeping.
+    without sleeping.  Invalid limits raise ``ValueError`` (see
+    :func:`check_limits`).
     """
 
     def __init__(
@@ -69,6 +92,7 @@ class RunBudget:
         max_backtracks: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
+        check_limits(deadline_seconds, max_divide_calls, max_backtracks)
         self.deadline_seconds = deadline_seconds
         self.max_divide_calls = max_divide_calls
         self.max_backtracks = max_backtracks

@@ -4,8 +4,7 @@ Used by the signature filter for cube-signature and containment-verdict
 queries.  Entries are keyed on ``(node name, generation, ...)`` tuples
 (see :mod:`repro.sim.filter`), so invalidation on network mutation is
 handled by bumping the owning node's generation — stale keys simply
-stop matching and age out of the LRU order.  :meth:`clear` is the
-explicit whole-cache invalidation hatch.
+stop matching and age out of the LRU order.
 """
 
 from __future__ import annotations
@@ -50,7 +49,3 @@ class LRUCache:
         self._data[key] = value
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        """Explicitly invalidate every entry (counters are kept)."""
-        self._data.clear()

@@ -60,8 +60,7 @@ class DivisorFilter:
 
     Both keys embed the owning nodes' mutation generations, so a
     :meth:`note_mutation` call (which re-simulates the fanout cone)
-    implicitly invalidates every stale entry; :meth:`invalidate` is the
-    explicit full reset.
+    makes every stale entry unreachable; nothing is purged explicitly.
     """
 
     def __init__(self, network: Network, config: DivisionConfig):
@@ -93,12 +92,6 @@ class DivisorFilter:
         nodes).  Returns the number of nodes re-simulated.
         """
         return self.sim.refresh(roots)
-
-    def invalidate(self) -> None:
-        """Explicit full invalidation: drop caches, re-simulate all."""
-        self._sig_cache.clear()
-        self._verdict_cache.clear()
-        self.sim.resimulate_all()
 
     # ------------------------------------------------------------------
     # Signatures

@@ -81,9 +81,6 @@ class SignatureSimulator:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def signature(self, name: str) -> int:
-        return self.signatures[name]
-
     def po_signatures_clean(self) -> bool:
         """True while every PO signature matches its pre-optimization
         baseline.  False *proves* the network changed function on a
@@ -143,9 +140,3 @@ class SignatureSimulator:
                     changed.add(name)
         self.nodes_resimulated += count
         return count
-
-    def resimulate_all(self) -> None:
-        """Full from-scratch rebuild (explicit invalidation hatch)."""
-        self.generation += 1
-        self.node_generation = {}
-        self._simulate_all()

@@ -16,7 +16,6 @@ from repro.twolevel.cover import Cover
 from repro.twolevel.tautology import is_tautology, cover_contains_cube
 from repro.twolevel.complement import complement, complement_cube
 from repro.twolevel.minimize import espresso, expand, irredundant, reduce_cover
-from repro.twolevel.pla import Pla, cover_to_pla, read_pla, to_pla_str, write_pla
 
 __all__ = [
     "Cube",
@@ -29,9 +28,4 @@ __all__ = [
     "expand",
     "irredundant",
     "reduce_cover",
-    "Pla",
-    "cover_to_pla",
-    "read_pla",
-    "to_pla_str",
-    "write_pla",
 ]

@@ -93,13 +93,6 @@ class Cover:
         neg = sum(1 for c in self.cubes if c.neg & bit)
         return pos, neg
 
-    def is_unate_in(self, var: int) -> bool:
-        pos, neg = self.var_phase_counts(var)
-        return pos == 0 or neg == 0
-
-    def is_unate(self) -> bool:
-        return all(self.is_unate_in(v) for v in self.support_vars())
-
     def most_binate_var(self) -> Optional[int]:
         """The splitting variable URP recursions use.
 
@@ -125,14 +118,6 @@ class Cover:
         self._check_compatible(other)
         return Cover(self.num_vars, self.cubes + other.cubes)
 
-    def with_cube(self, cube: Cube) -> "Cover":
-        return Cover(self.num_vars, self.cubes + (cube,))
-
-    def without_index(self, index: int) -> "Cover":
-        return Cover(
-            self.num_vars, self.cubes[:index] + self.cubes[index + 1 :]
-        )
-
     def intersect(self, other: "Cover") -> "Cover":
         """Pairwise cube products (may produce a non-minimal cover)."""
         self._check_compatible(other)
@@ -142,14 +127,6 @@ class Cover:
                 product = a.intersect(b)
                 if product is not None:
                     cubes.append(product)
-        return Cover(self.num_vars, cubes)
-
-    def intersect_cube(self, cube: Cube) -> "Cover":
-        cubes = []
-        for c in self.cubes:
-            product = c.intersect(cube)
-            if product is not None:
-                cubes.append(product)
         return Cover(self.num_vars, cubes)
 
     def cofactor(self, var: int, value: bool) -> "Cover":
@@ -168,32 +145,6 @@ class Cover:
             if cf is not None:
                 cubes.append(cf)
         return Cover(self.num_vars, cubes)
-
-    def sharp_cube(self, cube: Cube) -> "Cover":
-        """The sharp product ``self # cube`` (self AND NOT cube)."""
-        result: List[Cube] = []
-        for c in self.cubes:
-            if cube.contains(c):
-                continue
-            if c.distance(cube) > 0:
-                result.append(c)
-                continue
-            # c intersects cube but is not contained: split per literal.
-            pos, neg = c.pos, c.neg
-            for var, phase in cube.literals():
-                bit = 1 << var
-                if (pos | neg) & bit:
-                    continue
-                piece = Cube(
-                    pos | (0 if phase else bit), neg | (bit if phase else 0)
-                )
-                result.append(piece)
-                # Remaining space agrees with the cube on this literal.
-                if phase:
-                    pos |= bit
-                else:
-                    neg |= bit
-        return Cover(self.num_vars, result)
 
     def single_cube_containment(self) -> "Cover":
         """Drop cubes contained in another single cube of the cover."""

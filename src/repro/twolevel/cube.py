@@ -203,11 +203,6 @@ class Cube:
         bit = 1 << var
         return Cube(self.pos & ~bit, self.neg & ~bit)
 
-    def with_literal(self, var: int, phase: bool) -> Optional["Cube"]:
-        """Add a literal; ``None`` if the opposite phase is present."""
-        lit = Cube.literal(var, phase)
-        return self.intersect(lit)
-
     # ------------------------------------------------------------------
     # Evaluation / enumeration
     # ------------------------------------------------------------------
@@ -218,13 +213,6 @@ class Cube:
         if self.neg & assignment:
             return False
         return True
-
-    def minterm_count(self, num_vars: int) -> int:
-        """Number of minterms in the cube's on-set over *num_vars* vars."""
-        free = num_vars - self.num_literals()
-        if free < 0:
-            raise ValueError("cube mentions variables beyond num_vars")
-        return 1 << free
 
     def minterms(self, num_vars: int) -> Iterator[int]:
         """Enumerate the cube's minterms as integers (LSB = x0)."""

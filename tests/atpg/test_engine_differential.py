@@ -5,7 +5,7 @@ Both must agree on conflict vs no conflict and on every implied value
 — in assignment order, which is what makes the compiled engine's
 outputs byte-identical to the old ones — at learn depth 0, 1 and 2,
 through :func:`~repro.atpg.implication.imply` and through
-:meth:`~repro.atpg.implication.ImplicationEngine.fork`.
+:meth:`~repro.atpg.implication.Implications.copy`.
 """
 
 import itertools
@@ -13,50 +13,63 @@ import random
 
 import pytest
 
-from repro.atpg.implication import (
-    Conflict,
-    ImplicationEngine,
-    imply,
-    learn_implications,
-)
+from repro.atpg.implication import Conflict, Implications, imply
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
 from tests.atpg.reference_engine import ReferenceEngine, reference_learn
+from tests.atpg.test_implication import assigned, unjustified_names
 from tests.atpg.test_simulate import random_circuit
 
 DEPTHS = (0, 1, 2)
 
 
-def _outcome(engine, learn, assignments, depth):
-    """(conflict signal or None, values, the circuit's signals in
-    assignment order).  Names the circuit never mentions imply nothing,
-    so only their values are compared, not their position."""
+def _consistent(values, index):
+    """An outcome without a conflict: (None, values, the circuit's
+    signals in assignment order).  Names the circuit never mentions
+    imply nothing, so only their values are compared, not their
+    position."""
+    return None, values, [s for s in values if s in index]
+
+
+def _reference_outcome(ref, assignments, depth):
+    """(conflict signal or None, values, signal order) of the
+    reference engine."""
     try:
         for signal, value in assignments:
-            engine.assign(signal, value)
-        engine.propagate()
-        learn(engine, depth)
+            ref.assign(signal, value)
+        ref.propagate()
+        reference_learn(ref, depth)
     except Conflict as exc:
         return exc.signal, None, None
-    values = engine.values
-    known = engine.circuit.compiled().index
-    return None, values, [s for s in values if s in known]
+    return _consistent(ref.values, ref.circuit.compiled().index)
+
+
+def _outcome(state, assignments, depth):
+    """The same for an :class:`Implications` state."""
+    try:
+        for signal, value in assignments:
+            state.assign_name(signal, value)
+        state.propagate()
+        state.learn(depth)
+    except Conflict as exc:
+        return exc.signal, None, None
+    return _consistent(assigned(state), state.compiled.index)
 
 
 def _agree(circuit, assignments, depth):
     """Run both engines; assert they agree; return both engines (or
     ``None`` after a conflict)."""
     ref = ReferenceEngine(circuit)
-    new = ImplicationEngine(circuit)
-    want = _outcome(ref, reference_learn, assignments, depth)
-    got = _outcome(new, learn_implications, assignments, depth)
+    new = Implications(circuit.compiled())
+    want = _reference_outcome(ref, assignments, depth)
+    got = _outcome(new, assignments, depth)
     assert got == want, (circuit.gates, assignments, depth)
     state = imply(circuit, assignments, depth)
     assert (state is None) == (want[0] is not None)
     if state is None:
         return None
     assert {s: state.value(s) for s in want[1]} == want[1]
-    assert [g.name for g in new.unjustified_gates()] == [
+    assert unjustified_names(new) == [
         g.name for g in ref.unjustified_gates()
     ]
     return ref, new
@@ -64,13 +77,17 @@ def _agree(circuit, assignments, depth):
 
 def _check_fork(ref, new, more, depth):
     """Forks extend independently of their parents and still agree."""
-    before = new.values
-    ref_fork, new_fork = ref.fork(), new.fork()
-    want = _outcome(ref_fork, reference_learn, more, depth)
-    got = _outcome(new_fork, learn_implications, more, depth)
+    before = assigned(new)
+    ref_fork, new_fork = ref.fork(), new.copy()
+    want = _reference_outcome(ref_fork, more, depth)
+    got = _outcome(new_fork, more, depth)
     assert got == want, (more, depth)
-    assert new.values == before
+    assert assigned(new) == before
     assert ref.values == before
+    # Signals only the fork assigned stay unknown in the parent.
+    assert [new.value(s) for s in new.compiled.names] == [
+        before.get(s) for s in new.compiled.names
+    ]
 
 
 def rich_circuit(seed: int) -> Circuit:
@@ -188,15 +205,20 @@ def test_undriven_signal_order_is_observable():
     circuit = Circuit("order")
     circuit.add_and("g", [("u", True), ("a", True)])
     circuit.add_pi("a")
-    for engine in (ReferenceEngine(circuit), ImplicationEngine(circuit)):
-        early = engine.fork()
-        early.assign("u", False)
-        early.assign("a", True)
+    reference = ReferenceEngine(circuit)
+    state = Implications(circuit.compiled())
+    for engine, assign, fork in (
+        (reference, ReferenceEngine.assign, ReferenceEngine.fork),
+        (state, Implications.assign_name, Implications.copy),
+    ):
+        early = fork(engine)
+        assign(early, "u", False)
+        assign(early, "a", True)
         early.propagate()
         assert early.value("g") is False  # g examined after u=0
-        engine.assign("a", True)
+        assign(engine, "a", True)
         engine.propagate()
-        engine.assign("u", False)
+        assign(engine, "u", False)
         engine.propagate()
         assert engine.value("g") is None  # u=0 reaches no gate
 
@@ -211,9 +233,9 @@ def test_int_values_act_as_bools():
     assert imply(circuit, [("a", 1), ("a", True)]) is not None
     assert imply(circuit, [("a", 0), ("a", True)]) is None
     assert imply(circuit, [("a", 0)]).value("g") is False
-    engine = ImplicationEngine(circuit)
-    engine.assign("zz", 1)
-    engine.assign("zz", True)
+    engine = Implications(circuit.compiled())
+    engine.assign_name("zz", 1)
+    engine.assign_name("zz", True)
     assert engine.value("zz") is True
     rng = random.Random(5)
     for seed in range(40):

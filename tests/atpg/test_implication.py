@@ -2,9 +2,23 @@
 
 import pytest
 
-from repro.atpg.implication import Conflict, ImplicationEngine
+from repro.atpg.implication import Conflict, Implications, imply
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
+
+
+def assigned(state: Implications) -> dict:
+    """Every assigned signal's value by name, in assignment order."""
+    names = state.compiled.names
+    result = {names[s]: state.values[s] for s in state.trail}
+    if state.extra:
+        result.update(state.extra)
+    return result
+
+
+def unjustified_names(state: Implications) -> list:
+    """The names of the gates ``state.unjustified()`` lists, in order."""
+    return [state.compiled.names[g] for g in state.unjustified()]
 
 
 def and_or_circuit() -> Circuit:
@@ -19,108 +33,104 @@ def and_or_circuit() -> Circuit:
 
 class TestForward:
     def test_and_controlled_by_zero(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("a", False)])
+        e = imply(and_or_circuit(), [("a", False)])
+        assert e is not None
         assert e.value("g") is False
 
     def test_and_all_ones(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("a", True), ("b", True)])
+        e = imply(and_or_circuit(), [("a", True), ("b", True)])
+        assert e is not None
         assert e.value("g") is True
 
     def test_or_controlled_by_one(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("c", True)])
+        e = imply(and_or_circuit(), [("c", True)])
+        assert e is not None
         assert e.value("f") is True
 
     def test_or_all_zero(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("a", False), ("c", False)])
+        e = imply(and_or_circuit(), [("a", False), ("c", False)])
+        assert e is not None
         assert e.value("f") is False
 
     def test_edge_phase_inversion(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("a", True), ("b", True), ("d", True)])
+        e = imply(and_or_circuit(), [("a", True), ("b", True), ("d", True)])
+        assert e is not None
         assert e.value("h") is False  # d' literal is 0
 
     def test_constants_propagate(self):
         c = Circuit()
         c.add_gate(Gate("one", GateKind.CONST1))
         c.add_and("f", [("one", True)])
-        e = ImplicationEngine(c)
+        e = Implications(c.compiled())
+        # Constants start on the trail, so they fire without an
+        # assignment.
         e.propagate()
-        # Constants only fire once enqueued via assign/processing.
-        assert e.run([]) is True
+        assert e.value("f") is True
+        assert imply(c, []) is not None
 
 
 class TestBackward:
     def test_and_output_one_forces_inputs(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("g", True)])
+        e = imply(and_or_circuit(), [("g", True)])
+        assert e is not None
         assert e.value("a") is True and e.value("b") is True
 
     def test_or_output_zero_forces_inputs(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("f", False)])
+        e = imply(and_or_circuit(), [("f", False)])
+        assert e is not None
         assert e.value("c") is False and e.value("g") is False
 
     def test_last_unknown_input_forced(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("g", False), ("a", True)])
+        e = imply(and_or_circuit(), [("g", False), ("a", True)])
+        assert e is not None
         assert e.value("b") is False
 
     def test_chained_implications(self):
-        e = ImplicationEngine(and_or_circuit())
         # f=0 forces g=0 and c=0; with a=1 that forces b=0.
-        assert e.run([("f", False), ("a", True)])
+        e = imply(and_or_circuit(), [("f", False), ("a", True)])
+        assert e is not None
         assert e.value("b") is False
 
     def test_phase_aware_backward(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("h", True)])
+        e = imply(and_or_circuit(), [("h", True)])
+        assert e is not None
         assert e.value("d") is False  # h needs d'=1
 
 
 class TestConflicts:
     def test_direct_conflict(self):
-        e = ImplicationEngine(and_or_circuit())
-        e.assign("a", True)
+        e = Implications(and_or_circuit().compiled())
+        e.assign_name("a", True)
         with pytest.raises(Conflict):
-            e.assign("a", False)
+            e.assign_name("a", False)
 
-    def test_run_returns_false_on_conflict(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert not e.run([("g", True), ("a", False)])
+    def test_imply_returns_none_on_conflict(self):
+        assert imply(and_or_circuit(), [("g", True), ("a", False)]) is None
 
     def test_all_noncontrolling_but_controlled_output(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert not e.run([("a", True), ("b", True), ("g", False)])
+        assignments = [("a", True), ("b", True), ("g", False)]
+        assert imply(and_or_circuit(), assignments) is None
 
     def test_reassign_same_value_is_fine(self):
-        e = ImplicationEngine(and_or_circuit())
-        assert e.run([("a", True), ("a", True)])
+        assert imply(and_or_circuit(), [("a", True), ("a", True)])
 
 
 class TestForkAndJustification:
     def test_fork_is_independent(self):
-        e = ImplicationEngine(and_or_circuit())
-        e.run([("a", True)])
-        fork = e.fork()
-        fork.run([("b", True)])
+        e = imply(and_or_circuit(), [("a", True)])
+        fork = e.copy()
+        fork.assign_name("b", True)
+        fork.propagate()
         assert e.value("b") is None
         assert fork.value("g") is True
 
     def test_unjustified_gate_detection(self):
-        e = ImplicationEngine(and_or_circuit())
-        e.run([("f", True)])
-        names = {g.name for g in e.unjustified_gates()}
-        assert "f" in names
+        e = imply(and_or_circuit(), [("f", True)])
+        assert "f" in unjustified_names(e)
 
     def test_justified_gate_not_listed(self):
-        e = ImplicationEngine(and_or_circuit())
-        e.run([("f", True), ("c", True)])
-        names = {g.name for g in e.unjustified_gates()}
-        assert "f" not in names
+        e = imply(and_or_circuit(), [("f", True), ("c", True)])
+        assert "f" not in unjustified_names(e)
 
 
 class TestSoundnessProperty:
@@ -148,8 +158,8 @@ class TestSoundnessProperty:
             signals = list(circuit.gates)
             picks = rng.sample(signals, min(2, len(signals)))
             assignments = [(s, rng.random() < 0.5) for s in picks]
-            engine = ImplicationEngine(circuit)
-            if not engine.run(assignments):
+            state = imply(circuit, assignments)
+            if state is None:
                 # Conflict: there must be no consistent completion
                 # (for output-signal assignments this is exact).
                 continue
@@ -157,7 +167,7 @@ class TestSoundnessProperty:
                 self._consistent_completions(circuit, assignments)
             )
             for values in completions:
-                for signal, implied in engine.values.items():
+                for signal, implied in assigned(state).items():
                     assert values[signal] == implied, (
                         seed,
                         assignments,
@@ -177,8 +187,7 @@ class TestSoundnessProperty:
             signals = list(circuit.gates)
             picks = rng.sample(signals, min(3, len(signals)))
             assignments = [(s, rng.random() < 0.5) for s in picks]
-            engine = ImplicationEngine(circuit)
-            if engine.run(assignments):
+            if imply(circuit, assignments) is not None:
                 continue
             # The engine reported a conflict: verify exhaustively that
             # no PI assignment satisfies all the requested values.

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.atpg.implication import Conflict, ImplicationEngine
-from repro.atpg.implication import learn_implications
+from repro.atpg.implication import Conflict, imply
 from repro.circuit.circuit import Circuit
 
 
@@ -20,10 +19,9 @@ def convergent_or() -> Circuit:
 
 class TestLearning:
     def test_learns_common_implication(self):
-        e = ImplicationEngine(convergent_or())
-        e.run([("f", True)])
+        e = imply(convergent_or(), [("f", True)])
         assert e.value("a") is None  # direct implications miss it
-        learn_implications(e, depth=1)
+        e.learn(depth=1)
         assert e.value("a") is True  # learning catches it
 
     def test_learns_conflict_when_all_options_fail(self):
@@ -39,15 +37,14 @@ class TestLearning:
         c.add_or("f", [("g1", True), ("g2", True)])
         c.add_and("h1", [("a", True), ("b", True)])
         c.add_and("h2", [("c", True), ("d", True)])
-        e = ImplicationEngine(c)
-        assert e.run([("f", True), ("h1", False), ("h2", False)]) is True
+        e = imply(c, [("f", True), ("h1", False), ("h2", False)])
+        assert e is not None
         with pytest.raises(Conflict):
-            learn_implications(e, depth=1)
+            e.learn(depth=1)
 
     def test_depth_zero_is_noop(self):
-        e = ImplicationEngine(convergent_or())
-        e.run([("f", True)])
-        learn_implications(e, depth=0)
+        e = imply(convergent_or(), [("f", True)])
+        e.learn(depth=0)
         assert e.value("a") is None
 
     def test_learning_derives_divisor_cube_value(self):
@@ -58,10 +55,9 @@ class TestLearning:
             c.add_pi(pi)
         c.add_and("fq", [("c", True), ("d", True), ("x", True)])
         c.add_and("k", [("c", True), ("d", True)])
-        e = ImplicationEngine(c)
-        e.run([("fq", False), ("x", True)])
+        e = imply(c, [("fq", False), ("x", True)])
         assert e.value("k") is None
-        learn_implications(e, depth=1)
+        e.learn(depth=1)
         assert e.value("k") is False
 
     def test_two_level_learning(self):
@@ -75,14 +71,12 @@ class TestLearning:
         c.add_and("g1", [("a", True), ("m1", True)])
         c.add_and("g2", [("a", True), ("m2", True)])
         c.add_or("f", [("g1", True), ("g2", True)])
-        e = ImplicationEngine(c)
-        e.run([("f", True)])
-        learn_implications(e, depth=2)
+        e = imply(c, [("f", True)])
+        e.learn(depth=2)
         assert e.value("a") is True
         assert e.value("b") is True
 
     def test_max_gates_bounds_work(self):
-        e = ImplicationEngine(convergent_or())
-        e.run([("f", True)])
-        learn_implications(e, depth=1, max_gates=0)
+        e = imply(convergent_or(), [("f", True)])
+        e.learn(depth=1, max_gates=0)
         assert e.value("a") is None

@@ -101,15 +101,6 @@ class TestStructure:
         m = mgr4()
         f = from_text(m, "ab")
         assert m.exists(f, 0) == m.var(1)
-        assert m.forall(f, 0) == BDD_ZERO
-        g = from_text(m, "b + a")
-        assert m.forall(g, 0) == m.var(1)
-
-    def test_compose(self):
-        m = mgr4()
-        f = from_text(m, "ab")
-        composed = m.compose(f, 0, from_text(m, "c + d"))
-        assert composed == from_text(m, "cb + db")
 
     def test_constrain_agrees_on_care_set(self):
         m = mgr4()
@@ -140,20 +131,6 @@ class TestStructure:
 
 
 class TestAnalysis:
-    def test_sat_count(self):
-        m = mgr4()
-        assert m.sat_count(BDD_ZERO) == 0
-        assert m.sat_count(BDD_ONE) == 16
-        assert m.sat_count(m.var(0)) == 8
-        assert m.sat_count(from_text(m, "ab")) == 4
-
-    def test_pick_one(self):
-        m = mgr4()
-        f = from_text(m, "ab'")
-        assignment = m.pick_one(f)
-        assert m.evaluate(f, assignment)
-        assert m.pick_one(BDD_ZERO) is None
-
     def test_cubes_are_disjoint_and_cover(self):
         m = mgr4()
         cover = Cover.parse("ab + a'c + d", NAMES)
@@ -190,10 +167,3 @@ class TestCoverInterop:
         assert m.to_cover(m.or_(fa, fb), 4).truth_mask() == (
             a.truth_mask() | b.truth_mask()
         )
-
-    @given(cover_st(4))
-    @settings(max_examples=60, deadline=None)
-    def test_sat_count_property(self, cover):
-        m = mgr4()
-        expected = bin(cover.truth_mask()).count("1")
-        assert m.sat_count(m.from_cover(cover)) == expected

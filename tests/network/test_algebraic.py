@@ -9,7 +9,6 @@ from repro.network.algebraic import (
     common_cube,
     divide_by_literal,
     is_cube_free,
-    level0_kernels,
     literal_counts,
     make_cube_free,
     quick_divisor,
@@ -103,7 +102,7 @@ class TestKernels:
     def test_cokernels_reconstruct(self):
         cover = parse("ace + bce + de + g")
         for kernel, cokernel in all_kernels(cover):
-            product = kernel.intersect_cube(cokernel)
+            product = kernel.intersect(Cover(kernel.num_vars, [cokernel]))
             # Every kernel·cokernel product is contained in the cover.
             for cube in product.cubes:
                 assert any(c.contains(cube) for c in cover.cubes), (
@@ -117,11 +116,6 @@ class TestKernels:
 
     def test_no_kernels_for_single_cube(self):
         assert all_kernels(parse("abc")) == []
-
-    def test_level0(self):
-        level0 = level0_kernels(parse("ace + bce + de + g"))
-        texts = {k.to_str(NAMES) for k, _ in level0}
-        assert texts == {"a + b"}
 
     def test_quick_divisor_is_a_kernel(self):
         cover = parse("ace + bce + de + g")

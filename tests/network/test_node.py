@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.twolevel.cube import Cube
 from repro.twolevel.cover import Cover
 from repro.network.node import Node
 
@@ -39,13 +38,6 @@ class TestBasics:
         assert node.num_cubes() == 2
         assert node.sop_literals() == 3
 
-    def test_depends_on(self):
-        node = make("ab", ["a", "b"])
-        assert node.depends_on("a")
-        assert not node.depends_on("z")
-        unused = Node("n", ["a", "b"], Cover.parse("a", ["a", "b"]))
-        assert not unused.depends_on("b")
-
 
 class TestMutation:
     def test_set_function_checks_width(self):
@@ -63,40 +55,6 @@ class TestMutation:
         node = make("ab", ["a", "b"])
         node.prune_unused_fanins()
         assert node.fanins == ["a", "b"]
-
-    def test_substitute_fanin_name_simple(self):
-        node = make("ab", ["a", "b"])
-        node.substitute_fanin_name("b", "z")
-        assert node.fanins == ["a", "z"]
-
-    def test_substitute_fanin_name_merging(self):
-        # f = ab + a'c with b renamed to a: cube ab -> a, a'c stays.
-        node = make("ab + a'c", ["a", "b", "c"])
-        node.substitute_fanin_name("b", "a")
-        assert node.cover.num_vars == len(node.fanins)
-        # Semantics: substitute b:=a in ab + a'c = a + a'c.
-        values = {}
-        for a in (0, 1):
-            for c in (0, 1):
-                packed = 0
-                for i, f in enumerate(node.fanins):
-                    bit = {"a": a, "c": c}[f]
-                    packed |= bit << i
-                values[(a, c)] = node.cover.evaluate(packed)
-        assert values == {
-            (0, 0): False,
-            (0, 1): True,
-            (1, 0): True,
-            (1, 1): True,
-        }
-
-    def test_substitute_merging_drops_contradictions(self):
-        # f = ab' with b renamed to a: cube aa' vanishes.
-        node = make("ab'", ["a", "b"])
-        node.substitute_fanin_name("b", "a")
-        assert node.cover.is_zero() or all(
-            False for _ in node.cover.cubes
-        )
 
 
 class TestQueries:

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 
 from repro.twolevel.cover import Cover
 from repro.network.network import Network
-from repro.network.ops import (
-    eliminate,
-    network_stats,
-    node_value,
-    propagate_constants,
-    sweep,
-)
+from repro.network.ops import eliminate, node_value, sweep
 from repro.network.verify import networks_equivalent
 from tests.conftest import network_st
 
@@ -113,77 +107,3 @@ class TestEliminate:
         reference = net.copy()
         eliminate(net, 0)
         assert networks_equivalent(reference, net)
-
-
-class TestConstants:
-    def test_propagate_constants(self):
-        net = Network()
-        net.add_pi("a")
-        net.parse_node("zero", "0", [])
-        net.parse_node("f", "a + zero", ["a", "zero"])
-        net.add_po("f")
-        reference = net.copy()
-        propagate_constants(net)
-        assert networks_equivalent(reference, net)
-        assert "zero" not in net.nodes["f"].fanins
-
-
-class TestStats:
-    def test_network_stats_keys(self):
-        stats = network_stats(chain_network())
-        assert stats["pis"] == 3
-        assert stats["pos"] == 1
-        assert stats["nodes"] == 4
-        assert stats["literals"] > 0
-        assert stats["depth"] >= 2
-
-
-class TestCollapse:
-    def test_collapse_to_two_level(self):
-        from repro.network.ops import collapse_network
-        from tests.conftest import random_network
-
-        net = random_network(21, n_pis=4, n_nodes=5)
-        reference = net.copy()
-        collapse_network(net)
-        for node in net.internal_nodes():
-            assert all(net.nodes[f].is_pi for f in node.fanins), (
-                node.to_str()
-            )
-        assert networks_equivalent(reference, net)
-
-    def test_collapse_guard(self):
-        import pytest
-
-        from repro.network.ops import collapse_network
-
-        net = Network()
-        for i in range(25):
-            net.add_pi(f"x{i}")
-        net.parse_node("f", "x0", ["x0"])
-        net.add_po("f")
-        with pytest.raises(ValueError):
-            collapse_network(net, max_pis=20)
-
-    def test_collapse_matches_bdd_cover(self):
-        from repro.bdd import BddManager
-        from repro.network.ops import collapse_network
-        from repro.network.verify import network_output_bdds
-
-        net = Network()
-        for pi in "abc":
-            net.add_pi(pi)
-        net.parse_node("g", "ab", ["a", "b"])
-        net.parse_node("f", "g + c'", ["g", "c"])
-        net.add_po("f")
-        bdds_before = network_output_bdds(net, ["a", "b", "c"])
-        collapse_network(net)
-        node = net.nodes["f"]
-        assert set(node.fanins) <= {"a", "b", "c"}
-        manager = BddManager(3)
-        pi_index = {"a": 0, "b": 1, "c": 2}
-        remapped = node.cover.remap(
-            [pi_index[f] for f in node.fanins], 3
-        )
-        after = manager.from_cover(remapped)
-        assert manager.sat_count(after) == 5  # ab + c' has 5 minterms

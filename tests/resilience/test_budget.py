@@ -83,6 +83,29 @@ class TestCounters:
         assert not budget.exhausted()
 
 
+class TestLimits:
+    """RunBudget rejects exactly the limits DivisionConfig rejects."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+    def test_rejects_unusable_deadline(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            RunBudget(deadline_seconds=value)
+
+    def test_rejects_negative_divide_calls(self):
+        with pytest.raises(ValueError, match="max_divide_calls"):
+            RunBudget(max_divide_calls=-1)
+
+    def test_rejects_negative_backtracks(self):
+        with pytest.raises(ValueError, match="backtracks"):
+            RunBudget(max_backtracks=-1)
+
+    def test_accepts_zero_limits(self):
+        budget = RunBudget(
+            deadline_seconds=0.0, max_divide_calls=0, max_backtracks=0
+        )
+        assert budget.exhausted()
+
+
 class TestReason:
     def test_first_reason_is_latched(self):
         clock = FakeClock()

@@ -46,16 +46,6 @@ def test_put_updates_existing_key():
     assert "b" not in cache
 
 
-def test_clear_resets_entries_but_keeps_counters():
-    cache = LRUCache(2)
-    cache.put("a", 1)
-    cache.get("a")
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.get("a") is None
-    assert cache.hits == 1
-
-
 def test_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         LRUCache(0)

@@ -5,7 +5,7 @@ from hypothesis import given
 
 from repro.twolevel.cube import Cube
 from repro.twolevel.cover import Cover
-from tests.conftest import cover_st, cube_st
+from tests.conftest import cover_st
 
 NAMES = list("abcde")
 
@@ -52,11 +52,6 @@ class TestQueries:
         cover = parse("ab + a'c + a")
         assert cover.var_phase_counts(0) == (2, 1)
 
-    def test_unate_detection(self):
-        assert parse("ab + ac").is_unate()
-        assert not parse("ab + a'c").is_unate()
-        assert parse("ab + ac").is_unate_in(0)
-
     def test_most_binate_var(self):
         cover = parse("ab + a'c + ad")
         assert cover.most_binate_var() == 0
@@ -86,25 +81,11 @@ class TestAlgebra:
         cofactored = cover.cofactor_cube(Cube.parse("a", NAMES))
         assert cofactored.to_str(NAMES) == "b + cd"
 
-    def test_sharp_cube_semantics(self):
-        cover = parse("ab + cd + a'e")
-        cube = Cube.parse("a", NAMES)
-        sharp = cover.sharp_cube(cube)
-        expected = cover.truth_mask() & ~Cover(
-            5, [cube]
-        ).truth_mask()
-        assert sharp.truth_mask() == expected
-
     def test_single_cube_containment(self):
         cover = parse("ab + a + abc")
         trimmed = cover.single_cube_containment()
         assert trimmed.num_cubes() == 1
         assert trimmed.cubes[0] == Cube.parse("a", NAMES)
-
-    def test_with_cube_without_index(self):
-        cover = parse("a + b")
-        assert cover.with_cube(Cube.parse("c", NAMES)).num_cubes() == 3
-        assert cover.without_index(0).to_str(NAMES) == "b"
 
 
 class TestEvaluation:
@@ -145,13 +126,6 @@ class TestRemap:
 
 
 class TestProperties:
-    @given(cover_st(4), cube_st(4))
-    def test_sharp_cube_property(self, cover, cube):
-        sharp = cover.sharp_cube(cube)
-        on = cover.truth_mask()
-        cube_mask = cube.truth_mask(4)
-        assert sharp.truth_mask() == on & ~cube_mask
-
     @given(cover_st(4))
     def test_scc_preserves_function(self, cover):
         assert cover.single_cube_containment().truth_mask() == cover.truth_mask()

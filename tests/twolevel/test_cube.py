@@ -117,10 +117,6 @@ class TestAlgebra:
     def test_without_var(self):
         assert parse("abc").without_var(1) == parse("ac")
 
-    def test_with_literal(self):
-        assert parse("a").with_literal(1, False) == parse("ab'")
-        assert parse("a").with_literal(0, False) is None
-
 
 class TestEvaluation:
     def test_evaluate(self):
@@ -128,10 +124,6 @@ class TestEvaluation:
         assert cube.evaluate(0b01)  # a=1, b=0
         assert not cube.evaluate(0b11)
         assert not cube.evaluate(0b00)
-
-    def test_minterm_count(self):
-        assert parse("ab").minterm_count(5) == 8
-        assert Cube.full().minterm_count(3) == 8
 
     def test_minterms_enumeration(self):
         minterms = sorted(parse("ab'").minterms(3))
