@@ -116,9 +116,18 @@ def package_of(path: pathlib.Path) -> str:
 
 
 def measure(test_args) -> Dict[str, Dict[str, object]]:
-    """Run pytest under the collector; per-package coverage rollup."""
+    """Run pytest under the collector; per-package coverage rollup.
+
+    Each file's executable lines are read before the run, so a file
+    edited while the suite runs is still scored against the lines the
+    collector could have hit.
+    """
     import pytest
 
+    executable = {
+        path: executable_lines(path)
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+    }
     collector = LineCollector(PACKAGE_ROOT)
     with collector:
         exit_code = pytest.main(list(test_args))
@@ -126,8 +135,7 @@ def measure(test_args) -> Dict[str, Dict[str, object]]:
         raise SystemExit(f"test suite failed under coverage ({exit_code})")
 
     rollup: Dict[str, Dict[str, object]] = {}
-    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        possible = executable_lines(path)
+    for path, possible in executable.items():
         if not possible:
             continue
         executed = collector.hits.get(str(path), set()) & possible

@@ -7,9 +7,7 @@ experiments need:
 * dividend treated in sum-of-products or (dually) product-of-sums form,
 * implications confined to the dividend/divisor regions or extended
   through the whole circuit (global don't cares), with optional
-  recursive learning,
-* division by a *core* subset of the divisor's cubes (the hook used by
-  extended division).
+  recursive learning.
 
 The algorithm, for ``f`` divided by ``d``:
 
@@ -37,7 +35,7 @@ division ``f' = d'·q + r``, and the result is complemented back.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.twolevel.cube import Cube
 from repro.twolevel.cover import Cover
@@ -50,9 +48,6 @@ from repro.network.network import Network
 from repro.core.config import DivisionConfig
 from repro.core.sos_pos import sos_split
 from repro.obs.tracer import NULL_TRACER, as_tracer
-
-#: Synthetic OR gate asserting the (possibly core) divisor's value.
-CORE_SIGNAL = "__core__"
 
 #: The four (phase, form) variants of basic division, in the order
 #: :func:`divide_node_pair` tries them.  Subsets passed via its
@@ -137,6 +132,18 @@ def dividend_cube_signal(f_name: str, index: int) -> str:
     return f"{f_name}.q{index}"
 
 
+def add_cube_gate(
+    circuit: Circuit, name: str, cube: Cube, shared: Sequence[str]
+) -> None:
+    """Add *cube* (variables index *shared*) as gate *name*: an AND of
+    its literals, or constant 1 for the full cube."""
+    inputs = [(shared[v], p) for v, p in cube.literals()]
+    if inputs:
+        circuit.add_and(name, inputs)
+    else:
+        circuit.add_gate(Gate(name, GateKind.CONST1))
+
+
 def build_analysis_circuit(
     network: Network,
     f_name: str,
@@ -194,32 +201,49 @@ def build_analysis_circuit(
 class RegionRemover:
     """The wire/cube redundancy-removal loop over the ``F1`` region.
 
-    Each region cube gets an AND gate in *circuit*; a literal (cube) is
-    dropped when the stuck-at-1 (stuck-at-0) fault on its wire has
-    conflicting mandatory assignments: the faulty cube's other
-    literals at 1, every other region cube and every remainder signal
-    at 0, and *divisor_assignment* when one is given.  Without a
-    divisor assignment this is plain excitation-only removal on a
-    cover, which is how the simulation-guided engine cleans its
-    candidates.
+    Each region cube and each *remainder* cube gets an AND gate in the
+    analysis circuit; a literal (cube) is dropped when the stuck-at-1
+    (stuck-at-0) fault on its wire has conflicting mandatory
+    assignments: the faulty cube's other literals at 1, every other
+    region cube and every remainder cube at 0, and
+    *divisor_assignment* when one is given.  Without a divisor
+    assignment this is plain excitation-only removal on a cover, which
+    is how the simulation-guided engine cleans its candidates.
+
+    With a *screen* (a :class:`~repro.sim.witness.WitnessScreen` over
+    signatures that match the network), a test whose assignments a
+    sampled pattern meets cannot conflict, so it skips ``imply``
+    (DESIGN §17).  The analysis circuit is then built only at the first
+    test the screen leaves open: *base_circuit* returns the circuit
+    without the dividend's cube gates, and the region and remainder
+    gates follow in region order, as an eager build would add them.
+    Without an oracle no cube changes before the first open test,
+    because a removal needs a conflict, so the lazy circuit is the
+    eager one.
     """
 
     def __init__(
         self,
-        circuit: Circuit,
+        base_circuit: Callable[[], Circuit],
         f_name: str,
         shared: List[str],
         region: Dict[int, Cube],
-        remainder_signals: List[str],
+        remainder: Dict[int, Cube],
         divisor_assignment: Optional[Tuple[str, bool]],
         config: DivisionConfig,
         budget=None,
+        screen=None,
+        removal_oracle: Optional[Callable[[Dict[int, Cube]], bool]] = None,
     ):
-        self.circuit = circuit
+        self._base_circuit = base_circuit
+        self._circuit: Optional[Circuit] = None
         self.f_name = f_name
         self.shared = shared
         self.region = region
-        self.remainder_signals = remainder_signals
+        self.remainder = remainder
+        self.remainder_signals = [
+            dividend_cube_signal(f_name, i) for i in remainder
+        ]
         self.divisor_assignment = divisor_assignment
         self.config = config
         #: Optional :class:`~repro.resilience.budget.RunBudget`; the
@@ -227,31 +251,59 @@ class RegionRemover:
         #: so one pathological region cannot overshoot it by more than
         #: a single implication run.
         self.budget = budget
+        self.screen = screen
         self.wires_removed = 0
         self.cubes_removed = 0
+        #: Tests settled on a witness in this loop.
+        self.witnessed = 0
         #: Optional complete-don't-care oracle: called with a candidate
         #: region (post-removal) when the implication test fails; True
         #: means the removal is still safe (the change lies entirely in
         #: the node's don't-care set).
-        self.removal_oracle = None
-        for i, cube in region.items():
-            self._install_cube_gate(i, cube)
+        self.removal_oracle = removal_oracle
+        #: Packed values of the region and remainder cube gates.
+        self._gate_sigs: Dict[str, int] = {}
+        if screen is not None:
+            for cubes in (region, remainder):
+                for i, cube in cubes.items():
+                    self._gate_sigs[dividend_cube_signal(f_name, i)] = (
+                        screen.cube(cube, shared)
+                    )
+        if removal_oracle is not None:
+            # The oracle can drop a witnessed wire before any test
+            # conflicts, and rewriting a cube moves its gate to the end
+            # of the circuit: build now to keep that order.
+            self._build_circuit()
 
     # -- circuit bookkeeping -------------------------------------------
+    def _build_circuit(self) -> None:
+        self._circuit = self._base_circuit()
+        for i, cube in self.region.items():
+            self._install_cube_gate(i, cube)
+        for i, cube in self.remainder.items():
+            self._install_cube_gate(i, cube)
+
     def _install_cube_gate(self, index: int, cube: Cube) -> None:
         name = dividend_cube_signal(self.f_name, index)
-        inputs = [(self.shared[v], p) for v, p in cube.literals()]
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
-        if inputs:
-            self.circuit.add_and(name, inputs)
-        else:
-            self.circuit.add_gate(Gate(name, GateKind.CONST1))
+        if name in self._circuit.gates:
+            self._circuit.remove_gate(name)
+        add_cube_gate(self._circuit, name, cube, self.shared)
 
-    def _drop_cube_gate(self, index: int) -> None:
+    def _rewrite_cube(self, index: int, cube: Cube) -> None:
+        self.region[index] = cube
+        if self.screen is not None:
+            self._gate_sigs[dividend_cube_signal(self.f_name, index)] = (
+                self.screen.cube(cube, self.shared)
+            )
+        if self._circuit is not None:
+            self._install_cube_gate(index, cube)
+
+    def _drop_cube(self, index: int) -> None:
+        del self.region[index]
         name = dividend_cube_signal(self.f_name, index)
-        if name in self.circuit.gates:
-            self.circuit.remove_gate(name)
+        self._gate_sigs.pop(name, None)
+        if self._circuit is not None and name in self._circuit.gates:
+            self._circuit.remove_gate(name)
 
     # -- fault checks ---------------------------------------------------
     def _base_assignments(self, active: int) -> List[Tuple[str, bool]]:
@@ -268,7 +320,16 @@ class RegionRemover:
         return assignments
 
     def _conflicts(self, assignments: List[Tuple[str, bool]]) -> bool:
-        state = imply(self.circuit, assignments, self.config.learn_depth)
+        screen = self.screen
+        if screen is not None and screen.witnesses(
+            assignments, self._gate_sigs
+        ):
+            self.witnessed += 1
+            screen.tests_witnessed += 1
+            return False
+        if self._circuit is None:
+            self._build_circuit()
+        state = imply(self._circuit, assignments, self.config.learn_depth)
         return state is None
 
     def _literal_removable(self, index: int, var: int, phase: bool) -> bool:
@@ -315,13 +376,11 @@ class RegionRemover:
                 for var, phase in list(cube.literals()):
                     if self._literal_removable(index, var, phase):
                         cube = cube.without_var(var)
-                        self.region[index] = cube
-                        self._install_cube_gate(index, cube)
+                        self._rewrite_cube(index, cube)
                         self.wires_removed += 1
                         changed = True
                 if len(self.region) > 1 and self._cube_removable(index):
-                    del self.region[index]
-                    self._drop_cube_gate(index)
+                    self._drop_cube(index)
                     self.cubes_removed += 1
                     changed = True
 
@@ -333,33 +392,32 @@ def boolean_divide(
     config: DivisionConfig,
     phase: bool = True,
     form: str = "sop",
-    core_indices: Optional[Sequence[int]] = None,
-    substitute_as: Optional[str] = None,
-    circuit: Optional[Circuit] = None,
+    base_circuit: Optional[Callable[[], Circuit]] = None,
     budget=None,
     tracer=None,
+    screen=None,
 ) -> Optional[DivisionResult]:
     """Divide node *f* by node *divisor* using RAR; None on failure.
 
-    *core_indices* restricts the divisor to a subset of its cubes (the
-    extended-division core); it requires ``phase=True`` and
-    ``form="sop"``.  *substitute_as* names the node the substituted
-    literal should reference (the exposed core node in extended
-    division); it defaults to *divisor_name*.  *circuit* lets callers
-    reuse a prebuilt analysis circuit (the dividend cube gates are
-    managed by this function either way).  *budget* is an optional
+    *base_circuit* lets callers share one prebuilt analysis circuit:
+    it is called, and its circuit copied, only when a removal test
+    needs the circuit (the dividend cube gates are managed by this
+    function either way).  *budget* is an optional
     :class:`~repro.resilience.budget.RunBudget` whose deadline is
     honoured inside the removal loop (may raise
     :class:`~repro.resilience.budget.BudgetExhausted`).  *tracer* is an
     optional :class:`~repro.obs.tracer.Tracer`; every invocation
     records one ``divide`` span (with nested ``atpg`` spans for the
-    removal loops) and ``None`` traces nothing.
+    removal loops) and ``None`` traces nothing.  *screen* is an
+    optional :class:`~repro.sim.witness.WitnessScreen` over signatures
+    that match *network*; the removal tests a witness settles skip
+    their implication run, which changes no result.
     """
     tracer = as_tracer(tracer)
     if not tracer.enabled:
         return _boolean_divide_impl(
             network, f_name, divisor_name, config, phase, form,
-            core_indices, substitute_as, circuit, budget, NULL_TRACER,
+            base_circuit, budget, NULL_TRACER, screen,
         )
     with tracer.span(
         "divide",
@@ -367,11 +425,10 @@ def boolean_divide(
         d=divisor_name,
         phase=phase,
         form=form,
-        core=core_indices is not None,
     ) as span:
         result = _boolean_divide_impl(
             network, f_name, divisor_name, config, phase, form,
-            core_indices, substitute_as, circuit, budget, tracer,
+            base_circuit, budget, tracer, screen,
         )
         span.annotate(
             success=result is not None,
@@ -387,11 +444,10 @@ def _boolean_divide_impl(
     config: DivisionConfig,
     phase: bool,
     form: str,
-    core_indices: Optional[Sequence[int]],
-    substitute_as: Optional[str],
-    circuit: Optional[Circuit],
+    base_circuit: Optional[Callable[[], Circuit]],
     budget,
     tracer,
+    screen,
 ) -> Optional[DivisionResult]:
     if form not in ("sop", "pos"):
         raise ValueError("form must be 'sop' or 'pos'")
@@ -401,8 +457,6 @@ def _boolean_divide_impl(
         return None
     if d_node.is_constant() or f_node.is_constant():
         return None
-    if core_indices is not None and (not phase or form != "sop"):
-        raise ValueError("core division requires phase=True and form='sop'")
 
     # ------------------------------------------------------------------
     # Shared variable space.
@@ -427,94 +481,40 @@ def _boolean_divide_impl(
     eff_phase = phase if form == "sop" else not phase
     d_map = [index[name] for name in d_node.fanins]
     divisor_candidates: List[Cover] = []
-    if core_indices is not None:
+    if divisor_name in index:
+        # The divisor is already one of f's fanins, so the dividend's
+        # cubes mention it as a *literal*: take the SOS containment
+        # against that literal.  Re-dividing by an existing fanin is
+        # how implication conflicts through the fanin's logic simplify
+        # f in place.
         divisor_candidates.append(
-            Cover(
-                d_node.cover.num_vars,
-                [d_node.cover.cubes[i] for i in core_indices],
-            ).remap(d_map, n)
+            Cover(n, [Cube.literal(index[divisor_name], eff_phase)])
         )
+    if eff_phase:
+        divisor_candidates.append(d_node.cover.remap(d_map, n))
     else:
-        if divisor_name in index:
-            # The divisor is already one of f's fanins, so the
-            # dividend's cubes mention it as a *literal*: take the SOS
-            # containment against that literal.  Re-dividing by an
-            # existing fanin is how implication conflicts through the
-            # fanin's logic simplify f in place.
-            divisor_candidates.append(
-                Cover(n, [Cube.literal(index[divisor_name], eff_phase)])
-            )
-        if eff_phase:
-            divisor_candidates.append(d_node.cover.remap(d_map, n))
-        else:
-            divisor_candidates.append(
-                complement(d_node.cover).remap(d_map, n)
-            )
+        divisor_candidates.append(complement(d_node.cover).remap(d_map, n))
 
     # ------------------------------------------------------------------
     # Substituted-cover plumbing shared across candidates.
     # ------------------------------------------------------------------
-    y_name = substitute_as or divisor_name
-    if y_name in index:
-        y_var, new_fanins, width = index[y_name], list(shared), n
+    if divisor_name in index:
+        y_var, new_fanins, width = index[divisor_name], list(shared), n
     else:
-        y_var, new_fanins, width = n, shared + [y_name], n + 1
+        y_var, new_fanins, width = n, shared + [divisor_name], n + 1
     y_literal = Cube.literal(y_var, eff_phase)
-    base_circuit = circuit
+
+    def analysis_circuit() -> Circuit:
+        if base_circuit is not None:
+            return base_circuit().copy()
+        return build_analysis_circuit(network, f_name, [divisor_name], config)
 
     def run_one(divisor_s: Cover) -> Optional[DivisionResult]:
         region_ids, remainder_ids = sos_split(dividend_s, divisor_s)
         if not region_ids:
             return None
-
-        # -- analysis circuit and the divisor assignment ----------------
-        if base_circuit is None:
-            work = build_analysis_circuit(
-                network, f_name, [divisor_name], config
-            )
-        else:
-            work = base_circuit.copy()
-        if core_indices is not None:
-            core_or = [
-                (divisor_cube_signal(divisor_name, i), True)
-                for i in core_indices
-                if divisor_cube_signal(divisor_name, i) in work.gates
-            ]
-            if len(core_or) != len(list(core_indices)):
-                # Divisor was degenerate (constant or single-cube node
-                # without per-cube gates); core division does not apply.
-                return None
-            work.add_or(CORE_SIGNAL, core_or)
-            divisor_assignment = (CORE_SIGNAL, True)
-        else:
-            divisor_assignment = (divisor_name, eff_phase)
-
         region = {i: dividend_s.cubes[i] for i in region_ids}
         remainder_cubes = [dividend_s.cubes[i] for i in remainder_ids]
-        remover = RegionRemover(
-            circuit=work,
-            f_name=f_name,
-            shared=shared,
-            region=region,
-            remainder_signals=[],
-            divisor_assignment=divisor_assignment,
-            config=config,
-            budget=budget,
-        )
-        # Remainder cubes also need gates (they are asserted to 0
-        # during propagation through f's output OR).
-        remainder_signals = []
-        for offset, cube in enumerate(remainder_cubes):
-            name = dividend_cube_signal(
-                f_name, len(dividend_s.cubes) + offset
-            )
-            inputs = [(shared[v], p) for v, p in cube.literals()]
-            if inputs:
-                work.add_and(name, inputs)
-            else:  # a full remainder cube would make f constant 1
-                work.add_gate(Gate(name, GateKind.CONST1))
-            remainder_signals.append(name)
-        remover.remainder_signals = remainder_signals
 
         def assemble(region_dict: Dict[int, Cube]) -> Optional[Cover]:
             cubes: List[Cube] = []
@@ -529,11 +529,8 @@ def _boolean_divide_impl(
                 cover = complement(cover)
             return cover
 
-        if (
-            config.oracle_dc
-            and substitute_as is None
-            and len(network.pis) <= 20
-        ):
+        removal_oracle = None
+        if config.oracle_dc and len(network.pis) <= 20:
             from repro.network.verify import exact_equivalent
 
             reference = network.copy("oracle-reference")
@@ -561,7 +558,26 @@ def _boolean_divide_impl(
                 finally:
                     f_node.set_function(*saved)
 
-            remover.removal_oracle = oracle
+            removal_oracle = oracle
+
+        # Remainder cubes get gates too (they are asserted to 0 during
+        # propagation through f's output OR), numbered after the
+        # dividend's cubes.
+        offset = len(dividend_s.cubes)
+        remover = RegionRemover(
+            analysis_circuit,
+            f_name=f_name,
+            shared=shared,
+            region=region,
+            remainder={
+                offset + k: cube for k, cube in enumerate(remainder_cubes)
+            },
+            divisor_assignment=(divisor_name, eff_phase),
+            config=config,
+            budget=budget,
+            screen=screen,
+            removal_oracle=removal_oracle,
+        )
 
         with tracer.span(
             "atpg", f=f_name, d=divisor_name, region=len(region)
@@ -570,6 +586,7 @@ def _boolean_divide_impl(
             atpg_span.annotate(
                 wires_removed=remover.wires_removed,
                 cubes_removed=remover.cubes_removed,
+                witnessed=remover.witnessed,
             )
 
         if not remover.region:
@@ -587,7 +604,7 @@ def _boolean_divide_impl(
         )
         return DivisionResult(
             f_name=f_name,
-            divisor_name=y_name,
+            divisor_name=divisor_name,
             phase=phase,
             form=form,
             new_fanins=new_fanins,
@@ -621,10 +638,11 @@ def divide_node_pair(
     f_name: str,
     divisor_name: str,
     config: DivisionConfig,
-    circuit: Optional[Circuit] = None,
+    base_circuit: Optional[Callable[[], Circuit]] = None,
     attempts: Optional[Sequence[Tuple[bool, str]]] = None,
     budget=None,
     tracer=None,
+    screen=None,
 ) -> Optional[DivisionResult]:
     """Best basic division of *f* by *d* across phases and forms.
 
@@ -636,6 +654,7 @@ def divide_node_pair(
     signature filter passes the subset it could not refute; variants it
     proved hopeless would return ``None`` here anyway, so the result is
     unchanged.  The subset must keep :data:`ALL_ATTEMPTS` order.
+    *base_circuit* and *screen* are passed to :func:`boolean_divide`.
     """
     if attempts is None:
         attempts = enabled_attempts(config)
@@ -649,9 +668,10 @@ def divide_node_pair(
             config,
             phase=phase,
             form=form,
-            circuit=circuit,
+            base_circuit=base_circuit,
             budget=budget,
             tracer=tracer,
+            screen=screen,
         )
         if result is not None and result.gain > 0:
             if best is None or result.gain > best.gain:

@@ -29,7 +29,9 @@ come from a single node (it has to be a decomposition of that node).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple,
+)
 
 import networkx as nx
 
@@ -37,15 +39,18 @@ from repro.twolevel.cube import Cube
 from repro.twolevel.cover import Cover
 from repro.twolevel.complement import complement
 from repro.circuit.circuit import Circuit
-from repro.circuit.gate import Gate, GateKind
 from repro.atpg.implication import imply
 from repro.network.network import Network
 from repro.core.config import DivisionConfig
 from repro.core.division import (
+    add_cube_gate,
     build_analysis_circuit,
     dividend_cube_signal,
     divisor_cube_signal,
 )
+
+if TYPE_CHECKING:
+    from repro.sim.witness import WitnessScreen
 
 
 @dataclasses.dataclass
@@ -83,6 +88,8 @@ class VoteTable:
     divisor_cubes: Dict[str, Cover]  # each divisor in the shared space
     entries: List[VoteEntry]
     form: str = "sop"
+    #: Wires whose vote a witness settled without an implication run.
+    witnessed: int = 0
 
     def to_str(self) -> str:
         lines = [f"vote table for {self.f_name}:"]
@@ -108,8 +115,8 @@ def build_vote_table(
     f_name: str,
     divisor_names: Sequence[str],
     config: DivisionConfig,
-    circuit: Optional[Circuit] = None,
     form: str = "sop",
+    screen=None,
 ) -> VoteTable:
     """Run the voting implications for every wire of *f*'s cubes.
 
@@ -117,6 +124,11 @@ def build_vote_table(
     terms and the candidates are divisor *sum terms* implied to 1 —
     realized by voting in the dual (complement-cover) space with
     synthetic AND gates for every dual cube.
+
+    *screen* is an optional :class:`~repro.sim.witness.WitnessScreen`
+    over signatures that match *network*.  A wire it settles gets the
+    empty vote without an implication run, and the analysis circuit is
+    built only for the first wire it leaves open.
     """
     if form not in ("sop", "pos"):
         raise ValueError("form must be 'sop' or 'pos'")
@@ -144,41 +156,48 @@ def build_vote_table(
         divisor_cubes[d_name] = d_cover.remap(
             [index[name] for name in d_node.fanins], n
         )
-
-    if circuit is None:
-        circuit = build_analysis_circuit(network, f_name, divisor_names, config)
-    else:
-        circuit = circuit.copy()
     cube_signal = (
         dividend_cube_signal if form == "sop" else dual_cube_signal
     )
-    # Dividend cube gates (all cubes; the original, unrestructured f).
-    for i, cube in enumerate(dividend.cubes):
-        name = cube_signal(f_name, i)
-        inputs = [(shared[v], p) for v, p in cube.literals()]
-        if inputs:
-            circuit.add_and(name, inputs)
-        else:
-            circuit.add_gate(Gate(name, GateKind.CONST1))
-    if form == "pos":
-        # Synthetic dual-cube gates for the divisors (their real gates
-        # stay in the circuit and add implication power).
-        for d_name, cover in divisor_cubes.items():
-            for j, cube in enumerate(cover.cubes):
-                name = dual_cube_signal(d_name, j)
-                inputs = [(shared[v], p) for v, p in cube.literals()]
-                if name in circuit.gates:
-                    continue
-                if inputs:
-                    circuit.add_and(name, inputs)
-                else:
-                    circuit.add_gate(Gate(name, GateKind.CONST1))
+
+    circuit: Optional[Circuit] = None
+
+    def analysis_circuit() -> Circuit:
+        nonlocal circuit
+        if circuit is not None:
+            return circuit
+        circuit = build_analysis_circuit(
+            network, f_name, divisor_names, config
+        )
+        # Dividend cube gates (all cubes; the original, unrestructured f).
+        for i, cube in enumerate(dividend.cubes):
+            add_cube_gate(circuit, cube_signal(f_name, i), cube, shared)
+        if form == "pos":
+            # Synthetic dual-cube gates for the divisors (their real
+            # gates stay in the circuit and add implication power).
+            for d_name, cover in divisor_cubes.items():
+                for j, cube in enumerate(cover.cubes):
+                    name = dual_cube_signal(d_name, j)
+                    if name not in circuit.gates:
+                        add_cube_gate(circuit, name, cube, shared)
+        return circuit
+
+    witness = None
+    if screen is not None:
+        witness = _VoteWitness(
+            screen,
+            shared,
+            {
+                cube_signal(f_name, i): screen.cube(cube, shared)
+                for i, cube in enumerate(dividend.cubes)
+            },
+        )
 
     entries: List[VoteEntry] = []
     for i, cube in enumerate(dividend.cubes):
         for var, phase in cube.literals():
             entry = _vote_for_wire(
-                circuit,
+                analysis_circuit,
                 f_name,
                 shared,
                 dividend,
@@ -188,6 +207,7 @@ def build_vote_table(
                 phase,
                 config,
                 form,
+                witness,
             )
             entries.append(entry)
     return VoteTable(
@@ -197,11 +217,44 @@ def build_vote_table(
         divisor_cubes=divisor_cubes,
         entries=entries,
         form=form,
+        witnessed=0 if witness is None else witness.witnessed,
     )
 
 
+@dataclasses.dataclass
+class _VoteWitness:
+    """A vote table's view of the witness screen: the table's shared
+    signals and the packed values of its dividend cube gates."""
+
+    screen: WitnessScreen
+    shared: List[str]
+    gates: Dict[str, int]
+    witnessed: int = 0
+
+    def settles(
+        self,
+        assignments: List[Tuple[str, bool]],
+        cube: Cube,
+        divisor_cubes: Dict[str, Cover],
+    ) -> bool:
+        """True when a witness meets *assignments* and every divisor
+        cube containing the wire's *cube* is 1 on some witness: no such
+        cube can be implied to 0, so the wire's vote is empty."""
+        screen = self.screen
+        mask = screen.witnesses(assignments, self.gates)
+        if not mask:
+            return False
+        for cover in divisor_cubes.values():
+            for k in cover.cubes:
+                if k.contains(cube) and not mask & screen.cube(k, self.shared):
+                    return False
+        self.witnessed += 1
+        screen.tests_witnessed += 1
+        return True
+
+
 def _vote_for_wire(
-    circuit: Circuit,
+    analysis_circuit: Callable[[], Circuit],
     f_name: str,
     shared: List[str],
     dividend: Cover,
@@ -211,6 +264,7 @@ def _vote_for_wire(
     phase: bool,
     config: DivisionConfig,
     form: str = "sop",
+    witness: Optional[_VoteWitness] = None,
 ) -> VoteEntry:
     cube_signal = (
         dividend_cube_signal if form == "sop" else dual_cube_signal
@@ -225,7 +279,11 @@ def _vote_for_wire(
         if j != cube_index:
             assignments.append((cube_signal(f_name, j), False))
 
-    state = imply(circuit, assignments, config.learn_depth)
+    if witness is not None and witness.settles(
+        assignments, cube, divisor_cubes
+    ):
+        return VoteEntry(cube_index, var, phase, {})
+    state = imply(analysis_circuit(), assignments, config.learn_depth)
     if state is None:
         return VoteEntry(cube_index, var, phase, {}, already_redundant=True)
 

@@ -67,6 +67,10 @@ class SubstitutionStats:
     sim_cache_misses: int = 0
     #: Nodes re-evaluated by incremental re-simulation after rewrites.
     resim_nodes: int = 0
+    #: Implication tests a sampled pattern settled without an ``imply``
+    #: run (:mod:`repro.sim.witness`): removal, clean and vote tests
+    #: alike.  Deterministic, like ``divide_calls``.
+    tests_witnessed: int = 0
     #: D-alg searches that ran out of backtracks/deadline; their
     #: verdicts were treated conservatively as "not redundant".
     atpg_incomplete: int = 0
@@ -345,12 +349,16 @@ def _try_extended(
     key = memo.extended_key(form, f_name, divisors)
     if memo.skip(key):
         return False
+    screen = None if sim_filter is None else sim_filter.screen
     with tracer.span("vote", f=f_name, form=form) as vote_span:
-        table = build_vote_table(network, f_name, divisors, config, form=form)
+        table = build_vote_table(
+            network, f_name, divisors, config, form=form, screen=screen
+        )
         choice = choose_core_divisor(table, config)
         vote_span.annotate(
             wires=len(table.entries),
             candidates=sum(1 for entry in table.entries if entry.candidates),
+            witnessed=table.witnessed,
         )
     if choice is None:
         memo.record(key)
@@ -373,7 +381,7 @@ def _try_extended(
     if whole:
         result = boolean_divide(
             network, f_name, d_name, config, form=form, budget=budget,
-            tracer=tracer,
+            tracer=tracer, screen=screen,
         )
         if result is None or result.gain <= 0:
             memo.record(key)
@@ -415,9 +423,12 @@ def _try_extended(
         )
     snapshot.note_created(core_name)
     try:
+        # The signatures are not refreshed before this division: the
+        # divisor kept its function, and the screen evaluates the core
+        # node, which the simulator has not seen, from its fanins.
         result = boolean_divide(
             network, f_name, core_name, config, form=form, budget=budget,
-            tracer=tracer,
+            tracer=tracer, screen=screen,
         )
     except BudgetExhausted:
         # The divisor is already decomposed; undo before unwinding so
@@ -541,6 +552,7 @@ def _run_pass(
     recorded as failed.
     """
     n_enabled = len(enabled_attempts(config))
+    screen = None if sim_filter is None else sim_filter.screen
     names = [node.name for node in network.internal_nodes()]
     for f_name in names:
         if f_name not in network.nodes:
@@ -559,19 +571,21 @@ def _run_pass(
         # decomposition step below only fires where basic failed).
         # In GDC mode the analysis circuit covers the whole network
         # minus TFO(f) and is divisor-independent, so it is built once
-        # per dividend (rewrites of f itself never invalidate it — f's
-        # own gates are excluded by construction).  It is built lazily:
-        # when the filter or the memo skips every pair of this
-        # dividend, no division needs it.
+        # per dividend (rewrites of f itself never change its gates —
+        # f's own gates are excluded by construction).  It is built
+        # lazily: when the filter, the memo or the witness screen
+        # settles every test of this dividend, nothing needs it.
         shared_circuit = None
 
         def _gdc_circuit(f_name=f_name):
             nonlocal shared_circuit
-            if config.global_dc and shared_circuit is None:
+            if shared_circuit is None:
                 shared_circuit = build_analysis_circuit(
                     network, f_name, [], config
                 )
             return shared_circuit
+
+        base_circuit = _gdc_circuit if config.global_dc else None
 
         for d_name in divisors:
             if d_name not in network.nodes:
@@ -609,15 +623,22 @@ def _run_pass(
                     f_name,
                     d_name,
                     config,
-                    circuit=_gdc_circuit(),
+                    base_circuit=base_circuit,
                     attempts=attempts,
                     budget=budget,
                     tracer=tracer,
+                    screen=screen,
                 )
                 if result is None:
                     memo.record(key)
                     pair_span.annotate(accepted=False)
                     continue
+                if base_circuit is not None:
+                    # A commit can reorder network.topo_order(), which
+                    # fixes the circuit's gate order: a division whose
+                    # tests were all witnessed must not leave the build
+                    # to a later pair.
+                    base_circuit()
                 with tracer.span(
                     "commit", f=f_name, d=d_name, via="basic"
                 ) as commit_span:
@@ -804,6 +825,7 @@ def substitute_network(
         stats.sim_cache_hits += sim_filter.cache_hits
         stats.sim_cache_misses += sim_filter.cache_misses
         stats.resim_nodes += sim_filter.sim.nodes_resimulated
+        stats.tests_witnessed += sim_filter.screen.tests_witnessed
     if budget is not None:
         stats.atpg_incomplete += (
             budget.atpg_incomplete - atpg_incomplete_before

@@ -68,6 +68,7 @@ from repro.resilience.checkpoint import CommitLedger
 from repro.resub.resyn import resynthesize_window
 from repro.resub.window import build_window, pi_supports
 from repro.sim.signature import SignatureSimulator
+from repro.sim.witness import WitnessScreen
 from repro.twolevel.cover import Cover
 
 
@@ -89,6 +90,7 @@ def _clean_cover(
     config: DivisionConfig,
     budget,
     memo: Optional[Dict[tuple, Tuple[Cover, int]]] = None,
+    screen: Optional[WitnessScreen] = None,
 ) -> Tuple[Cover, int]:
     """ATPG-clean a candidate cover; returns (cover, removals).
 
@@ -111,6 +113,11 @@ def _clean_cover(
     each divisor's ``(name, fanins, cover)``, which is the key.  With
     ``global_dc`` the circuit reads the whole network outside TFO(f),
     and nothing is memoized.
+
+    *screen* (a :class:`~repro.sim.witness.WitnessScreen` over the
+    run's current signatures) settles the tests a sampled pattern
+    meets without an implication run; the analysis circuit is built
+    only for a test it leaves open.
     """
     if not divisors or cover.is_zero():
         return cover, 0
@@ -133,16 +140,18 @@ def _clean_cover(
         hit = memo.get(key)
         if hit is not None:
             return hit
-    circuit = build_analysis_circuit(network, f_name, list(divisors), config)
     remover = RegionRemover(
-        circuit=circuit,
+        lambda: build_analysis_circuit(
+            network, f_name, list(divisors), config
+        ),
         f_name=f_name,
         shared=list(divisors),
         region=dict(enumerate(cover.cubes)),
-        remainder_signals=[],
+        remainder={},
         divisor_assignment=None,
         config=config,
         budget=budget,
+        screen=screen,
     )
     remover.run()
     cleaned = Cover(
@@ -204,6 +213,7 @@ def _resub_pass(
     ledger,
     tracer,
     clean_memo: Optional[Dict[tuple, Tuple[Cover, int]]] = None,
+    screen: Optional[WitnessScreen] = None,
 ) -> None:
     use_dc = (
         config.resub_use_dontcares
@@ -283,7 +293,7 @@ def _resub_pass(
                         continue
                     cleaned, removed = _clean_cover(
                         network, f_name, subset, cover, config, budget,
-                        clean_memo,
+                        clean_memo, screen,
                     )
                     stats.resub_wires_cleaned += removed
                     if factored_literals(cleaned) >= old_lits:
@@ -368,6 +378,7 @@ def simguided_substitute(
             reference, config, stats, types.SimpleNamespace(sim=sim)
         )
     clean_memo: Dict[tuple, Tuple[Cover, int]] = {}
+    screen = WitnessScreen(sim)
     with tracer.span(
         "run", circuit=network.name, mode=config.mode, method="simguided"
     ) as run_span:
@@ -379,7 +390,7 @@ def simguided_substitute(
                 try:
                     _resub_pass(
                         network, reference, config, stats, sim,
-                        budget, ledger, tracer, clean_memo,
+                        budget, ledger, tracer, clean_memo, screen,
                     )
                 except BudgetExhausted:
                     # Clean stop between commits; everything applied so
@@ -396,6 +407,7 @@ def simguided_substitute(
         network.sweep_dangling()
         run_span.annotate(accepted=stats.accepted)
     stats.resim_nodes += sim.nodes_resimulated
+    stats.tests_witnessed += screen.tests_witnessed
     if budget is not None:
         stats.budget_report = budget.report()
     stats.cpu_seconds += time.perf_counter() - start

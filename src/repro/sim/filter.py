@@ -45,6 +45,7 @@ from repro.core.config import DivisionConfig
 from repro.core.division import ALL_ATTEMPTS, enabled_attempts
 from repro.sim.cache import LRUCache
 from repro.sim.signature import SignatureSimulator
+from repro.sim.witness import WitnessScreen
 
 
 class DivisorFilter:
@@ -69,6 +70,9 @@ class DivisorFilter:
         self.sim = SignatureSimulator(
             network, patterns=config.sim_patterns, seed=config.sim_seed
         )
+        #: The witness screen the division engine puts in front of its
+        #: implication tests, over the same signatures.
+        self.screen = WitnessScreen(self.sim)
         self._sig_cache = LRUCache(config.sim_cache_size)
         self._verdict_cache = LRUCache(config.containment_cache_size)
         self._enabled = tuple(enabled_attempts(config))

@@ -107,13 +107,6 @@ class TestBasicSop:
         with pytest.raises(ValueError):
             boolean_divide(net, "f", "g", BASIC, form="nonsense")
 
-    def test_core_requires_sop_positive(self):
-        net = paper()
-        with pytest.raises(ValueError):
-            boolean_divide(
-                net, "f", "g", BASIC, phase=False, core_indices=[0]
-            )
-
     def test_region_size_guard(self):
         config = DivisionConfig(max_region_cubes=2)
         net = paper()
@@ -151,28 +144,6 @@ class TestPos:
         pos = boolean_divide(net, "f", "g", BASIC, phase=True, form="pos")
         sop_gain = sop.gain if sop else 0
         assert pos is not None and pos.gain >= max(sop_gain, 1)
-
-
-class TestCoreDivision:
-    def test_core_subset_division(self):
-        net = Network()
-        for pi in "abcdefx":
-            net.add_pi(pi)
-        net.parse_node("g", "ab + cd + ef", list("abcdef"))
-        net.parse_node("t", "abx + cdx", ["a", "b", "c", "d", "x"])
-        net.add_po("t")
-        net.add_po("g")
-        result = boolean_divide(
-            net,
-            "t",
-            "g",
-            EXTENDED_GDC,
-            core_indices=[0, 1],
-            substitute_as="core",
-        )
-        assert result is not None
-        assert result.quotient.num_cubes() == 1
-        assert "core" in result.new_fanins
 
 
 class TestDivideNodePair:
@@ -248,25 +219,6 @@ class TestOracleDc:
             reference = net.copy()
             substitute_network(net, ORACLE)
             assert networks_equivalent(reference, net)
-
-    def test_oracle_skipped_for_pending_core_nodes(self):
-        # substitute_as names a node that does not exist yet; the
-        # oracle cannot apply candidates and must stay disabled.
-        from repro.core.config import ORACLE
-
-        net = Network()
-        for pi in "abcdex":
-            net.add_pi(pi)
-        net.parse_node("g", "ab + cd + e", list("abcde"))
-        net.parse_node("t", "abx + cdx", ["a", "b", "c", "d", "x"])
-        net.add_po("t")
-        net.add_po("g")
-        result = boolean_divide(
-            net, "t", "g", ORACLE, core_indices=[0, 1],
-            substitute_as="pending",
-        )
-        # Must not crash; core path simply runs without the oracle.
-        assert result is None or "pending" in result.new_fanins
 
     def test_unknown_oracle_verdict_keeps_the_wire(self):
         # On this network the oracle proves removals the implications

@@ -243,3 +243,80 @@ class TestVoteSpan:
         by_id = {e["id"]: e for e in tracer.events}
         assert all(by_id[e["parent"]]["kind"] == "pass" for e in votes)
         assert any(e["attrs"]["candidates"] > 0 for e in votes)
+
+
+class TestWitnessScreen:
+    """The witness screen in front of the vote and of the core division
+    (``repro/sim/witness.py``, DESIGN §17) changes no outcome."""
+
+    @staticmethod
+    def _no_witness(monkeypatch):
+        from repro.sim.witness import WitnessScreen
+
+        monkeypatch.setattr(
+            WitnessScreen, "witnesses", lambda self, assignments, gates: 0
+        )
+
+    @pytest.mark.parametrize(
+        "build, f_name, form",
+        [(fat, "f1", "sop"), (fat, "f2", "sop"), (pos_fat, "t1", "pos")],
+    )
+    @pytest.mark.parametrize("config", [EXTENDED, EXTENDED_GDC])
+    def test_screened_votes_equal_the_unscreened_votes(
+        self, build, f_name, form, config
+    ):
+        from repro.sim.signature import SignatureSimulator
+        from repro.sim.witness import WitnessScreen
+
+        net = build()
+        screen = WitnessScreen(SignatureSimulator(net))
+        screened = build_vote_table(
+            net, f_name, ["g"], config, form=form, screen=screen
+        )
+        plain = build_vote_table(build(), f_name, ["g"], config, form=form)
+        assert screened.entries == plain.entries
+        assert screened.witnessed > 0
+        assert screen.tests_witnessed == screened.witnessed
+        assert plain.witnessed == 0
+
+    def test_core_division_reads_the_just_exposed_core_node(
+        self, monkeypatch
+    ):
+        """The core node has no signature when extended division
+        divides by it; the screen evaluates it from its fanins, and the
+        run equals one without the screen."""
+        import dataclasses
+
+        from repro.core.extended import core_prefix
+        from repro.core.substitution import substitute_network
+        from repro.network.blif import to_blif_str
+        from repro.sim.witness import WitnessScreen
+
+        real = WitnessScreen.witnesses
+        unseen = []
+
+        def spy(self, assignments, gates):
+            unseen.extend(
+                name
+                for name, _ in assignments
+                if name not in gates and name not in self.sim.signatures
+            )
+            return real(self, assignments, gates)
+
+        monkeypatch.setattr(WitnessScreen, "witnesses", spy)
+        screened = fat()
+        stats = dataclasses.asdict(substitute_network(screened, EXTENDED))
+        assert stats["cores_extracted"] >= 1
+        # Only exposed core nodes are read before a refresh.
+        assert any(name.startswith(core_prefix("g")) for name in unseen)
+        assert all("_core" in name for name in unseen)
+
+        self._no_witness(monkeypatch)
+        opened = fat()
+        plain = dataclasses.asdict(substitute_network(opened, EXTENDED))
+        assert to_blif_str(screened) == to_blif_str(opened)
+        for fields in (stats, plain):
+            fields.pop("cpu_seconds")
+        assert stats.pop("tests_witnessed") > 0
+        assert plain.pop("tests_witnessed") == 0
+        assert stats == plain

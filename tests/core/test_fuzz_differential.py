@@ -12,7 +12,11 @@ configurations (BASIC, EXTENDED, EXTENDED_GDC) and checked three ways:
   check), and the run's ``literals_after`` is its literal count, no
   more than ``literals_before``;
 * under BASIC, ``verify_commits`` verifies every commit, rolls none
-  back and gives the BLIF of the unverified run.
+  back and gives the BLIF of the unverified run;
+* the witness screen (``repro/sim/witness.py``) only skips implication
+  runs whose answer a sampled pattern already gives: a run with the
+  screen switched off gives the byte-identical BLIF and every counter
+  but ``tests_witnessed``, which the screened run makes positive.
 
 ``tests/core/test_sim_filter_property.py`` checks the filter parity on
 suite circuits under BASIC and EXTENDED; this corpus adds POS-planted
@@ -28,6 +32,7 @@ from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
 from repro.network.factor import network_literals
 from repro.network.verify import networks_equivalent
+from repro.sim.witness import WitnessScreen
 from tests.sat.test_three_oracle import _build, _fuzz_cases
 
 CONFIGS = {"basic": BASIC, "ext": EXTENDED, "ext_gdc": EXTENDED_GDC}
@@ -86,6 +91,34 @@ def test_output_is_equivalent_and_no_larger(case, label, filtered_run):
     assert stats.literals_before == network_literals(_build(case))
     assert stats.literals_after == network_literals(network)
     assert stats.literals_after <= stats.literals_before
+
+
+def without_witnesses(monkeypatch):
+    """Switch the witness screen off: no test has a witness."""
+    monkeypatch.setattr(
+        WitnessScreen, "witnesses", lambda self, assignments, gates: 0
+    )
+
+
+def counters(stats):
+    """Every stats field but the timing."""
+    fields = dataclasses.asdict(stats)
+    fields.pop("cpu_seconds")
+    return fields
+
+
+@pytest.mark.parametrize("case, label", CASES)
+def test_witness_screen_changes_no_output(
+    case, label, filtered_run, monkeypatch
+):
+    network, stats = filtered_run(case, label)
+    without_witnesses(monkeypatch)
+    open_network, unscreened = _run(case, CONFIGS[label])
+    assert to_blif_str(network) == to_blif_str(open_network)
+    screened, opened = counters(stats), counters(unscreened)
+    assert screened.pop("tests_witnessed") > 0
+    assert opened.pop("tests_witnessed") == 0
+    assert screened == opened
 
 
 @pytest.mark.parametrize("case", _fuzz_cases(), ids=_case_id)

@@ -8,7 +8,10 @@ perturb it: the same run under ``--trace`` and under
 ``--verify-commits --stats-json`` must reproduce the identical file,
 with the transactional ledger rolling nothing back and quarantining
 nothing, and the ``resub_*`` counters must land in the stats report,
-identical from run to run.
+identical from run to run.  The witness screen in front of the
+candidate clean (``repro/sim/witness.py``) must not perturb it either:
+switched off, the run writes the same file and every counter but
+``tests_witnessed``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import pathlib
 
 from repro.cli import main
+from repro.sim.witness import WitnessScreen
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -98,3 +102,25 @@ def test_simguided_stats_are_byte_stable_across_runs(tmp_path):
             }
         )
     assert snapshots[0] == snapshots[1]
+
+
+def test_witness_screen_changes_no_output_or_counter(tmp_path, monkeypatch):
+    reports = []
+    for screened in (True, False):
+        if not screened:
+            monkeypatch.setattr(
+                WitnessScreen, "witnesses", lambda self, assignments, gates: 0
+            )
+        out = tmp_path / f"rnd8_{screened}.blif"
+        stats_path = tmp_path / f"stats_{screened}.json"
+        assert _optimize(out, ("--stats-json", str(stats_path))) == 0
+        assert out.read_bytes() == (
+            GOLDEN / "rnd8_simguided.blif"
+        ).read_bytes()
+        sub = json.loads(stats_path.read_text())["substitution"]
+        sub.pop("cpu_seconds")
+        reports.append(sub)
+    screened, opened = reports
+    assert screened.pop("tests_witnessed") > 0
+    assert opened.pop("tests_witnessed") == 0
+    assert screened == opened
