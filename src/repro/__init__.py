@@ -6,8 +6,8 @@ and Removing" (DAC 1998 / IEEE TCAD 18(8), 1999), together with every
 substrate the paper depends on: a two-level cube algebra with an
 espresso-style minimizer, a SIS-like multilevel Boolean network with
 algebraic division/kernels/factoring, a gate-level circuit view with an
-ATPG implication engine, a BDD package for verification, SIS-script
-emulation, and a deterministic benchmark suite.
+ATPG implication engine, a BDD package for don't cares and the test
+oracle, SIS-script emulation, and a deterministic benchmark suite.
 
 Quickstart::
 

@@ -138,16 +138,16 @@ def _optimize_main(argv: List[str]) -> int:
     parser.add_argument(
         "--verify-backend",
         default=None,
-        choices=["auto", "bdd", "sat"],
+        choices=["auto", "sat"],
         help=(
             "exact-equivalence backend for the final check and every "
             "exact check of the run (--verify-commits full checks, "
-            "simguided validation): bdd builds output-cone ROBDDs, "
-            "sat solves a budgeted CNF miter with the CDCL engine, "
-            "auto (default) picks BDDs up to 16 inputs and SAT above; "
-            "a SAT proof that cannot complete counts as not equal, so "
-            "the choice can change the output (a commit rolls back) "
-            "or fail the final check"
+            "simguided validation): auto (default) simulates every "
+            "input pattern up to 20 inputs and solves a budgeted CNF "
+            "miter with the CDCL engine above; sat always solves the "
+            "miter.  A SAT proof that cannot complete counts as not "
+            "equal, so the choice can change the output (a commit "
+            "rolls back) or fail the final check"
         ),
     )
     parser.add_argument(

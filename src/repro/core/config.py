@@ -84,13 +84,14 @@ class DivisionConfig:
     #: Backend of every exact equivalence check in a run — the
     #: ``verify_commits`` full checks, simguided validation and the
     #: ``oracle_dc`` oracle (see
-    #: :func:`~repro.network.verify.exact_equivalent`): "bdd" builds
-    #: ROBDDs of every PO cone, "sat" solves a CNF miter with the CDCL
-    #: engine (:mod:`repro.sat`), and "auto" picks BDDs up to
-    #: :data:`~repro.network.verify.SAT_PI_THRESHOLD` (16) inputs and
-    #: SAT above.  Both backends prove; only a SAT solve can end
-    #: unknown (see ``sat_conflict_budget``), so the choice can change
-    #: the output when a proof does not complete.
+    #: :func:`~repro.network.verify.exact_equivalent`): "auto"
+    #: simulates every input pattern up to
+    #: :data:`~repro.network.verify.EXHAUSTIVE_PI_LIMIT` (20) inputs
+    #: and solves a CNF miter with the CDCL engine (:mod:`repro.sat`)
+    #: above; "sat" always solves the miter.  Both backends prove;
+    #: only a SAT solve can end unknown (see ``sat_conflict_budget``),
+    #: so the choice can change the output when a proof does not
+    #: complete.
     verify_backend: str = "auto"
 
     #: Conflict budget per SAT solve.  An exhausted search is an
@@ -208,10 +209,8 @@ class DivisionConfig:
         )
         if self.verify_full_every < 1:
             raise ValueError("verify_full_every must be >= 1")
-        if self.verify_backend not in ("auto", "bdd", "sat"):
-            raise ValueError(
-                "verify_backend must be 'auto', 'bdd' or 'sat'"
-            )
+        if self.verify_backend not in ("auto", "sat"):
+            raise ValueError("verify_backend must be 'auto' or 'sat'")
         if self.sat_conflict_budget < 0:
             raise ValueError("sat_conflict_budget must be >= 0")
 

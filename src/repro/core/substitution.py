@@ -119,8 +119,8 @@ class SubstitutionStats:
     budget_report: Optional[BudgetReport] = None
 
     def add_solver_work(self, verdict) -> None:
-        """Count one exact verdict's SAT solve (a BDD verdict adds
-        nothing)."""
+        """Count one exact verdict's SAT solve (an enumeration verdict
+        adds nothing)."""
         if verdict.backend != "sat":
             return
         self.sat_solves += 1

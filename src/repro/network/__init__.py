@@ -12,7 +12,8 @@ paper's experiments rely on:
 * :mod:`repro.network.extract` — ``gcx``/``gkx`` extraction,
 * :mod:`repro.network.factor` — factored-form literal counting,
 * :mod:`repro.network.blif` — BLIF reader/writer,
-* :mod:`repro.network.verify` — simulation and BDD equivalence.
+* :mod:`repro.network.verify` — the exact equivalence verdict, the
+  BDD oracle and the random-simulation screen.
 """
 
 from repro.network.node import Node

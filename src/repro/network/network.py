@@ -16,14 +16,20 @@ def eval_cube_packed(cube: Cube, fanin_values: Sequence[int], mask: int) -> int:
     *fanin_values* holds one integer per cover variable whose bit ``k``
     is that variable's value in pattern ``k``; *mask* has one bit per
     packed pattern.  The result has bit ``k`` set iff the cube is 1
-    under pattern ``k``.
+    under pattern ``k``.  The term never leaves *mask*, so the
+    complement ``mask ^ value`` agrees with ``mask & ~value`` on it for
+    any integer *value*.
     """
     term = mask
-    for var, phase in cube.literals():
-        value = fanin_values[var]
-        term &= value if phase else (mask & ~value)
+    pos = cube.pos
+    support = pos | cube.neg
+    while support:
+        low = support & -support
+        value = fanin_values[low.bit_length() - 1]
+        term &= value if pos & low else mask ^ value
         if not term:
             break
+        support ^= low
     return term
 
 

@@ -18,8 +18,9 @@ a copy of the network after every proven exact check.  Equivalence is
 transitive, so proving against the last proven state proves against
 the input, and the proof also covers the commits only screened since
 the previous one.  Between the two states only the rewritten nodes and
-their fanout differ, which is all the structurally shared SAT miter
-(:func:`~repro.sat.cnf.build_miter`) leaves to the solver.  A failed
+their fanout differ, and that is all either exact backend looks at:
+both leave out what the two networks share by structure
+(:func:`~repro.network.verify.shared_nodes`).  A failed
 check leaves the reference where it was, so with
 ``verify_full_every=1`` a rollback restores exactly the last proven
 state.
@@ -85,8 +86,8 @@ class CommitLedger:
         """Check the just-applied commit under one ``verify`` span;
         False means roll it back.
 
-        The span records the backend (``bdd``/``sat`` for an exact
-        check, ``simulation`` for the screen) and the status.  A
+        The span records the backend (``exhaustive`` or ``sat`` for an
+        exact check, ``simulation`` for the screen) and the status.  A
         passing screen proves nothing, so its status is ``unknown``;
         a failing one has found a distinguishing pattern
         (``different``).

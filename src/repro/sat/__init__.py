@@ -1,9 +1,9 @@
 """SAT backend: Tseitin CNF encoding and a small CDCL solver.
 
-The exact-reasoning storey above the BDD and exhaustive-simulation
-oracles: equivalence checking and stuck-at untestability that scale
-past the ~16-input wall (see DESIGN.md §12).  Zero dependencies, like
-the rest of the repo.
+The exact-reasoning storey above enumeration: equivalence checking
+past the 20 inputs that simulating every pattern affords (see
+DESIGN.md §12 and §18), and stuck-at untestability.  Zero
+dependencies, like the rest of the repo.
 """
 
 from repro.sat.cnf import (

@@ -17,7 +17,8 @@ conflict budget ran out — mirroring
 :func:`repro.atpg.dalg.prove_redundant`, and carrying the same
 conservative-consumer contract (an exhausted proof is *never* treated
 as a proof: a verdict is truthy only for a completed ``True``).  The
-same type carries the BDD backend's answers out of
+same type carries the enumeration backend's answers
+(:func:`repro.network.verify.exhaustive_equivalent`) out of
 :func:`repro.network.verify.exact_equivalent`, the one place that
 picks a backend.
 
@@ -49,12 +50,16 @@ class Verdict:
     ``verdict`` answers the caller's question (*equivalent?* /
     *untestable?* — both ask whether the two sides of a miter are
     equal); ``None`` means the conflict budget ran out.  ``backend``
-    is ``"bdd"`` or ``"sat"``.  ``counterexample`` is a primary-input
-    assignment witnessing a ``False`` SAT verdict (a distinguishing
-    input for equivalence, a test vector for untestability).  The
-    solver counters and CNF stats ride along for spans and
-    :class:`~repro.core.substitution.SubstitutionStats`; a BDD verdict
-    leaves them at zero.
+    is ``"exhaustive"`` (every input pattern simulated; never
+    ``None``) or ``"sat"``.  ``counterexample`` is a primary-input
+    assignment over the PI union witnessing a ``False`` verdict (a
+    distinguishing input for equivalence, a test vector for
+    untestability); the enumeration gives the lowest differing
+    pattern, SAT the solver's model.  Networks with different PO name
+    sets are ``False`` without one.  The solver counters and CNF stats
+    ride along for spans and
+    :class:`~repro.core.substitution.SubstitutionStats`; an
+    enumeration verdict leaves them at zero.
 
     ``bool(verdict)`` is True only for a completed proof of equality,
     so ``if not verdict`` rejects both a difference and an unknown.
@@ -141,7 +146,7 @@ def sat_equivalent(
     the shared PI union; ``verdict=None`` means the conflict budget
     ran out (``complete=False``): not a proof either way.
     Networks with different PO name sets are trivially inequivalent
-    (same convention as the BDD oracle), without a counterexample.
+    (same convention as the enumeration), without a counterexample.
     """
     if sorted(a.pos) != sorted(b.pos):
         return Verdict(verdict=False, backend="sat")

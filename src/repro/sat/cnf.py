@@ -28,6 +28,7 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.network import Network
+from repro.network.verify import shared_nodes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,15 +203,14 @@ def build_miter(a: Network, b: Network) -> Miter:
     The caller guarantees ``sorted(a.pos) == sorted(b.pos)``.  PIs are
     matched by name (the union is allocated first, in sorted order, so
     variable numbering is deterministic); a PI one network lacks is a
-    free input to the other, and a name that is a PI on one side only
-    is never shared.  A node of ``b`` with the name, fanin list and
-    cover of a node of ``a``, whose fanins all share their variables,
-    computes the same function of the same inputs: it takes ``a``'s
-    variable and emits no clauses.  A PO whose two sides share one
-    variable needs no XOR, so a pair with no differing PO is the empty
-    clause.  The returned formula is satisfiable iff some input
-    assignment makes at least one paired output differ — i.e. UNSAT
-    proves equivalence.
+    free input to the other.  A node of ``b`` that
+    :func:`~repro.network.verify.shared_nodes` proves equal to ``a``'s
+    node of its name takes ``a``'s variable and emits no clauses; the
+    enumeration backend follows the same rule.  A PO whose two sides
+    share one variable needs no XOR, so a pair with no differing PO is
+    the empty clause.  The returned formula is satisfiable iff some
+    input assignment makes at least one paired output differ — i.e.
+    UNSAT proves equivalence.
     """
     if sorted(a.pos) != sorted(b.pos):
         raise ValueError("miter requires identical primary-output names")
@@ -219,21 +219,12 @@ def build_miter(a: Network, b: Network) -> Miter:
     for pi in sorted(set(a.pis) | set(b.pis)):
         pi_vars[pi] = cnf.new_var()
     values_a = encode_network(cnf, a, {pi: pi_vars[pi] for pi in a.pis})
-    # b's PIs, then every node that reuses a's variable; topological
-    # order decides each node's fanins before the node itself.
+    # b's PIs, then every internal node that reuses a's variable.
+    shared = [
+        name for name in shared_nodes(a, b) if not b.nodes[name].is_pi
+    ]
     known = {pi: pi_vars[pi] for pi in b.pis}
-    shared = 0
-    for name in b.topo_order():
-        node, twin = b.nodes[name], a.nodes.get(name)
-        if (
-            twin is not None
-            and not node.is_pi
-            and node.fanins == twin.fanins
-            and node.cover == twin.cover
-            and all(known.get(f) == values_a[f] for f in node.fanins)
-        ):
-            known[name] = values_a[name]
-            shared += 1
+    known.update((name, values_a[name]) for name in shared)
     values_b = encode_network(cnf, b, known)
     diff_vars: Dict[str, int] = {}
     for po in sorted(a.pos):
@@ -248,4 +239,6 @@ def build_miter(a: Network, b: Network) -> Miter:
         cnf.add_clause((x, va, -vb))
         diff_vars[po] = x
     cnf.add_clause(tuple(diff_vars[po] for po in sorted(diff_vars)))
-    return Miter(cnf=cnf, pi_vars=pi_vars, diff_vars=diff_vars, shared=shared)
+    return Miter(
+        cnf=cnf, pi_vars=pi_vars, diff_vars=diff_vars, shared=len(shared)
+    )

@@ -7,10 +7,12 @@ from repro.network.network import Network
 from repro.network import verify
 from repro.network.verify import (
     exact_equivalent,
+    exhaustive_equivalent,
     network_output_bdds,
     networks_equivalent,
     simulate_equivalent,
 )
+from repro.twolevel.cover import Cover
 
 
 def pair(f_expr: str, g_expr: str):
@@ -101,25 +103,29 @@ def wide_pair(n_pis: int):
 
 
 class TestExactEquivalent:
-    def test_auto_uses_bdds_up_to_the_threshold(self):
-        a, b = wide_pair(verify.SAT_PI_THRESHOLD)
+    def test_auto_enumerates_up_to_the_threshold(self):
+        a, b = wide_pair(verify.EXHAUSTIVE_PI_LIMIT)
         verdict = exact_equivalent(a, b)
-        assert verdict.backend == "bdd"
+        assert verdict.backend == "exhaustive"
         assert verdict and verdict.status == "equal"
 
     def test_auto_uses_sat_above_the_threshold(self):
-        a, b = wide_pair(verify.SAT_PI_THRESHOLD + 1)
+        a, b = wide_pair(verify.EXHAUSTIVE_PI_LIMIT + 1)
         verdict = exact_equivalent(a, b)
         assert verdict.backend == "sat"
         assert verdict and verdict.status == "equal"
 
-    @pytest.mark.parametrize("backend", ["bdd", "sat"])
-    def test_difference_is_a_falsy_complete_verdict(self, backend):
+    @pytest.mark.parametrize(
+        "backend, expected", [("auto", "exhaustive"), ("sat", "sat")]
+    )
+    def test_difference_is_a_falsy_complete_verdict(self, backend, expected):
         a, b = pair("ab", "a + b")
         verdict = exact_equivalent(a, b, backend=backend)
-        assert verdict.backend == backend
+        assert verdict.backend == expected
         assert verdict.complete and not verdict
         assert verdict.status == "different"
+        witness = verdict.counterexample
+        assert a.evaluate(witness)["f"] != b.evaluate(witness)["f"]
 
     def test_unknown_is_never_equal(self):
         # Budget 0 stops the solver at its first conflict: the verdict
@@ -137,7 +143,144 @@ class TestExactEquivalent:
         a, b = wide_pair(4)
         assert exact_equivalent(a, b, backend="sat").status == "unknown"
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["auto", "sat"])
+    def test_different_output_names_are_different(self, backend):
+        a, b = pair("a", "a")
+        b.pos = []
+        b.parse_node("h", "a", ["a"])
+        b.add_po("h")
+        verdict = exact_equivalent(a, b, backend=backend)
+        assert verdict.status == "different"
+        assert verdict.counterexample is None
+
+    @pytest.mark.parametrize("backend", ["simulation", "bdd"])
+    def test_unknown_backend_rejected(self, backend):
         a, b = pair("a", "a")
         with pytest.raises(ValueError):
-            exact_equivalent(a, b, backend="simulation")
+            exact_equivalent(a, b, backend=backend)
+
+
+def one_pattern_pair(n_pis: int, pattern: int, differ: bool = True):
+    """An OR of *n_pis* inputs, flat in ``a`` and as a chain in ``b``;
+    ``b``'s output is XORed with the minterm of *pattern* when *differ*
+    and with constant 0 otherwise.  PI ``i`` is named ``xII``, so the
+    name order is the index order."""
+    names = [f"x{i:02d}" for i in range(n_pis)]
+    a, b = Network("a"), Network("b")
+    for net in (a, b):
+        for pi in names:
+            net.add_pi(pi)
+    a.parse_node("f", " + ".join(names), names)
+    previous = names[0]
+    for i, pi in enumerate(names[1:]):
+        b.parse_node(f"c{i}", f"{previous} + {pi}", [previous, pi])
+        previous = f"c{i}"
+    if differ:
+        minterm = "".join(
+            name if pattern >> i & 1 else name + "'"
+            for i, name in enumerate(names)
+        )
+        b.parse_node("m", minterm, names)
+    else:
+        b.add_node("m", [], Cover.zero(0))
+    b.parse_node("f", f"{previous} m' + {previous}' m", [previous, "m"])
+    for net in (a, b):
+        net.add_po("f")
+    return a, b, names
+
+
+def replays(a, b, witness):
+    values_a = a.evaluate({pi: witness.get(pi, False) for pi in a.pis})
+    values_b = b.evaluate({pi: witness.get(pi, False) for pi in b.pis})
+    return any(values_a[po] != values_b[po] for po in a.pos)
+
+
+class TestExhaustiveEquivalent:
+    """The enumeration backend on its own: chunk boundaries, and the
+    networks where sharing and PI sets are easy to get wrong."""
+
+    @pytest.mark.parametrize("n_pis", [17, 18, 20])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    def test_one_differing_pattern_in_any_chunk(self, n_pis, place):
+        # A chunk is 2**16 patterns; at 17 PIs the middle chunk is the
+        # second of two, but not all ones.
+        chunks = 1 << (n_pis - 16)
+        pattern = {
+            "first": 0b1011,
+            "middle": (chunks // 2) << 16 | 0x5A5A,
+            "last": (1 << n_pis) - 1,
+        }[place]
+        a, b, names = one_pattern_pair(n_pis, pattern)
+        verdict = exhaustive_equivalent(a, b)
+        assert verdict.backend == "exhaustive"
+        assert verdict.status == "different"
+        assert verdict.counterexample == {
+            name: bool(pattern >> i & 1) for i, name in enumerate(names)
+        }
+        assert replays(a, b, verdict.counterexample)
+        a, b, _ = one_pattern_pair(n_pis, pattern, differ=False)
+        assert exhaustive_equivalent(a, b).status == "equal"
+
+    def test_lowest_differing_pattern_is_reported(self):
+        a, b = pair("ab", "a + b")
+        # Patterns 1 (a) and 2 (b) differ; bit i of the pattern is the
+        # i-th PI by name.
+        assert exhaustive_equivalent(a, b).counterexample == {
+            "a": True, "b": False, "c": False,
+        }
+
+    def test_constant_networks_without_inputs(self):
+        def constant(value, via_buffer=False):
+            net = Network()
+            cover = Cover.one(0) if value else Cover.zero(0)
+            if via_buffer:
+                net.add_node("k", [], cover)
+                net.parse_node("f", "k", ["k"])
+            else:
+                net.add_node("f", [], cover)
+            net.add_po("f")
+            return net
+
+        assert exhaustive_equivalent(constant(1), constant(1, True))
+        verdict = exhaustive_equivalent(constant(1), constant(0, True))
+        assert verdict.status == "different"
+        assert verdict.counterexample == {}
+
+    def test_output_that_is_an_input(self):
+        a, b = Network("a"), Network("b")
+        for net in (a, b):
+            net.add_pi("p")
+            net.add_pi("q")
+            net.add_po("p")
+        assert exhaustive_equivalent(a, b).status == "equal"
+        # ``p`` is an input of a but a buffer of ``q`` in c.
+        c = Network("c")
+        c.add_pi("q")
+        c.parse_node("p", "q", ["q"])
+        c.add_po("p")
+        verdict = exhaustive_equivalent(a, c)
+        assert verdict.status == "different"
+        assert verdict.counterexample == {"p": True, "q": False}
+        assert replays(a, c, verdict.counterexample)
+
+    def test_input_sets_that_differ(self):
+        a, b = pair("ab", "ab")
+        b.add_pi("z")
+        assert exhaustive_equivalent(a, b).status == "equal"
+        c = Network()
+        for pi in "abz":
+            c.add_pi(pi)
+        c.parse_node("f", "a b z", ["a", "b", "z"])
+        c.add_po("f")
+        verdict = exhaustive_equivalent(a, c)
+        assert verdict.status == "different"
+        assert sorted(verdict.counterexample) == ["a", "b", "c", "z"]
+        assert replays(a, c, verdict.counterexample)
+
+    def test_shared_outputs_need_no_simulation(self, monkeypatch):
+        def simulated(*args):
+            raise AssertionError("a shared output was simulated")
+
+        a, _ = pair("ab + c", "ab + c")
+        monkeypatch.setattr(verify, "eval_cover_packed", simulated)
+        assert exhaustive_equivalent(a, a.copy()).status == "equal"

@@ -179,6 +179,11 @@ class TestFromConfig:
         with pytest.raises(ValueError):
             DivisionConfig(verify_full_every=0)
 
+    @pytest.mark.parametrize("backend", ["bdd", "exhaustive", "nope"])
+    def test_config_rejects_unknown_verify_backend(self, backend):
+        with pytest.raises(ValueError, match="verify_backend"):
+            DivisionConfig(verify_backend=backend)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite_deadline(self, value):
         with pytest.raises(ValueError, match="finite"):

@@ -271,7 +271,7 @@ class TestLedgerTracing:
         assert stats.commits_verified > 0
         assert len(verify) == stats.commits_verified
         assert {event["attrs"]["backend"] for event in verify} == {
-            "bdd", "simulation"
+            "exhaustive", "simulation"
         }
         # A passing screen is not a proof: its status is unknown.
         for event in verify:

@@ -9,7 +9,9 @@ Three layers:
 * Tseitin round-trips: a network encoding is satisfiable exactly by
   assignments consistent with the network's own evaluation,
 * shared miters: a node the two sides hold in common reuses one
-  variable, and only what differs is left to the solver.
+  variable, and only what differs is left to the solver; the
+  enumeration backend, which follows the same sharing rule, must reach
+  the same verdicts.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.network import Network
+from repro.network.verify import exhaustive_equivalent
 from repro.sat.check import sat_equivalent
 from repro.sat.cnf import Cnf, build_miter, encode_circuit, encode_network
 from repro.sat.solver import CdclSolver, solve_cnf
@@ -293,8 +296,17 @@ def substitution6():
     return net
 
 
+#: The two exact backends, which share one sharing rule.
+PROVERS = pytest.mark.parametrize(
+    "prove",
+    [sat_equivalent, exhaustive_equivalent],
+    ids=["sat", "exhaustive"],
+)
+
+
+@PROVERS
 @pytest.mark.parametrize("change", ["fanin list", "fanin function"])
-def test_changed_fanin_is_not_shared(change):
+def test_changed_fanin_is_not_shared(change, prove):
     def build(h, g_fanins):
         net = Network("n")
         for pi in ("p", "q", "r"):
@@ -314,7 +326,7 @@ def test_changed_fanin_is_not_shared(change):
     miter = build_miter(a, b)
     assert miter.shared == (1 if change == "fanin list" else 0)
     assert list(miter.diff_vars) == ["g"]
-    verdict = sat_equivalent(a, b)
+    verdict = prove(a, b)
     assert verdict.status == "different"
     assert (
         a.evaluate(verdict.counterexample)["g"]
@@ -322,8 +334,9 @@ def test_changed_fanin_is_not_shared(change):
     )
 
 
+@PROVERS
 @pytest.mark.parametrize("pi_side", ["a", "b"])
-def test_pi_on_one_side_only_is_not_shared(pi_side):
+def test_pi_on_one_side_only_is_not_shared(pi_side, prove):
     # ``x`` is an AND node on one side and a free input on the other:
     # ``y = x + p`` reads different signals, so the pair differs.
     internal = Network("internal")
@@ -338,7 +351,7 @@ def test_pi_on_one_side_only_is_not_shared(pi_side):
         net.add_po("y")
     a, b = (free, internal) if pi_side == "a" else (internal, free)
     assert build_miter(a, b).shared == 0
-    verdict = sat_equivalent(a, b)
+    verdict = prove(a, b)
     assert verdict.status == "different"
     assert (
         internal.evaluate(verdict.counterexample)["y"]

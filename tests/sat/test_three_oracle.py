@@ -14,8 +14,10 @@ The oracles must agree on equivalent-by-construction pairs (copy +
 ``eliminate`` / a full ``substitute_network`` run) and on
 mutation-injected pairs (a dropped cube or a flipped literal phase),
 and every SAT counterexample must replay to a real PO difference.
-The program's own verdict (``exact_equivalent``, forced onto each
-backend) joins them as one more oracle.
+The program's own verdict (``exact_equivalent``) joins them twice:
+on ``auto``, which enumerates every input pattern up to
+``verify.EXHAUSTIVE_PI_LIMIT`` PIs and solves the miter above, and
+forced onto ``sat``.  Its counterexamples must replay too.
 """
 
 import pytest
@@ -24,6 +26,7 @@ from repro.bench.generators import planted_network, planted_pos_network
 from repro.core.config import BASIC
 from repro.core.substitution import substitute_network
 from repro.network.ops import eliminate
+from repro.network import verify
 from repro.network.verify import exact_equivalent, networks_equivalent
 from repro.sat.check import sat_equivalent
 from repro.twolevel.cover import Cover
@@ -107,12 +110,12 @@ def _exhaustive_equivalent(a, b, pis):
 
 
 def _replay_counterexample(a, b, counterexample):
-    """A SAT counterexample must witness a real PO difference."""
+    """A counterexample must witness a real PO difference."""
     assignment = {pi: bool(counterexample[pi]) for pi in counterexample}
     values_a = a.evaluate({pi: assignment.get(pi, False) for pi in a.pis})
     values_b = b.evaluate({pi: assignment.get(pi, False) for pi in b.pis})
     assert any(values_a[po] != values_b[po] for po in a.pos), (
-        "SAT counterexample does not distinguish the networks"
+        "counterexample does not distinguish the networks"
     )
 
 
@@ -130,15 +133,21 @@ def _cross_check(a, b):
         assert sim_verdict == bdd_verdict, (
             "exhaustive simulation disagrees with SAT/BDD"
         )
-    for backend in ("bdd", "sat"):
-        verdict = exact_equivalent(a, b, backend=backend)
+    auto = exact_equivalent(a, b)
+    forced = exact_equivalent(a, b, backend="sat")
+    enumerated = len(pis) <= verify.EXHAUSTIVE_PI_LIMIT
+    for verdict, backend in (
+        (auto, "exhaustive" if enumerated else "sat"),
+        (forced, "sat"),
+    ):
         assert verdict.backend == backend
         assert verdict.complete and bool(verdict) == bdd_verdict, (
-            f"exact_equivalent({backend!r}) disagrees with the oracles"
+            f"exact_equivalent ({backend}) disagrees with the oracles"
         )
-    if sat_verdict.verdict is False:
-        assert sat_verdict.counterexample is not None
-        _replay_counterexample(a, b, sat_verdict.counterexample)
+    for verdict in (sat_verdict, auto, forced):
+        if verdict.verdict is False:
+            assert verdict.counterexample is not None
+            _replay_counterexample(a, b, verdict.counterexample)
     return bool(sat_verdict.verdict)
 
 

@@ -136,10 +136,11 @@ class TestTraceUnwritableOutput:
 
 
 class TestRemovedCommands:
-    """``repro compare``, ``repro tail`` and the optimize flags
+    """``repro compare``, ``repro tail``, the optimize flags
     ``--history``, ``--live``, ``--sample-resources``,
-    ``--heartbeat-dir``, ``-j/--jobs`` and ``--stall-timeout`` no
-    longer exist; argparse rejects each with its usage error."""
+    ``--heartbeat-dir``, ``-j/--jobs`` and ``--stall-timeout``, and
+    ``--verify-backend bdd`` no longer exist; argparse rejects each
+    with its usage error."""
 
     def test_compare_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -180,6 +181,12 @@ class TestRemovedCommands:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+    def test_bdd_verify_backend_rejected(self, no_run, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "bench:dec3", "--verify-backend", "bdd"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bdd'" in capsys.readouterr().err
 
     def test_tail_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -130,7 +130,7 @@ class TestOptimize:
             if event["kind"] == "verify"
             and event["attrs"].get("check") == "final-equivalence"
         ]
-        assert final["attrs"]["backend"] == "bdd"
+        assert final["attrs"]["backend"] == "exhaustive"
         assert final["attrs"]["status"] == "equal"
 
 
@@ -157,9 +157,11 @@ class TestStatsJsonVerdict:
         assert code == 0
         return json.loads(stats.read_text())
 
-    def test_default_bdd_verdict(self, tmp_path):
+    def test_default_verdict(self, tmp_path):
         report = self._report(tmp_path)
-        assert report["verify"] == {"backend": "bdd", "status": "equal"}
+        assert report["verify"] == {
+            "backend": "exhaustive", "status": "equal"
+        }
 
     def test_sat_backend_verdict(self, tmp_path):
         report = self._report(tmp_path, "--verify-backend", "sat")
