@@ -396,6 +396,7 @@ def boolean_divide(
     budget=None,
     tracer=None,
     screen=None,
+    stats=None,
 ) -> Optional[DivisionResult]:
     """Divide node *f* by node *divisor* using RAR; None on failure.
 
@@ -411,13 +412,15 @@ def boolean_divide(
     removal loops) and ``None`` traces nothing.  *screen* is an
     optional :class:`~repro.sim.witness.WitnessScreen` over signatures
     that match *network*; the removal tests a witness settles skip
-    their implication run, which changes no result.
+    their implication run, which changes no result.  *stats* is the
+    run's :class:`~repro.core.substitution.SubstitutionStats`; the
+    ``oracle_dc`` oracle counts its solver work there.
     """
     tracer = as_tracer(tracer)
     if not tracer.enabled:
         return _boolean_divide_impl(
             network, f_name, divisor_name, config, phase, form,
-            base_circuit, budget, NULL_TRACER, screen,
+            base_circuit, budget, NULL_TRACER, screen, stats,
         )
     with tracer.span(
         "divide",
@@ -428,7 +431,7 @@ def boolean_divide(
     ) as span:
         result = _boolean_divide_impl(
             network, f_name, divisor_name, config, phase, form,
-            base_circuit, budget, tracer, screen,
+            base_circuit, budget, tracer, screen, stats,
         )
         span.annotate(
             success=result is not None,
@@ -448,6 +451,7 @@ def _boolean_divide_impl(
     budget,
     tracer,
     screen,
+    stats,
 ) -> Optional[DivisionResult]:
     if form not in ("sop", "pos"):
         raise ValueError("form must be 'sop' or 'pos'")
@@ -544,17 +548,26 @@ def _boolean_divide_impl(
                 saved = (list(f_node.fanins), f_node.cover)
                 try:
                     f_node.set_function(new_fanins, cover)
-                    # Only a proof of equality removes the wire; an
-                    # unknown keeps it.
-                    return bool(
-                        exact_equivalent(
+                    with tracer.span(
+                        "verify", check="oracle", f=f_name, d=divisor_name
+                    ) as span:
+                        verdict = exact_equivalent(
                             reference,
                             network,
                             backend=config.verify_backend,
                             conflict_budget=config.sat_conflict_budget,
                             tracer=tracer,
                         )
-                    )
+                        if stats is not None:
+                            stats.add_solver_work(verdict)
+                        span.annotate(
+                            backend=verdict.backend,
+                            status=verdict.status,
+                            ok=bool(verdict),
+                        )
+                    # Only a proof of equality removes the wire; an
+                    # unknown keeps it.
+                    return bool(verdict)
                 finally:
                     f_node.set_function(*saved)
 
@@ -643,6 +656,7 @@ def divide_node_pair(
     budget=None,
     tracer=None,
     screen=None,
+    stats=None,
 ) -> Optional[DivisionResult]:
     """Best basic division of *f* by *d* across phases and forms.
 
@@ -654,7 +668,8 @@ def divide_node_pair(
     signature filter passes the subset it could not refute; variants it
     proved hopeless would return ``None`` here anyway, so the result is
     unchanged.  The subset must keep :data:`ALL_ATTEMPTS` order.
-    *base_circuit* and *screen* are passed to :func:`boolean_divide`.
+    *base_circuit*, *screen* and *stats* are passed to
+    :func:`boolean_divide`.
     """
     if attempts is None:
         attempts = enabled_attempts(config)
@@ -672,6 +687,7 @@ def divide_node_pair(
             budget=budget,
             tracer=tracer,
             screen=screen,
+            stats=stats,
         )
         if result is not None and result.gain > 0:
             if best is None or result.gain > best.gain:

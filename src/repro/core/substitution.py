@@ -381,7 +381,7 @@ def _try_extended(
     if whole:
         result = boolean_divide(
             network, f_name, d_name, config, form=form, budget=budget,
-            tracer=tracer, screen=screen,
+            tracer=tracer, screen=screen, stats=stats,
         )
         if result is None or result.gain <= 0:
             memo.record(key)
@@ -428,7 +428,7 @@ def _try_extended(
         # node, which the simulator has not seen, from its fanins.
         result = boolean_divide(
             network, f_name, core_name, config, form=form, budget=budget,
-            tracer=tracer, screen=screen,
+            tracer=tracer, screen=screen, stats=stats,
         )
     except BudgetExhausted:
         # The divisor is already decomposed; undo before unwinding so
@@ -628,6 +628,7 @@ def _run_pass(
                     budget=budget,
                     tracer=tracer,
                     screen=screen,
+                    stats=stats,
                 )
                 if result is None:
                     memo.record(key)

@@ -55,7 +55,7 @@ SPAN_KINDS = frozenset(
         "divide",     # one boolean_divide invocation
         "atpg",       # one redundancy-removal loop (region or generic)
         "commit",     # apply + accept bookkeeping of one rewrite
-        "verify",     # an equivalence check (ledger commit or final)
+        "verify",     # an equivalence check (ledger, oracle or final)
         "sat_solve",  # one CDCL solve (equivalence or fault miter)
         "resub_window",    # simguided: divisor window for one target
         "resub_care",      # simguided: ODC care mask for one target

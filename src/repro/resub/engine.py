@@ -13,9 +13,10 @@ directly from signatures and then proves it:
 
 1. **Window** (``resub_window`` span): rank the structurally legal
    divisors for the target (:mod:`repro.resub.window`).
-2. **Resynthesize** (``resub_resyn`` span): enumerate divisor subsets
-   smallest-first and build a cover matching the target's signature on
-   every care pattern (:mod:`repro.resub.resyn`); the care set
+2. **Resynthesize** (``resub_resyn`` span): walk the divisor subsets
+   smallest-first, skip those whose care patterns conflict, and build
+   a cover matching the target's signature on every care pattern for
+   the rest (:mod:`repro.resub.resyn`); the care set
    (``resub_care`` span) is the simulated patterns minus those under
    which the target is exactly unobservable, when the network is small
    enough.  Satisfiability don't cares need no handling at all —
@@ -38,19 +39,24 @@ construction — the property the cross-engine differential suite
 (``tests/resub/``) locks in.
 
 The loop revisits the same small problems constantly (every pass,
-every target with a similar window), so three results are reused
+every target with a similar window), so four results are reused
 rather than recomputed, each keyed on everything it reads and hence
 byte-identical to a fresh computation: espresso covers by truth table
-(process-wide, in :mod:`repro.resub.resyn`), cleaned covers by target,
-cover and divisor states (one dict per run, only without
-``global_dc``), and the observability test, which runs only at the
-fanin minterms the samples reach
+(process-wide, in :mod:`repro.resub.resyn`), the mixed classes of each
+subset prefix, which the subset walk splits by one more divisor
+(per target, in :func:`~repro.resub.resyn.conflict_free_subsets`),
+cleaned covers by target, cover and divisor states (one dict per run,
+only without ``global_dc``), and the observability test, which runs
+only at the fanin minterms the samples reach
 (:meth:`~repro.network.dontcares.DontCareComputer.unobservable_patterns`).
+A clean whose every test has a witness is settled from the cover's
+packed values without building the remover
+(:meth:`~repro.sim.witness.WitnessScreen.clean_tests`).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 import types
 from typing import Dict, Optional, Sequence, Tuple
@@ -65,7 +71,7 @@ from repro.network.verify import exact_equivalent
 from repro.obs.tracer import as_tracer
 from repro.resilience.budget import BudgetExhausted, RunBudget
 from repro.resilience.checkpoint import CommitLedger
-from repro.resub.resyn import resynthesize_window
+from repro.resub.resyn import conflict_free_subsets, resynthesize_window
 from repro.resub.window import build_window, pi_supports
 from repro.sim.signature import SignatureSimulator
 from repro.sim.witness import WitnessScreen
@@ -116,16 +122,22 @@ def _clean_cover(
 
     *screen* (a :class:`~repro.sim.witness.WitnessScreen` over the
     run's current signatures) settles the tests a sampled pattern
-    meets without an implication run; the analysis circuit is built
-    only for a test it leaves open.
+    meets without an implication run.  When it settles every test of
+    the clean, the cover comes back unchanged without a remover;
+    otherwise the analysis circuit is built only for a test it leaves
+    open.
     """
     if not divisors or cover.is_zero():
         return cover, 0
     if cover.num_cubes() > config.max_region_cubes:
         return cover, 0
     if all(network.nodes[d].is_pi for d in divisors):
-        # Free PIs admit no implications, so no conflict can ever
-        # arise; skip building the circuit.
+        # Over free PIs a test conflicts only where the cover itself is
+        # redundant: ``a b + a b'`` would clean to ``a``.  The engine's
+        # covers come from espresso, prime and irredundant over
+        # on ∪ dc, so a removable literal or cube would contradict
+        # primality or irredundancy: nothing is removed, and the
+        # circuit is not built.
         return cover, 0
     key = None
     if memo is not None and not config.global_dc:
@@ -140,25 +152,31 @@ def _clean_cover(
         hit = memo.get(key)
         if hit is not None:
             return hit
-    remover = RegionRemover(
-        lambda: build_analysis_circuit(
-            network, f_name, list(divisors), config
-        ),
-        f_name=f_name,
-        shared=list(divisors),
-        region=dict(enumerate(cover.cubes)),
-        remainder={},
-        divisor_assignment=None,
-        config=config,
-        budget=budget,
-        screen=screen,
-    )
-    remover.run()
-    cleaned = Cover(
-        len(divisors),
-        tuple(remover.region[i] for i in sorted(remover.region)),
-    )
-    result = (cleaned, remover.wires_removed + remover.cubes_removed)
+    settled = screen.clean_tests(cover, divisors) if screen is not None else 0
+    if settled:
+        # Every test has a witness: none conflicts, nothing is removed.
+        screen.tests_witnessed += settled
+        result = (cover, 0)
+    else:
+        remover = RegionRemover(
+            lambda: build_analysis_circuit(
+                network, f_name, list(divisors), config
+            ),
+            f_name=f_name,
+            shared=list(divisors),
+            region=dict(enumerate(cover.cubes)),
+            remainder={},
+            divisor_assignment=None,
+            config=config,
+            budget=budget,
+            screen=screen,
+        )
+        remover.run()
+        cleaned = Cover(
+            len(divisors),
+            tuple(remover.region[i] for i in sorted(remover.region)),
+        )
+        result = (cleaned, remover.wires_removed + remover.cubes_removed)
     if key is not None:
         memo[key] = result
     return result
@@ -260,75 +278,80 @@ def _resub_pass(
         old_lits = factored_literals(node.cover)
         committed = False
         with tracer.span("resub_resyn", f=f_name) as resyn_span:
-            subsets_tried = 0
+            top = min(config.resub_max_divisors, len(window.divisors))
+            # The walk's length, or the commit's position in it.
+            subsets_tried = sum(
+                math.comb(len(window.divisors), size)
+                for size in range(top + 1)
+            )
             candidates = 0
+            divisor_sigs = [sim.signatures[d] for d in window.divisors]
             # Smallest support first: the constant functions (empty
             # subset), then single divisors, and so on — the first
-            # strict literal win is taken greedily.
-            for size in range(min(config.resub_max_divisors, len(window.divisors)) + 1):
-                if committed:
-                    break
-                for subset in itertools.combinations(window.divisors, size):
-                    if budget is not None:
-                        budget.check_deadline()
-                    subsets_tried += 1
-                    if ledger is not None and ledger.is_quarantined(
-                        f_name, _divisor_label(subset)
-                    ):
-                        continue
-                    cover = resynthesize_window(
-                        target_sig,
-                        [sim.signatures[d] for d in subset],
-                        sim.mask,
-                        care,
+            # strict literal win is taken greedily.  Only the subsets
+            # resynthesis does not reject come out of the walk.
+            for position, indices in conflict_free_subsets(
+                target_sig, divisor_sigs, sim.mask, care, top
+            ):
+                if budget is not None:
+                    budget.check_deadline()
+                subset = tuple(window.divisors[i] for i in indices)
+                if ledger is not None and ledger.is_quarantined(
+                    f_name, _divisor_label(subset)
+                ):
+                    continue
+                cover = resynthesize_window(
+                    target_sig,
+                    [divisor_sigs[i] for i in indices],
+                    sim.mask,
+                    care,
+                )
+                candidates += 1
+                stats.resub_candidates += 1
+                if factored_literals(cover) > old_lits:
+                    # The ATPG cleanup below only ever shrinks the
+                    # cover a literal at a time; a candidate already
+                    # above the target is not worth cleaning.
+                    continue
+                cleaned, removed = _clean_cover(
+                    network, f_name, subset, cover, config, budget,
+                    clean_memo, screen,
+                )
+                stats.resub_wires_cleaned += removed
+                if factored_literals(cleaned) >= old_lits:
+                    continue
+                label = _divisor_label(subset)
+                with tracer.span(
+                    "commit", f=f_name, d=label, via="resub"
+                ) as commit_span:
+                    snapshot = _Snapshot(network, [f_name])
+                    node.set_function(list(subset), cleaned)
+                    sim.refresh([f_name])
+                    verdict = _validate_exact(
+                        reference, network, config, stats, tracer
                     )
-                    if cover is None:
-                        continue
-                    candidates += 1
-                    stats.resub_candidates += 1
-                    if factored_literals(cover) > old_lits:
-                        # The ATPG cleanup below only ever shrinks the
-                        # cover a literal at a time; a candidate already
-                        # above the target is not worth cleaning.
-                        continue
-                    cleaned, removed = _clean_cover(
-                        network, f_name, subset, cover, config, budget,
-                        clean_memo, screen,
-                    )
-                    stats.resub_wires_cleaned += removed
-                    if factored_literals(cleaned) >= old_lits:
-                        continue
-                    label = _divisor_label(subset)
-                    with tracer.span(
-                        "commit", f=f_name, d=label, via="resub"
-                    ) as commit_span:
-                        snapshot = _Snapshot(network, [f_name])
-                        node.set_function(list(subset), cleaned)
+                    stats.resub_validated += 1
+                    if not verdict.complete:
+                        stats.resub_rejected_unknown += 1
+                    if not verdict:
+                        snapshot.restore()
                         sim.refresh([f_name])
-                        verdict = _validate_exact(
-                            reference, network, config, stats, tracer
-                        )
-                        stats.resub_validated += 1
-                        if not verdict.complete:
-                            stats.resub_rejected_unknown += 1
-                        if not verdict:
-                            snapshot.restore()
-                            sim.refresh([f_name])
-                            commit_span.annotate(accepted=False)
-                            continue
-                        if ledger is not None and not ledger.verify_commit(
-                            network, f_name, label, tracer
-                        ):
-                            snapshot.restore()
-                            sim.refresh([f_name])
-                            ledger.quarantine(f_name, label)
-                            commit_span.annotate(accepted=False)
-                            continue
-                        stats.accepted += 1
-                        stats.resub_accepted += 1
-                        commit_span.annotate(accepted=True)
-                    committed = True
-                    break
+                        commit_span.annotate(accepted=False)
+                        continue
+                    if ledger is not None and not ledger.verify_commit(
+                        network, f_name, label, tracer
+                    ):
+                        snapshot.restore()
+                        sim.refresh([f_name])
+                        ledger.quarantine(f_name, label)
+                        commit_span.annotate(accepted=False)
+                        continue
+                    stats.accepted += 1
+                    stats.resub_accepted += 1
+                    commit_span.annotate(accepted=True)
+                committed = True
+                subsets_tried = position
+                break
             resyn_span.annotate(
                 subsets=subsets_tried,
                 candidates=candidates,

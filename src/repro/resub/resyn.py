@@ -29,12 +29,23 @@ dc-minterms)``: the engine resynthesizes the same small truth tables
 over and over (every pass, every target sharing a divisor pattern),
 and espresso is deterministic, so a cached cover is the cover a fresh
 call would return.  Sharing it is safe because covers are immutable.
+
+Most subsets of a window conflict, so the engine does not ask
+:func:`resynthesize_window` about each one.
+:func:`conflict_free_subsets` walks the subsets in
+``itertools.combinations`` order and yields only those with no
+conflict.  It decides this by refinement: the classes of ``S + (d,)``
+are the classes of ``S``, each split by ``d``, and a class whose care
+patterns all pin one value keeps doing so when split.  So ``S + (d,)``
+conflicts exactly when some *mixed* class of ``S`` (one holding care
+patterns of both target values) has a mixed child, and only the mixed
+classes of each prefix need keeping.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.twolevel.cover import Cover
 from repro.twolevel.minimize import espresso
@@ -106,3 +117,77 @@ def resynthesize_window(
     if not off_seen and not dc_minterms:
         return Cover.one(k)
     return _minimize_cached(k, tuple(on_minterms), tuple(dc_minterms))
+
+
+def _mixed_children(
+    mixed: List[Tuple[int, int]], sig: int
+) -> List[Tuple[int, int]]:
+    """The mixed classes left by splitting each ``(ones, zeros)`` class
+    of *mixed* by a divisor with signature *sig*."""
+    children = []
+    for ones, zeros in mixed:
+        ones_in, zeros_in = ones & sig, zeros & sig
+        if ones_in and zeros_in:
+            children.append((ones_in, zeros_in))
+        ones_out, zeros_out = ones ^ ones_in, zeros ^ zeros_in
+        if ones_out and zeros_out:
+            children.append((ones_out, zeros_out))
+    return children
+
+
+def conflict_free_subsets(
+    target_sig: int,
+    divisor_sigs: Sequence[int],
+    mask: int,
+    care_mask: Optional[int],
+    max_size: int,
+) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """The divisor subsets :func:`resynthesize_window` does not reject.
+
+    Walks ``itertools.combinations(range(len(divisor_sigs)), size)``
+    for ``size`` in ``0..max_size`` and yields ``(position, indices)``
+    for each subset with no conflict, where *position* is the subset's
+    1-based place in that walk.  *mask* and *care_mask* mean what they
+    mean to :func:`resynthesize_window`, which returns a cover for
+    exactly the yielded subsets.
+
+    Each subset the walk extends later keeps its mixed classes as
+    ``(care-1 patterns, care-0 patterns)`` pairs, and its extensions
+    split them by one more divisor.  Extending the prefixes of one size
+    in the order they were walked, each by the divisors after its last
+    one, walks the next size in ``combinations`` order.  A subset with
+    no mixed class has none in any extension.
+    """
+    if care_mask is None:
+        care_mask = mask
+    care_mask &= mask
+    n = len(divisor_sigs)
+    ones, zeros = care_mask & target_sig, care_mask & ~target_sig
+    root = [(ones, zeros)] if ones and zeros else []
+    if not root:
+        yield 1, ()
+    position = 1
+    level: List[Tuple[Tuple[int, ...], List[Tuple[int, int]]]] = [((), root)]
+    for size in range(1, max_size + 1):
+        extend = size < max_size
+        next_level = []
+        for prefix, mixed in level:
+            for d in range(prefix[-1] + 1 if prefix else 0, n):
+                position += 1
+                sig = divisor_sigs[d]
+                if extend and d < n - 1:
+                    children = _mixed_children(mixed, sig)
+                    next_level.append((prefix + (d,), children))
+                    if not children:
+                        yield position, prefix + (d,)
+                    continue
+                # Not extended later: the first mixed child settles it.
+                for ones, zeros in mixed:
+                    ones_in = ones & sig
+                    if ones_in and zeros & sig or (
+                        ones ^ ones_in and zeros & ~sig
+                    ):
+                        break
+                else:
+                    yield position, prefix + (d,)
+        level = next_level

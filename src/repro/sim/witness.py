@@ -14,6 +14,11 @@ cannot conflict, and a cube that is 1 on a witness is never implied
 to 0.  The callers skip the ``imply`` call in exactly those cases, so
 the screen changes no outcome (DESIGN §17).
 
+A clean (the simguided engine's excitation-only redundancy removal on
+a candidate cover) is settled whole by :meth:`WitnessScreen.clean_tests`
+when every one of its tests has a witness: then nothing is removed,
+and the removal loop would make one sweep and stop.
+
 The signatures must describe the network as it is at the test.  The
 run's :class:`~repro.sim.signature.SignatureSimulator` is refreshed
 after every commit and rollback; a node it has not seen yet (the core
@@ -27,6 +32,7 @@ from typing import Iterable, Mapping, Sequence, Tuple
 
 from repro.network.network import eval_cover_packed
 from repro.sim.signature import SignatureSimulator
+from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
 
 
@@ -81,3 +87,51 @@ class WitnessScreen:
             if not mask:
                 break
         return mask
+
+    def clean_tests(self, cover: Cover, shared: Sequence[str]) -> int:
+        """The number of tests the clean of *cover* runs, when a witness
+        settles every one of them; 0 when one is left open.
+
+        The clean's tests are each literal's stuck-at-1 test (every
+        other cube at 0, the cube's other literals at their phases, the
+        tested literal's variable at the opposite phase) and, with more
+        than one cube, each cube's stuck-at-0 test (every other cube at
+        0, the cube at 1).  Witnessed tests do not conflict, so nothing
+        is removed and the one sweep runs exactly these tests.
+        """
+        mask = self.mask
+        literals = []
+        values = []
+        for cube in cover.cubes:
+            lits = []
+            term = mask
+            for var, phase in cube.literals():
+                value = self.signal(shared[var])
+                lits.append(value if phase else ~value)
+                term &= lits[-1]
+            literals.append(lits)
+            values.append(term)
+        # above[i]: the patterns on which a cube from i on is 1.
+        above = [0] * (len(values) + 1)
+        for i in range(len(values) - 1, -1, -1):
+            above[i] = above[i + 1] | values[i]
+        below = 0
+        tests = 0
+        cube_tests = len(values) > 1
+        for i, lits in enumerate(literals):
+            # The patterns on which every other cube is 0.
+            rest = mask & ~(below | above[i + 1])
+            below |= values[i]
+            for j, tested in enumerate(lits):
+                test = rest & ~tested
+                for k, lit in enumerate(lits):
+                    if k != j:
+                        test &= lit
+                if not test:
+                    return 0
+            tests += len(lits)
+            if cube_tests:
+                if not rest & values[i]:
+                    return 0
+                tests += 1
+        return tests

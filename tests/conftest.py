@@ -120,6 +120,24 @@ def fat_divisor_network() -> Network:
     return net
 
 
+@pytest.fixture
+def screen_off(monkeypatch):
+    """``screen_off()`` switches the witness screen off for the rest of
+    the test: no implication test has a witness, and no clean is
+    settled whole (both entry points of ``WitnessScreen``)."""
+    from repro.sim.witness import WitnessScreen
+
+    def switch() -> None:
+        monkeypatch.setattr(
+            WitnessScreen, "witnesses", lambda self, assignments, gates: 0
+        )
+        monkeypatch.setattr(
+            WitnessScreen, "clean_tests", lambda self, cover, shared: 0
+        )
+
+    return switch
+
+
 def assert_equivalent(before: Network, after: Network) -> None:
     from repro.network.verify import networks_equivalent
 

@@ -246,6 +246,56 @@ class TestOracleDc:
         assert outputs["oracle"] != outputs["gdc"]
         assert outputs["starved"] == outputs["gdc"]
 
+    def test_oracle_verdicts_reach_the_trace_and_the_stats(self):
+        # Every oracle check runs under a ``verify`` span, and its SAT
+        # solves are counted in the run's stats; tracing changes no
+        # output.
+        import dataclasses
+
+        from repro.bench.suite import build_benchmark
+        from repro.core.config import ORACLE
+        from repro.core.substitution import substitute_network
+        from repro.network.blif import to_blif_str
+        from repro.obs.tracer import Tracer
+        from repro.scripts.flows import SCRIPTS
+
+        def run(backend, tracer=None):
+            net = build_benchmark("rnd1")
+            SCRIPTS["A"](net)
+            config = dataclasses.replace(ORACLE, verify_backend=backend)
+            stats = substitute_network(net, config, tracer=tracer)
+            return to_blif_str(net), stats
+
+        plain, _ = run("sat")
+        for backend, kind in (("sat", "sat"), ("auto", "exhaustive")):
+            tracer = Tracer()
+            blif, stats = run(backend, tracer)
+            assert blif == plain
+            by_id = {event["id"]: event for event in tracer.events}
+            checks = [
+                event for event in tracer.events
+                if event["kind"] == "verify"
+            ]
+            solves = [
+                event for event in tracer.events
+                if event["kind"] == "sat_solve"
+            ]
+            assert checks
+            for event in checks:
+                attrs = event["attrs"]
+                assert attrs["check"] == "oracle"
+                assert attrs["backend"] == kind
+                assert attrs["status"] in ("equal", "different")
+                assert attrs["ok"] == (attrs["status"] == "equal")
+                assert {"f", "d"} <= set(attrs)
+            assert len(solves) == stats.sat_solves
+            assert all(
+                by_id[event["parent"]]["kind"] == "verify"
+                for event in solves
+            )
+            if backend == "sat":
+                assert stats.sat_solves == len(checks) > 0
+
 
 class TestFaninLiteralDivision:
     """Re-dividing a node by one of its existing fanins simplifies it

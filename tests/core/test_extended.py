@@ -249,14 +249,6 @@ class TestWitnessScreen:
     """The witness screen in front of the vote and of the core division
     (``repro/sim/witness.py``, DESIGN §17) changes no outcome."""
 
-    @staticmethod
-    def _no_witness(monkeypatch):
-        from repro.sim.witness import WitnessScreen
-
-        monkeypatch.setattr(
-            WitnessScreen, "witnesses", lambda self, assignments, gates: 0
-        )
-
     @pytest.mark.parametrize(
         "build, f_name, form",
         [(fat, "f1", "sop"), (fat, "f2", "sop"), (pos_fat, "t1", "pos")],
@@ -280,7 +272,7 @@ class TestWitnessScreen:
         assert plain.witnessed == 0
 
     def test_core_division_reads_the_just_exposed_core_node(
-        self, monkeypatch
+        self, monkeypatch, screen_off
     ):
         """The core node has no signature when extended division
         divides by it; the screen evaluates it from its fanins, and the
@@ -311,7 +303,7 @@ class TestWitnessScreen:
         assert any(name.startswith(core_prefix("g")) for name in unseen)
         assert all("_core" in name for name in unseen)
 
-        self._no_witness(monkeypatch)
+        screen_off()
         opened = fat()
         plain = dataclasses.asdict(substitute_network(opened, EXTENDED))
         assert to_blif_str(screened) == to_blif_str(opened)

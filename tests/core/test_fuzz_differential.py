@@ -32,7 +32,6 @@ from repro.core.substitution import substitute_network
 from repro.network.blif import to_blif_str
 from repro.network.factor import network_literals
 from repro.network.verify import networks_equivalent
-from repro.sim.witness import WitnessScreen
 from tests.sat.test_three_oracle import _build, _fuzz_cases
 
 CONFIGS = {"basic": BASIC, "ext": EXTENDED, "ext_gdc": EXTENDED_GDC}
@@ -93,13 +92,6 @@ def test_output_is_equivalent_and_no_larger(case, label, filtered_run):
     assert stats.literals_after <= stats.literals_before
 
 
-def without_witnesses(monkeypatch):
-    """Switch the witness screen off: no test has a witness."""
-    monkeypatch.setattr(
-        WitnessScreen, "witnesses", lambda self, assignments, gates: 0
-    )
-
-
 def counters(stats):
     """Every stats field but the timing."""
     fields = dataclasses.asdict(stats)
@@ -109,10 +101,10 @@ def counters(stats):
 
 @pytest.mark.parametrize("case, label", CASES)
 def test_witness_screen_changes_no_output(
-    case, label, filtered_run, monkeypatch
+    case, label, filtered_run, screen_off
 ):
     network, stats = filtered_run(case, label)
-    without_witnesses(monkeypatch)
+    screen_off()
     open_network, unscreened = _run(case, CONFIGS[label])
     assert to_blif_str(network) == to_blif_str(open_network)
     screened, opened = counters(stats), counters(unscreened)

@@ -108,8 +108,10 @@ class TestCoverCleaner:
                     )
 
     def test_pi_only_divisors_skip_cleaning(self):
-        # Free PIs admit no implications; the cleaner must not even
-        # build a circuit (removed == 0, cover unchanged).
+        # Over PIs the engine's (prime, irredundant) covers have
+        # nothing to remove, so the cleaner returns the cover as it
+        # is without building a circuit (test_clean_settle.py checks
+        # that premise).
         net = _implied_divisors()
         cover = Cover.parse("a b", ["a", "b"])
         cleaned, removed = _clean_cover(
@@ -315,6 +317,47 @@ class TestCareMask:
 def test_divisor_label_is_stable():
     assert _divisor_label(("x", "y")) == "resub(x,y)"
     assert _divisor_label(()) == "resub()"
+
+
+def test_resyn_span_counts_every_subset_up_to_the_commit(monkeypatch):
+    """``resub_resyn``'s ``subsets=`` is the walk position of the
+    committed subset, or the size of the whole walk when nothing
+    commits, although only conflict-free subsets are resynthesized."""
+    import math
+
+    from repro.bench.suite import build_benchmark
+    from repro.obs.tracer import Tracer
+    from repro.resub import engine
+
+    walk = engine.conflict_free_subsets
+    last_yielded = []
+
+    def recording(*args):
+        last_yielded.append(None)
+        for position, subset in walk(*args):
+            last_yielded[-1] = position
+            yield position, subset
+
+    monkeypatch.setattr(engine, "conflict_free_subsets", recording)
+    tracer = Tracer()
+    simguided_substitute(build_benchmark("rnd1"), SIMGUIDED, tracer=tracer)
+    windows = [e for e in tracer.events if e["kind"] == "resub_window"]
+    resyns = [e for e in tracer.events if e["kind"] == "resub_resyn"]
+    assert len(windows) == len(resyns) == len(last_yielded)
+    accepted = 0
+    for window, resyn, position in zip(windows, resyns, last_yielded):
+        assert window["attrs"]["f"] == resyn["attrs"]["f"]
+        n = window["attrs"]["divisors"]
+        top = min(SIMGUIDED.resub_max_divisors, n)
+        attrs = resyn["attrs"]
+        if attrs["accepted"]:
+            accepted += 1
+            assert attrs["subsets"] == position
+        else:
+            assert attrs["subsets"] == sum(
+                math.comb(n, size) for size in range(top + 1)
+            )
+    assert accepted > 0
 
 
 def test_pi_supports_matches_transitive_reachability():

@@ -20,7 +20,6 @@ import json
 import pathlib
 
 from repro.cli import main
-from repro.sim.witness import WitnessScreen
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -104,13 +103,11 @@ def test_simguided_stats_are_byte_stable_across_runs(tmp_path):
     assert snapshots[0] == snapshots[1]
 
 
-def test_witness_screen_changes_no_output_or_counter(tmp_path, monkeypatch):
+def test_witness_screen_changes_no_output_or_counter(tmp_path, screen_off):
     reports = []
     for screened in (True, False):
         if not screened:
-            monkeypatch.setattr(
-                WitnessScreen, "witnesses", lambda self, assignments, gates: 0
-            )
+            screen_off()
         out = tmp_path / f"rnd8_{screened}.blif"
         stats_path = tmp_path / f"stats_{screened}.json"
         assert _optimize(out, ("--stats-json", str(stats_path))) == 0
