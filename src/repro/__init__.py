@@ -30,7 +30,6 @@ from repro.network import (
     factored_literals,
     network_literals,
     networks_equivalent,
-    simulate_equivalent,
 )
 from repro.core import (
     BASIC,
@@ -57,7 +56,6 @@ __all__ = [
     "factored_literals",
     "network_literals",
     "networks_equivalent",
-    "simulate_equivalent",
     "BASIC",
     "EXTENDED",
     "EXTENDED_GDC",

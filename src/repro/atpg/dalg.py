@@ -15,7 +15,7 @@ provides the exact answer for moderate circuits:
 This is the same decision procedure as the D-algorithm re-expressed
 over a miter (which avoids 5-valued bookkeeping), and it is complete:
 ``None`` with ``exhausted=False`` never happens — either a test is
-returned or the fault is proved untestable (or the backtrack budget
+returned or the fault is proved untestable (or the backtrack limit
 runs out, which is reported explicitly).
 """
 
@@ -127,7 +127,7 @@ class AtpgResult:
     test: Optional[Dict[str, bool]]
     #: True when the search space was fully explored (so ``test is
     #: None`` means *proved untestable*); False when the backtrack
-    #: budget ran out first.
+    #: limit ran out first.
     complete: bool
     backtracks: int = 0
 
@@ -136,24 +136,12 @@ def _satisfy(
     circuit: Circuit,
     objective: Tuple[str, bool],
     max_backtracks: int,
-    budget=None,
 ) -> AtpgResult:
-    """Find PI values satisfying *objective* by branch-and-propagate.
-
-    *budget* is an optional :class:`~repro.resilience.budget.RunBudget`:
-    the per-call backtrack limit is clamped to what the run has left,
-    the wall-clock deadline is honoured between branches, and the
-    backtracks actually spent (plus any incomplete verdict) are charged
-    back to the shared ledger.
-    """
+    """Find PI values satisfying *objective* by branch-and-propagate,
+    giving up after *max_backtracks* backtracks."""
     pis = sorted(circuit.pis())
     backtracks = 0
     aborted = False
-    limit = max_backtracks
-    if budget is not None:
-        remaining = budget.backtracks_remaining()
-        if remaining is not None:
-            limit = min(limit, remaining)
 
     state = imply(circuit, [objective])
     if state is None:
@@ -169,9 +157,7 @@ def _satisfy(
             return {pi: values[sid] for pi, sid in zip(pis, pi_ids)}
         pivot = free[0]
         for value in (True, False):
-            if backtracks > limit or (
-                budget is not None and budget.deadline_passed()
-            ):
+            if backtracks > max_backtracks:
                 aborted = True
                 return None
             mark = state.mark()
@@ -190,16 +176,11 @@ def _satisfy(
         return None
 
     test = search()
-    result = AtpgResult(
+    return AtpgResult(
         test=test,
-        complete=not aborted and backtracks <= limit,
+        complete=not aborted and backtracks <= max_backtracks,
         backtracks=backtracks,
     )
-    if budget is not None:
-        budget.charge_backtracks(backtracks)
-        if not result.complete:
-            budget.note_atpg_incomplete()
-    return result
 
 
 def generate_test(
@@ -207,18 +188,15 @@ def generate_test(
     fault: StuckAtFault,
     observables: Optional[Set[str]] = None,
     max_backtracks: int = 20000,
-    budget=None,
 ) -> AtpgResult:
     """Complete ATPG for one stuck-at fault.
 
     Returns a test vector, or (with ``complete=True``) a proof of
     untestability — the exact notion the RAR machinery approximates
-    with one-sided implication conflicts.  A shared
-    :class:`~repro.resilience.budget.RunBudget` further clamps the
-    backtrack limit and is charged for the work done.
+    with one-sided implication conflicts.
     """
     miter = build_miter(circuit, fault, observables)
-    return _satisfy(miter, (_DIFF, True), max_backtracks, budget=budget)
+    return _satisfy(miter, (_DIFF, True), max_backtracks)
 
 
 def prove_redundant(
@@ -226,10 +204,10 @@ def prove_redundant(
     fault: StuckAtFault,
     observables: Optional[Set[str]] = None,
     max_backtracks: int = 20000,
-    budget=None,
     tracer=None,
 ) -> Optional[bool]:
-    """Exact redundancy: True/False, or ``None`` if the budget ran out.
+    """Exact redundancy: True/False, or ``None`` if the search ran out
+    of backtracks.
 
     ``None`` is a *don't know*: consumers removing wires must treat it
     as "not redundant" (the conservative direction — keeping a
@@ -242,9 +220,7 @@ def prove_redundant(
     with as_tracer(tracer).span(
         "atpg", scope="dalg", gate=fault.gate, input=fault.input_index
     ) as span:
-        result = generate_test(
-            circuit, fault, observables, max_backtracks, budget=budget
-        )
+        result = generate_test(circuit, fault, observables, max_backtracks)
         if result.test is not None:
             verdict: Optional[bool] = False
         else:

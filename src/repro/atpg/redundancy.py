@@ -10,7 +10,7 @@ and for reproducing the RAR example of Fig. 1.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate, GateKind
@@ -38,21 +38,21 @@ def wire_is_redundant_exact(
     fault: StuckAtFault,
     observables: Optional[Set[str]] = None,
     max_backtracks: int = 20000,
-    budget=None,
     tracer=None,
 ) -> bool:
-    """Complete D-alg redundancy check, conservative under budgets.
+    """Complete D-alg redundancy check, conservative under its
+    backtrack limit.
 
     :func:`~repro.atpg.dalg.prove_redundant` is three-valued; an
-    out-of-budget ``None`` (``complete=False``) is mapped to False here
-    so redundancy *removal* never deletes a wire on a timed-out search
-    — keeping a removable wire is safe, removing a needed one is not.
+    incomplete search's ``None`` (``complete=False``) is mapped to
+    False here so redundancy *removal* never deletes a wire on an
+    unfinished search — keeping a removable wire is safe, removing a
+    needed one is not.
     """
     from repro.atpg.dalg import prove_redundant
 
     verdict = prove_redundant(
-        circuit, fault, observables, max_backtracks, budget=budget,
-        tracer=tracer,
+        circuit, fault, observables, max_backtracks, tracer=tracer
     )
     return verdict is True
 
@@ -82,7 +82,6 @@ def redundancy_removal(
     max_rounds: int = 10,
     exact: bool = False,
     max_backtracks: int = 20000,
-    budget=None,
     tracer=None,
 ) -> int:
     """Greedy redundancy removal; returns the number of wires removed.
@@ -92,9 +91,10 @@ def redundancy_removal(
 
     With ``exact=True`` a wire the implications cannot prove redundant
     is additionally checked with the complete miter D-alg
-    (:func:`wire_is_redundant_exact`); an out-of-budget search is
-    treated as *not redundant*, so a tight *budget* only makes the
-    removal less aggressive, never unsound.  An enabled *tracer*
+    (:func:`wire_is_redundant_exact`); a search that runs out of
+    backtracks is treated as *not redundant*, so a tight
+    *max_backtracks* only makes the removal less aggressive, never
+    unsound.  An enabled *tracer*
     records the whole sweep as one ``atpg`` span.
     """
     tracer = as_tracer(tracer)
@@ -117,7 +117,6 @@ def redundancy_removal(
                         fault,
                         observables,
                         max_backtracks,
-                        budget=budget,
                         tracer=tracer,
                     )
                 if redundant:

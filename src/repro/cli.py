@@ -131,8 +131,10 @@ def _optimize_main(argv: List[str]) -> int:
         "--verify-commits",
         action="store_true",
         help=(
-            "transactional mode: verify every accepted rewrite "
-            "against the input, roll back and quarantine on miscompare"
+            "transactional mode: prove every accepted rewrite "
+            "equivalent to the input, roll back and quarantine any "
+            "commit that is not proven (simguided proves every "
+            "rewrite with or without this flag)"
         ),
     )
     parser.add_argument(
@@ -141,7 +143,7 @@ def _optimize_main(argv: List[str]) -> int:
         choices=["auto", "sat"],
         help=(
             "exact-equivalence backend for the final check and every "
-            "exact check of the run (--verify-commits full checks, "
+            "exact check of the run (--verify-commits proofs, "
             "simguided validation): auto (default) simulates every "
             "input pattern up to 20 inputs and solves a budgeted CNF "
             "miter with the CDCL engine above; sat always solves the "

@@ -36,8 +36,8 @@ class DivisionConfig:
     #: bit-parallel signatures (truth-table windowing over small
     #: divisor sets, ODC-aware) and validates the few survivors
     #: exactly through ``verify_backend``.  Both engines share the
-    #: budget / ledger / tracing machinery and the equivalence
-    #: contract; they differ in how candidates are found.
+    #: budget / tracing machinery and the equivalence contract; they
+    #: differ in how candidates are found.
     method: str = "division"
 
     #: Extend implications through the whole circuit (global internal
@@ -82,7 +82,7 @@ class DivisionConfig:
     oracle_dc: bool = False
 
     #: Backend of every exact equivalence check in a run — the
-    #: ``verify_commits`` full checks, simguided validation and the
+    #: ``verify_commits`` commit proofs, simguided validation and the
     #: ``oracle_dc`` oracle (see
     #: :func:`~repro.network.verify.exact_equivalent`): "auto"
     #: simulates every input pattern up to
@@ -141,21 +141,18 @@ class DivisionConfig:
     #: deadline.
     max_divide_calls: Optional[int] = None
 
-    #: Total D-algorithm backtracks allowed per run across every ATPG
-    #: call that shares the run's budget (``None`` = unlimited).
-    max_run_backtracks: Optional[int] = None
-
-    #: Transactional commits: spot-check every accepted substitution
-    #: against the last proven state of the network (at first the
-    #: input) and roll back + quarantine the pair on miscompare (see
-    #: :mod:`repro.resilience.checkpoint`).
+    #: Transactional commits: the division engine proves every
+    #: accepted substitution equivalent to the last proven state of
+    #: the network (at first the input) and rolls back + quarantines
+    #: the pair unless it is proven (see
+    #: :mod:`repro.resilience.checkpoint`).  ``method="simguided"``
+    #: proves every candidate whether or not this is set, so the field
+    #: changes nothing there.
     verify_commits: bool = False
 
-    #: With ``verify_commits``, run the exact equivalence check
-    #: (``verify_backend``) every this-many commits; the others use
-    #: the cheap signature/simulation screen.  A proven check makes
-    #: the checked network the reference of the next ones, and it
-    #: also covers the screened commits since the last proof.
+    #: Has no effect: with ``verify_commits`` every commit is proven.
+    #: Still checked (``>= 1``) because the ``edit-verified`` benchmark
+    #: workload sets it; it retires together with that override.
     verify_full_every: int = 16
 
     #: ``method="simguided"``: divisor candidates collected into each
@@ -202,11 +199,7 @@ class DivisionConfig:
             raise ValueError("cache sizes must be >= 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        check_limits(
-            self.deadline_seconds,
-            self.max_divide_calls,
-            self.max_run_backtracks,
-        )
+        check_limits(self.deadline_seconds, self.max_divide_calls)
         if self.verify_full_every < 1:
             raise ValueError("verify_full_every must be >= 1")
         if self.verify_backend not in ("auto", "sat"):

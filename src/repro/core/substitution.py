@@ -71,16 +71,13 @@ class SubstitutionStats:
     #: run (:mod:`repro.sim.witness`): removal, clean and vote tests
     #: alike.  Deterministic, like ``divide_calls``.
     tests_witnessed: int = 0
-    #: D-alg searches that ran out of backtracks/deadline; their
-    #: verdicts were treated conservatively as "not redundant".
-    atpg_incomplete: int = 0
-    #: Commit verifications run / rolled back, and pairs quarantined,
-    #: under ``config.verify_commits``.
+    #: Commit proofs run / rolled back, and pairs quarantined, under
+    #: ``config.verify_commits`` (division engine only).
     commits_verified: int = 0
     commits_rolled_back: int = 0
     pairs_quarantined: int = 0
     #: SAT-backend work done by the run's exact checks (the commit
-    #: ledger's full checks and simguided validation, through
+    #: ledger's proofs and simguided validation, through
     #: :meth:`add_solver_work`).  Deterministic for a fixed (circuit,
     #: config, code) triple — the CDCL engine has no randomness — so
     #: they repeat exactly from run to run, like ``divide_calls``.
@@ -498,9 +495,9 @@ def substitute_pass(
     when it trips the pass stops cleanly between commits and returns
     what it accepted so far.  *ledger* is an optional
     :class:`~repro.resilience.checkpoint.CommitLedger`: every accepted
-    rewrite is verified against the last proven state of the network,
-    rolled back on miscompare, and the pair quarantined for the rest of
-    the run.
+    rewrite is proven against the last proven state of the network,
+    rolled back unless proven, and the pair quarantined for the rest
+    of the run.
 
     *tracer* is an optional :class:`~repro.obs.tracer.Tracer`; the
     pass records ``enumerate``/``pair``/``divide``/``atpg``/``commit``/
@@ -738,13 +735,13 @@ def substitute_network(
     :class:`~repro.resilience.budget.RunBudget` shared with the caller
     (e.g. across a multi-network flow); when it is ``None`` one is
     built from the config's limits (``deadline_seconds``,
-    ``max_divide_calls``, ``max_run_backtracks``), if any.  A tripped
-    budget stops the run cleanly with the best-so-far network and a
+    ``max_divide_calls``), if any.  A tripped budget stops the run
+    cleanly with the best-so-far network and a
     :class:`~repro.resilience.budget.BudgetReport` in
     ``stats.budget_report``.  With ``config.verify_commits`` every
-    accepted rewrite is verified against the last proven state (at
+    accepted rewrite is proven against the last proven state (at
     first a pre-run copy, or *reference*, which is never mutated),
-    rolled back on miscompare, and the offending pair quarantined
+    rolled back unless proven, and the offending pair quarantined
     (incidents land in ``stats.incidents``).
 
     *tracer* is an optional :class:`~repro.obs.tracer.Tracer`; the run
@@ -790,12 +787,8 @@ def substitute_network(
         sim_filter = DivisorFilter(network, config)
     ledger = None
     if config.verify_commits:
-        ledger = CommitLedger(reference, config, stats, sim_filter)
+        ledger = CommitLedger(reference, config, stats)
     memo = AttemptMemo(network, config, stats)
-    #: The budget may be shared across several runs accumulating into
-    #: the same *stats*; charge only this run's ATPG-incomplete delta
-    #: (the ledger on the budget is cumulative).
-    atpg_incomplete_before = budget.atpg_incomplete if budget else 0
     with tracer.span(
         "run", circuit=network.name, mode=config.mode
     ) as run_span:
@@ -828,9 +821,6 @@ def substitute_network(
         stats.resim_nodes += sim_filter.sim.nodes_resimulated
         stats.tests_witnessed += sim_filter.screen.tests_witnessed
     if budget is not None:
-        stats.atpg_incomplete += (
-            budget.atpg_incomplete - atpg_incomplete_before
-        )
         stats.budget_report = budget.report()
     stats.cpu_seconds += time.perf_counter() - start
     stats.literals_after += network_literals(network)

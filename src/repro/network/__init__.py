@@ -12,8 +12,8 @@ paper's experiments rely on:
 * :mod:`repro.network.extract` — ``gcx``/``gkx`` extraction,
 * :mod:`repro.network.factor` — factored-form literal counting,
 * :mod:`repro.network.blif` — BLIF reader/writer,
-* :mod:`repro.network.verify` — the exact equivalence verdict, the
-  BDD oracle and the random-simulation screen.
+* :mod:`repro.network.verify` — the exact equivalence verdict and
+  the BDD oracle.
 """
 
 from repro.network.node import Node
@@ -21,7 +21,6 @@ from repro.network.network import Network
 from repro.network.factor import factored_literals, network_literals, factor
 from repro.network.verify import (
     networks_equivalent,
-    simulate_equivalent,
     network_output_bdds,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "network_literals",
     "factor",
     "networks_equivalent",
-    "simulate_equivalent",
     "network_output_bdds",
 ]

@@ -1,10 +1,7 @@
 """Functional verification of networks.
 
-Three mechanisms:
+Two mechanisms:
 
-* :func:`simulate_equivalent` — fast bit-parallel random simulation;
-  a cheap screen (a mismatch proves inequivalence, agreement proves
-  nothing), used for the commit ledger's spot checks.
 * :func:`networks_equivalent` — exact equivalence by building ROBDDs of
   every primary-output cone over the primary inputs; the reference
   oracle of the test suite and the examples, sharing no code with the
@@ -22,7 +19,6 @@ structure, under one rule (:func:`shared_nodes`).
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.bdd import BddManager
@@ -280,51 +276,4 @@ def exact_equivalent(
         conflict_budget = check.DEFAULT_CONFLICT_BUDGET
     return check.sat_equivalent(
         a, b, conflict_budget=conflict_budget, tracer=tracer
-    )
-
-
-def simulate_equivalent(
-    a: Network,
-    b: Network,
-    patterns: int = 256,
-    seed: int = 0,
-    rng: Optional[random.Random] = None,
-) -> bool:
-    """Random-pattern screen: False proves inequivalence; True is only
-    probabilistic evidence of equivalence."""
-    if sorted(a.pos) != sorted(b.pos):
-        return False
-    if sorted(a.pis) != sorted(b.pis):
-        return False
-    if rng is None:
-        rng = random.Random(seed)
-    stimulus = {
-        pi: rng.getrandbits(patterns) for pi in a.pis
-    }
-    values_a = a.simulate(stimulus, width=patterns)
-    values_b = b.simulate(stimulus, width=patterns)
-    return all(values_a[po] == values_b[po] for po in a.pos)
-
-
-def simulate_equivalent_prescreened(
-    reference: Network,
-    network: Network,
-    sim=None,
-    patterns: int = 256,
-    seed: int = 0,
-) -> bool:
-    """:func:`simulate_equivalent` with a maintained-signature pre-pass.
-
-    *sim* is an up-to-date
-    :class:`~repro.sim.signature.SignatureSimulator` over *network*
-    (or ``None``).  Its primary-output signatures were baselined before
-    optimization started, so a mismatch now is a *proof* that some
-    rewrite changed the network's function on a sampled pattern — the
-    expensive two-network re-simulation can be skipped.  Agreement
-    proves nothing and falls through to the full screen.
-    """
-    if sim is not None and not sim.po_signatures_clean():
-        return False
-    return simulate_equivalent(
-        reference, network, patterns=patterns, seed=seed
     )

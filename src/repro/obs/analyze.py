@@ -6,10 +6,10 @@ This module turns that flat list back into the tree it came from and
 answers the questions the raw data cannot:
 
 * **Where did the time go?**  :func:`critical_path` walks the heaviest
-  root-to-leaf chain; :func:`aggregate_by_kind` /
-  :func:`aggregate_by_proc_kind` roll wall/CPU/self-wall up per span
-  kind (and per recording process, since each proc has its own
-  clock).
+  root-to-leaf chain; :func:`~repro.obs.profile.profile_events` rolls
+  wall/CPU/self-wall up per span kind, and
+  :func:`aggregate_by_proc_kind` does the same per recording process
+  (each proc has its own clock).
 * **Which candidates dominate?**  :func:`top_spans` ranks the slowest
   ``pair`` / ``divide`` / ``atpg`` spans with their attrs, so "which
   divisor pairs dominate ATPG backtracks" is one function call.
@@ -25,6 +25,8 @@ report``.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from repro.obs.profile import profile_events
 
 #: Span kinds ranked by default in the hot-span report.
 DEFAULT_TOP_KINDS = ("pair", "divide", "atpg")
@@ -121,37 +123,15 @@ def critical_path(forest: SpanForest) -> List[dict]:
 # ----------------------------------------------------------------------
 # Aggregates
 # ----------------------------------------------------------------------
-def _aggregate(nodes: Iterable[SpanNode], key_fn) -> Dict[object, Dict[str, float]]:
-    rollup: Dict[object, Dict[str, float]] = {}
-    for node in nodes:
-        row = rollup.setdefault(
-            key_fn(node),
-            {"count": 0, "wall": 0.0, "cpu": 0.0, "self_wall": 0.0},
-        )
-        row["count"] += 1
-        row["wall"] += node.dur
-        row["cpu"] += node.event["cpu"]
-        row["self_wall"] += node.self_wall()
-    return rollup
-
-
-def aggregate_by_kind(forest: SpanForest) -> Dict[str, Dict[str, float]]:
-    """``{kind: {count, wall, cpu, self_wall}}`` over the whole trace."""
-    return _aggregate(forest.nodes.values(), lambda n: n.event["kind"])
-
-
 def aggregate_by_proc_kind(
     forest: SpanForest,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Per-proc rollup: ``{proc: {kind: {count, wall, cpu, self_wall}}}``."""
-    flat = _aggregate(
-        forest.nodes.values(),
-        lambda n: (n.event["proc"], n.event["kind"]),
-    )
-    nested: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for (proc, kind), row in flat.items():
-        nested.setdefault(proc, {})[kind] = row
-    return nested
+    """Per-proc rollup: ``{proc: {kind: {count, wall, cpu, self_wall}}}``,
+    :func:`~repro.obs.profile.profile_events` over each proc's spans."""
+    by_proc: Dict[str, List[dict]] = {}
+    for node in forest.nodes.values():
+        by_proc.setdefault(node.event["proc"], []).append(node.event)
+    return {proc: profile_events(events) for proc, events in by_proc.items()}
 
 
 def top_spans(
@@ -195,12 +175,13 @@ def analyze_trace(
     top_n: int = 10,
 ) -> Dict[str, object]:
     """Everything ``repro trace report`` shows, as one JSON-ready dict."""
+    events = list(events)
     forest = build_forest(events)
     return {
         "spans": len(forest.nodes),
         "procs": forest.procs(),
         "critical_path": critical_path(forest),
-        "by_kind": aggregate_by_kind(forest),
+        "by_kind": profile_events(events),
         "by_proc_kind": aggregate_by_proc_kind(forest),
         "top_spans": top_spans(forest, kinds=top_kinds, n=top_n),
     }

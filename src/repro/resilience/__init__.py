@@ -6,15 +6,15 @@ enforce with verify-after-optimize spot checks).  This package holds
 its two pillars:
 
 * :mod:`repro.resilience.budget` — :class:`RunBudget`: wall-clock
-  deadline plus total divide-call and ATPG-backtrack caps, checked at
-  pass/pair/D-alg granularity so any run stops cleanly with its
+  deadline plus a total divide-call cap, checked at pass, pair and
+  removal-test granularity so any run stops cleanly with its
   best-so-far network and a :class:`BudgetReport` in the statistics.
 * :mod:`repro.resilience.checkpoint` — :class:`CommitLedger`: opt-in
-  transactional commits; every accepted substitution is spot-checked
-  against the last proven state (full exact check every K commits,
-  each proof advancing that state), and a miscompare or an unproven
-  exact check rolls the commit back and quarantines the (dividend,
-  divisor) pair for the rest of the run.
+  transactional commits for the division engine; every accepted
+  substitution is proven equivalent to the last proven state (each
+  proof advancing that state), and a commit that is not proven rolls
+  back and quarantines the (dividend, divisor) pair for the rest of
+  the run.
 """
 
 from repro.resilience.budget import (

@@ -3,27 +3,21 @@
 With ``DivisionConfig.verify_commits`` the substitution loop treats
 every accepted rewrite as a transaction: the touched nodes are
 snapshotted (the loop's existing undo buffer), the rewrite is applied,
-and the :class:`CommitLedger` spot-checks the whole network against its
-reference before the commit is kept.  The spot check is the cheap
-maintained-signature / random-simulation screen
-(:func:`~repro.network.verify.simulate_equivalent_prescreened`); every
-``verify_full_every``-th commit is instead checked *exactly* through
-:func:`~repro.network.verify.exact_equivalent` (``verify_backend``).
-A commit is kept on an exact check only when the verdict proves
-equality: a difference and an unknown (exhausted SAT budget) both roll
-it back.
+and the :class:`CommitLedger` proves the whole network equivalent to
+its reference through :func:`~repro.network.verify.exact_equivalent`
+(``verify_backend``) before the commit is kept.  A commit is kept only
+when the verdict proves equality: a difference and an unknown
+(exhausted SAT budget) both roll it back.
 
 The reference starts as the pre-optimization network and advances to
-a copy of the network after every proven exact check.  Equivalence is
-transitive, so proving against the last proven state proves against
-the input, and the proof also covers the commits only screened since
-the previous one.  Between the two states only the rewritten nodes and
-their fanout differ, and that is all either exact backend looks at:
-both leave out what the two networks share by structure
-(:func:`~repro.network.verify.shared_nodes`).  A failed
-check leaves the reference where it was, so with
-``verify_full_every=1`` a rollback restores exactly the last proven
-state.
+a copy of the network after every proof.  Equivalence is transitive,
+so proving against the last proven state proves against the input.
+Between the two states only the rewritten nodes and their fanout
+differ, and that is all either exact backend looks at: both leave out
+what the two networks share by structure
+(:func:`~repro.network.verify.shared_nodes`).  A failed check leaves
+the reference where it was, so a rollback restores exactly the last
+proven state.
 
 A rollback quarantines the (dividend, divisor) pair for the rest of
 the run — the pair is never evaluated again — and appends a
@@ -34,13 +28,10 @@ structured incident record (a JSON-ready dict) that surfaces through
 from __future__ import annotations
 
 import logging
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.network.network import Network
-from repro.network.verify import (
-    exact_equivalent,
-    simulate_equivalent_prescreened,
-)
+from repro.network.verify import exact_equivalent
 
 logger = logging.getLogger("repro.resilience")
 
@@ -48,27 +39,25 @@ Pair = Tuple[str, str]
 
 
 class CommitLedger:
-    """Commit verification, rollback bookkeeping, and quarantine.
+    """Commit proofs, rollback bookkeeping, and quarantine.
 
     The ledger never mutates the network itself, nor the *reference*
     it was given: :attr:`reference` is replaced by a copy of the
-    network after each proven exact check.  The substitution loop owns
-    the undo buffer and calls :meth:`quarantine` after it has restored
-    the snapshot, so the rollback counts always describe completed
-    rollbacks.  Checks, rollbacks, incidents and the exact
-    checks' solver work are recorded straight into the run's *stats*
-    (a :class:`~repro.core.substitution.SubstitutionStats`).
+    network after each proof.  The substitution loop owns the undo
+    buffer and calls :meth:`quarantine` after it has restored the
+    snapshot, so the rollback counts always describe completed
+    rollbacks.  Checks, rollbacks, incidents and the proofs' solver
+    work are recorded straight into the run's *stats* (a
+    :class:`~repro.core.substitution.SubstitutionStats`).
     """
 
-    def __init__(self, reference: Network, config, stats, sim_filter=None):
+    def __init__(self, reference: Network, config, stats):
         self.reference = reference
         self.config = config
         self.stats = stats
-        self.sim_filter = sim_filter
         self.quarantined: Set[Pair] = set()
-        #: Commits seen (drives the every-K full-check cadence).
+        #: Commits checked (an incident's ``commit_index``).
         self.commits = 0
-        self._last_check = "none"
         self._last_status = "none"
 
     # ------------------------------------------------------------------
@@ -83,55 +72,39 @@ class CommitLedger:
     def verify_commit(
         self, network: Network, f_name: str, d_name: str, tracer
     ) -> bool:
-        """Check the just-applied commit under one ``verify`` span;
+        """Prove the just-applied commit under one ``verify`` span;
         False means roll it back.
 
-        The span records the backend (``exhaustive`` or ``sat`` for an
-        exact check, ``simulation`` for the screen) and the status.  A
-        passing screen proves nothing, so its status is ``unknown``;
-        a failing one has found a distinguishing pattern
-        (``different``).
+        The span records the verdict's backend (``exhaustive`` or
+        ``sat``) and status.
         """
         self.commits += 1
         self.stats.commits_verified += 1
         with tracer.span(
             "verify", check="ledger", f=f_name, d=d_name
         ) as span:
-            if self.commits % self.config.verify_full_every == 0:
-                self._last_check = "exact"
-                verdict = exact_equivalent(
-                    self.reference,
-                    network,
-                    backend=self.config.verify_backend,
-                    conflict_budget=self.config.sat_conflict_budget,
-                    tracer=tracer,
-                )
-                self.stats.add_solver_work(verdict)
-                backend, ok = verdict.backend, bool(verdict)
-                self._last_status = verdict.status
-                if ok:
-                    # Equivalence is transitive: the next exact check
-                    # against this proven state also covers any commit
-                    # only screened in between.  A copy, because the
-                    # loop goes on mutating *network*.
-                    self.reference = network.copy()
-            else:
-                self._last_check = backend = "simulation"
-                ok = simulate_equivalent_prescreened(
-                    self.reference,
-                    network,
-                    getattr(self.sim_filter, "sim", None),
-                )
-                self._last_status = "unknown" if ok else "different"
-            span.annotate(backend=backend, status=self._last_status, ok=ok)
+            verdict = exact_equivalent(
+                self.reference,
+                network,
+                backend=self.config.verify_backend,
+                conflict_budget=self.config.sat_conflict_budget,
+                tracer=tracer,
+            )
+            self.stats.add_solver_work(verdict)
+            ok = bool(verdict)
+            self._last_status = verdict.status
+            if ok:
+                # A copy, because the loop goes on mutating *network*.
+                self.reference = network.copy()
+            span.annotate(
+                backend=verdict.backend, status=verdict.status, ok=ok
+            )
         return ok
 
     # ------------------------------------------------------------------
     # Rollback bookkeeping
     # ------------------------------------------------------------------
-    def quarantine(
-        self, f_name: str, d_name: str, detail: Optional[str] = None
-    ) -> None:
+    def quarantine(self, f_name: str, d_name: str) -> None:
         """Record a completed rollback and bar the pair for the run."""
         self.stats.commits_rolled_back += 1
         if (f_name, d_name) not in self.quarantined:
@@ -142,16 +115,13 @@ class CommitLedger:
             "dividend": f_name,
             "divisor": d_name,
             "commit_index": self.commits,
-            "check": self._last_check,
+            "check": "exact",
             "verdict": self._last_status,
         }
-        if detail:
-            incident["detail"] = detail
         self.stats.incidents.append(incident)
         logger.error(
-            "commit verification failed (%s check, %s): rolled back "
+            "commit proof failed (%s): rolled back "
             "and quarantined dividend=%s divisor=%s",
-            self._last_check,
             self._last_status,
             f_name,
             d_name,

@@ -14,9 +14,8 @@ the few survivors exactly.
   a cover over ≤k divisor signatures that matches the target signature
   on every care pattern (don't-care-aware),
 * :mod:`repro.resub.engine` — the run loop: windowing → resynthesis →
-  ATPG literal cleanup → exact validation (``verify_backend``
-  dispatch) → transactional commit through the shared
-  :class:`~repro.resilience.checkpoint.CommitLedger` machinery.
+  ATPG literal cleanup → exact validation against the input
+  (``verify_backend`` dispatch) → commit of the proven candidate.
 """
 
 from repro.resub.resyn import resynthesize_window

@@ -4,9 +4,9 @@
 :func:`~repro.core.substitution.substitute_network` here.  The engine
 keeps the division pipeline's outer contract — greedy first-win
 acceptance, ``max_passes`` sweeps to a fixpoint, `RunBudget` clean
-stops, `CommitLedger` transactional commits, tracer spans, one
-:class:`~repro.core.substitution.SubstitutionStats` ledger — but finds
-its rewrites the opposite way.  Division *searches* for a divisor
+stops, tracer spans, one
+:class:`~repro.core.substitution.SubstitutionStats` — but finds its
+rewrites the opposite way.  Division *searches* for a divisor
 whose implication structure proves a rewrite; simulation-guided
 resubstitution *constructs* a candidate function for each target
 directly from signatures and then proves it:
@@ -36,7 +36,10 @@ directly from signatures and then proves it:
 Because every accepted commit is exactly equivalent to the pre-run
 reference, the final network is exactly equivalent to the input by
 construction — the property the cross-engine differential suite
-(``tests/resub/``) locks in.
+(``tests/resub/``) locks in.  The engine therefore builds no
+:class:`~repro.resilience.checkpoint.CommitLedger`: every commit is
+already proven, and ``DivisionConfig.verify_commits`` changes nothing
+here.
 
 The loop revisits the same small problems constantly (every pass,
 every target with a similar window), so four results are reused
@@ -58,7 +61,6 @@ from __future__ import annotations
 
 import math
 import time
-import types
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import DivisionConfig
@@ -70,7 +72,6 @@ from repro.network.network import Network
 from repro.network.verify import exact_equivalent
 from repro.obs.tracer import as_tracer
 from repro.resilience.budget import BudgetExhausted, RunBudget
-from repro.resilience.checkpoint import CommitLedger
 from repro.resub.resyn import conflict_free_subsets, resynthesize_window
 from repro.resub.window import build_window, pi_supports
 from repro.sim.signature import SignatureSimulator
@@ -79,12 +80,8 @@ from repro.twolevel.cover import Cover
 
 
 def _divisor_label(divisors: Sequence[str]) -> str:
-    """Ledger/quarantine key for a divisor subset.
-
-    The CommitLedger keys on ``(dividend, divisor)`` pairs; a resub
-    commit's "divisor" is the whole subset, collapsed into one stable
-    label so quarantine bars exactly the failing combination.
-    """
+    """A divisor subset as one stable label: the ``d=`` of a resub
+    ``commit`` span, the counterpart of a division commit's divisor."""
     return "resub(" + ",".join(divisors) + ")"
 
 
@@ -228,7 +225,6 @@ def _resub_pass(
     stats: SubstitutionStats,
     sim: SignatureSimulator,
     budget,
-    ledger,
     tracer,
     clean_memo: Optional[Dict[tuple, Tuple[Cover, int]]] = None,
     screen: Optional[WitnessScreen] = None,
@@ -296,10 +292,6 @@ def _resub_pass(
                 if budget is not None:
                     budget.check_deadline()
                 subset = tuple(window.divisors[i] for i in indices)
-                if ledger is not None and ledger.is_quarantined(
-                    f_name, _divisor_label(subset)
-                ):
-                    continue
                 cover = resynthesize_window(
                     target_sig,
                     [divisor_sigs[i] for i in indices],
@@ -320,9 +312,9 @@ def _resub_pass(
                 stats.resub_wires_cleaned += removed
                 if factored_literals(cleaned) >= old_lits:
                     continue
-                label = _divisor_label(subset)
                 with tracer.span(
-                    "commit", f=f_name, d=label, via="resub"
+                    "commit", f=f_name, d=_divisor_label(subset),
+                    via="resub",
                 ) as commit_span:
                     snapshot = _Snapshot(network, [f_name])
                     node.set_function(list(subset), cleaned)
@@ -336,14 +328,6 @@ def _resub_pass(
                     if not verdict:
                         snapshot.restore()
                         sim.refresh([f_name])
-                        commit_span.annotate(accepted=False)
-                        continue
-                    if ledger is not None and not ledger.verify_commit(
-                        network, f_name, label, tracer
-                    ):
-                        snapshot.restore()
-                        sim.refresh([f_name])
-                        ledger.quarantine(f_name, label)
                         commit_span.annotate(accepted=False)
                         continue
                     stats.accepted += 1
@@ -376,8 +360,10 @@ def simguided_substitute(
     The drop-in counterpart of the division path of
     :func:`~repro.core.substitution.substitute_network` (which
     delegates here for ``config.method == "simguided"``): same stats
-    accumulation contract, same budget clean-stop semantics, same
-    transactional-commit machinery under ``config.verify_commits``.
+    accumulation contract, same budget clean-stop semantics.  Every
+    commit is proven against the input by :func:`_validate_exact`, so
+    no :class:`~repro.resilience.checkpoint.CommitLedger` is built and
+    ``config.verify_commits`` changes nothing.
     """
     tracer = as_tracer(tracer)
     if stats is None:
@@ -393,13 +379,6 @@ def simguided_substitute(
     sim = SignatureSimulator(
         network, patterns=config.sim_patterns, seed=config.sim_seed
     )
-    ledger = None
-    if config.verify_commits:
-        # The ledger only needs a ``.sim`` attribute from its filter
-        # (the prescreen pre-pass); resub has no DivisorFilter.
-        ledger = CommitLedger(
-            reference, config, stats, types.SimpleNamespace(sim=sim)
-        )
     clean_memo: Dict[tuple, Tuple[Cover, int]] = {}
     screen = WitnessScreen(sim)
     with tracer.span(
@@ -413,7 +392,7 @@ def simguided_substitute(
                 try:
                     _resub_pass(
                         network, reference, config, stats, sim,
-                        budget, ledger, tracer, clean_memo, screen,
+                        budget, tracer, clean_memo, screen,
                     )
                 except BudgetExhausted:
                     # Clean stop between commits; everything applied so

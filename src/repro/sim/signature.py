@@ -52,9 +52,6 @@ class SignatureSimulator:
         #: Total node re-evaluations performed by :meth:`refresh`.
         self.nodes_resimulated = 0
         self._simulate_all()
-        self._po_baseline = {
-            po: self.signatures[po] for po in network.pos
-        }
 
     # ------------------------------------------------------------------
     # Pattern generation / evaluation
@@ -81,15 +78,6 @@ class SignatureSimulator:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def po_signatures_clean(self) -> bool:
-        """True while every PO signature matches its pre-optimization
-        baseline.  False *proves* the network changed function on a
-        sampled pattern (used as the acceptance-check pre-pass)."""
-        return all(
-            self.signatures.get(po) == self._po_baseline.get(po)
-            for po in self.network.pos
-        )
-
     def stimulus(self) -> Dict[str, int]:
         """The PI patterns, in :meth:`Network.simulate` format."""
         return {

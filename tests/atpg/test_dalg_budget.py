@@ -1,9 +1,11 @@
-"""Budgeted D-alg: out-of-budget verdicts must stay conservative.
+"""The D-alg's per-call backtrack limit: incomplete verdicts must stay
+conservative.
 
-The regression locked in here: a D-alg search that runs out of budget
-reports ``complete=False`` and its ``None`` redundancy verdict is
-treated as *not redundant* everywhere a wire removal hangs on it —
-keeping a removable wire is safe, removing a needed one is not.
+The regression locked in here: a D-alg search that runs out of
+backtracks reports ``complete=False`` and its ``None`` redundancy
+verdict is treated as *not redundant* everywhere a wire removal hangs
+on it — keeping a removable wire is safe, removing a needed one is
+not.
 """
 
 from repro.atpg.dalg import generate_test, prove_redundant
@@ -12,83 +14,79 @@ from repro.atpg.redundancy import (
     redundancy_removal,
     wire_is_redundant_exact,
 )
-from repro.resilience.budget import RunBudget
+from repro.obs.tracer import Tracer
 from tests.atpg.test_dalg import demo
 
-#: The demo circuit's provably redundant fault (b' literal of g2).
+#: The demo circuit's provably redundant fault (b' literal of g2); its
+#: proof takes 6 backtracks.
 REDUNDANT = StuckAtFault("g2", 1, True)
 
 
-def _expired_budget() -> RunBudget:
-    """A budget whose deadline has already passed (fake clock)."""
-    return RunBudget(deadline_seconds=0.0, clock=lambda: 0.0)
-
-
-class TestBudgetedSearch:
-    def test_ample_budget_matches_unbudgeted(self):
-        budget = RunBudget(max_backtracks=10**6)
-        verdict = prove_redundant(demo(), REDUNDANT, {"out"}, budget=budget)
-        assert verdict is True
-        assert budget.backtracks >= 0
-        assert budget.atpg_incomplete == 0
-
-    def test_expired_deadline_aborts_incomplete(self):
-        budget = _expired_budget()
-        result = generate_test(demo(), REDUNDANT, {"out"}, budget=budget)
+class TestBacktrackLimit:
+    def test_proof_within_the_limit_is_complete(self):
+        result = generate_test(demo(), REDUNDANT, {"out"})
         assert result.test is None
-        assert not result.complete
-        assert budget.atpg_incomplete == 1
+        assert result.complete
+        assert result.backtracks == 6
+        assert generate_test(
+            demo(), REDUNDANT, {"out"}, max_backtracks=6
+        ).complete
 
-    def test_backtracks_are_charged(self):
-        budget = RunBudget(max_backtracks=10**6)
-        result = generate_test(demo(), REDUNDANT, {"out"}, budget=budget)
-        assert budget.backtracks == result.backtracks
-
-    def test_budget_clamps_per_call_limit(self):
-        budget = RunBudget(max_backtracks=0)
-        # The per-call default (20000) is clamped to the 0 the run has
-        # left, so the search cannot spend what the budget doesn't have.
-        result = generate_test(demo(), REDUNDANT, {"out"}, budget=budget)
-        if not result.complete:
-            assert (
-                prove_redundant(
-                    demo(), REDUNDANT, {"out"}, budget=RunBudget(
-                        max_backtracks=0
-                    )
-                )
-                is None
+    def test_search_over_the_limit_is_incomplete(self):
+        for limit in (0, 5):
+            result = generate_test(
+                demo(), REDUNDANT, {"out"}, max_backtracks=limit
             )
+            assert result.test is None
+            assert not result.complete
+            assert prove_redundant(
+                demo(), REDUNDANT, {"out"}, max_backtracks=limit
+            ) is None
 
 
 class TestConservativeDirection:
-    def test_out_of_budget_is_not_redundant(self):
-        # The fault IS redundant, but the budget ran out before the
-        # proof finished: the only safe answer is "not redundant".
+    def test_incomplete_search_is_not_redundant(self):
+        # The fault IS redundant, but the search ran out of backtracks
+        # before the proof finished: the only safe answer is "not
+        # redundant".
         assert wire_is_redundant_exact(
-            demo(), REDUNDANT, {"out"}, budget=_expired_budget()
+            demo(), REDUNDANT, {"out"}, max_backtracks=0
         ) is False
 
-    def test_ample_budget_proves_redundant(self):
-        assert wire_is_redundant_exact(
-            demo(),
-            REDUNDANT,
-            {"out"},
-            budget=RunBudget(max_backtracks=10**6),
-        ) is True
+    def test_ample_limit_proves_redundant(self):
+        assert wire_is_redundant_exact(demo(), REDUNDANT, {"out"}) is True
 
-    def test_exact_removal_skips_wire_out_of_budget(self):
-        # With an expired budget the exact check can never fire, so
+    def test_exact_removal_skips_wire_it_cannot_prove(self):
+        # With no backtracks the exact check proves nothing here, so
         # exact removal degenerates to the implication-only removal —
-        # fewer wires removed, never a wrong one.
-        budgeted = demo()
-        removed_budgeted = redundancy_removal(
-            budgeted, {"out"}, exact=True, budget=_expired_budget()
+        # never a wrong wire.
+        limited = demo()
+        removed_limited = redundancy_removal(
+            limited, {"out"}, exact=True, max_backtracks=0
         )
         baseline = demo()
         removed_plain = redundancy_removal(baseline, {"out"})
-        assert removed_budgeted == removed_plain
+        assert removed_limited == removed_plain
 
-    def test_exact_removal_with_budget_removes_more_eventually(self):
+    def test_limit_is_per_call_not_per_sweep(self):
+        # Each D-alg search of an exact sweep gets the whole limit:
+        # at 5 every search completes, although together they take
+        # more than 5 backtracks, and the sweep removes what an
+        # unlimited one removes.
+        tracer = Tracer()
+        removed = redundancy_removal(
+            demo(), {"out"}, exact=True, max_backtracks=5, tracer=tracer
+        )
+        searches = [
+            event["attrs"] for event in tracer.events
+            if event["attrs"].get("scope") == "dalg"
+        ]
+        assert searches
+        assert all(attrs["complete"] for attrs in searches)
+        assert sum(attrs["backtracks"] for attrs in searches) > 5
+        assert removed == redundancy_removal(demo(), {"out"}, exact=True)
+
+    def test_exact_removal_removes_at_least_as_much(self):
         # Sanity in the other direction: with room to search, the
         # exact mode proves (at least) everything implications prove.
         loose = demo()

@@ -10,15 +10,14 @@ ledger.  These tests pin that contract:
   into the same stats object (an overwrite would reset a counter and
   break monotonicity whenever the second run is smaller);
 * a :class:`~repro.resilience.budget.RunBudget` shared across runs is
-  charged by *delta* — its cumulative ``atpg_incomplete`` ledger must
-  not be re-added wholesale on every run.
+  charged by each run's own divide calls — the stats see that delta,
+  never the budget's cumulative spend.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +45,7 @@ def test_numeric_field_inventory_is_nontrivial():
     # would silently empty the property test.
     assert "attempts" in _NUMERIC_FIELDS
     assert "literals_after" in _NUMERIC_FIELDS
-    assert "atpg_incomplete" in _NUMERIC_FIELDS
+    assert "tests_witnessed" in _NUMERIC_FIELDS
     assert len(_NUMERIC_FIELDS) >= 15
 
 
@@ -82,22 +81,20 @@ def test_literals_accumulate_not_overwrite():
     assert stats.literals_after > first_after
 
 
-def test_shared_budget_charges_atpg_delta_only():
+def test_shared_budget_charges_divide_call_delta_only():
     """A budget with prior spend must not leak into a fresh run.
 
-    The budget's ``atpg_incomplete`` ledger is cumulative across every
-    run that shares it; folding the whole ledger into each run's stats
-    double-counts.  Only the delta incurred *during* the run may be
-    added.
+    The budget's ``divide_calls`` are cumulative across every run that
+    shares it; only the calls made *during* the run may land in the
+    run's stats, and the budget is charged exactly those.
     """
     budget = RunBudget(deadline_seconds=1000.0)
-    budget.atpg_incomplete = 7  # spend from a hypothetical earlier run
+    budget.charge_divide_calls(7)  # spend from a hypothetical earlier run
     stats = SubstitutionStats()
     network = random_network(3, n_pis=4, n_nodes=5)
     substitute_network(network, BASIC, stats=stats, budget=budget)
-    # The run itself triggered no incomplete searches (tiny network,
-    # huge deadline), so the prior spend must not appear.
-    assert stats.atpg_incomplete == budget.atpg_incomplete - 7
+    assert stats.divide_calls > 0
+    assert stats.divide_calls == budget.divide_calls - 7
 
 
 def test_shared_budget_two_runs_accumulate_deltas():
@@ -107,4 +104,5 @@ def test_shared_budget_two_runs_accumulate_deltas():
     for seed in (21, 22):
         network = random_network(seed, n_pis=4, n_nodes=5)
         substitute_network(network, BASIC, stats=stats, budget=budget)
-    assert stats.atpg_incomplete == budget.atpg_incomplete
+    assert stats.divide_calls > 0
+    assert stats.divide_calls == budget.divide_calls

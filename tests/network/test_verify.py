@@ -10,7 +10,6 @@ from repro.network.verify import (
     exhaustive_equivalent,
     network_output_bdds,
     networks_equivalent,
-    simulate_equivalent,
 )
 from repro.twolevel.cover import Cover
 
@@ -65,21 +64,6 @@ class TestBddEquivalence:
         a, _ = pair("ab", "ab")
         with pytest.raises(ValueError):
             network_output_bdds(a, ["a", "b", "c"], BddManager(1))
-
-
-class TestSimulation:
-    def test_agrees_on_equivalent(self):
-        a, b = pair("ab + ab'", "a")
-        assert simulate_equivalent(a, b)
-
-    def test_catches_inequivalence(self):
-        a, b = pair("ab", "a + b")
-        assert not simulate_equivalent(a, b, patterns=256)
-
-    def test_requires_same_interface(self):
-        a, b = pair("a", "a")
-        b.add_pi("extra")
-        assert not simulate_equivalent(a, b)
 
 
 def wide_pair(n_pis: int):
@@ -152,6 +136,26 @@ class TestExactEquivalent:
         verdict = exact_equivalent(a, b, backend=backend)
         assert verdict.status == "different"
         assert verdict.counterexample is None
+
+    @pytest.mark.parametrize(
+        "backend, expected", [("auto", "exhaustive"), ("sat", "sat")]
+    )
+    def test_input_sets_that_differ(self, backend, expected):
+        # An input only one side has is equal if unused, and a
+        # difference the witness can replay if used.
+        a, b = pair("ab", "ab")
+        b.add_pi("z")
+        assert exact_equivalent(a, b, backend=backend).status == "equal"
+        c = Network()
+        for pi in "abz":
+            c.add_pi(pi)
+        c.parse_node("f", "a b z", ["a", "b", "z"])
+        c.add_po("f")
+        verdict = exact_equivalent(a, c, backend=backend)
+        assert verdict.backend == expected
+        assert verdict.status == "different"
+        assert sorted(verdict.counterexample) == ["a", "b", "c", "z"]
+        assert replays(a, c, verdict.counterexample)
 
     @pytest.mark.parametrize("backend", ["simulation", "bdd"])
     def test_unknown_backend_rejected(self, backend):

@@ -6,12 +6,14 @@ span forests pin the structural contracts of
 
 * the critical path is a root-to-leaf *chain* (each step the previous
   step's child, same proc) whose duration never exceeds the root's;
-* per-kind self-wall times are non-negative and sum to at most the
+* per-kind self-wall times (:func:`~repro.obs.profile.profile_events`,
+  the one per-kind rollup) are non-negative and sum to at most the
   total root wall (no phase is billed twice).
 """
 
 from __future__ import annotations
 
+import pathlib
 import random
 
 import pytest
@@ -19,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.analyze import (
-    aggregate_by_kind,
     aggregate_by_proc_kind,
     analyze_trace,
     build_forest,
@@ -27,6 +28,7 @@ from repro.obs.analyze import (
     format_report,
     top_spans,
 )
+from repro.obs.profile import profile_events
 from repro.obs.tracer import SPAN_KINDS, Tracer, validate_trace_event
 
 
@@ -102,7 +104,7 @@ def test_critical_path_is_root_to_leaf_chain(seed, procs):
 def test_self_times_sum_to_at_most_total_wall(seed, procs):
     events = random_trace(seed, procs=procs)
     forest = build_forest(events)
-    rollup = aggregate_by_kind(forest)
+    rollup = profile_events(events)
     total_self = sum(row["self_wall"] for row in rollup.values())
     total_root_wall = sum(root.dur for root in forest.roots)
     assert all(row["self_wall"] >= 0 for row in rollup.values())
@@ -118,7 +120,7 @@ def test_self_times_sum_to_at_most_total_wall(seed, procs):
 def test_per_proc_rollup_refines_per_kind(seed):
     events = random_trace(seed, procs=3)
     forest = build_forest(events)
-    by_kind = aggregate_by_kind(forest)
+    by_kind = profile_events(events)
     nested = aggregate_by_proc_kind(forest)
     for kind, row in by_kind.items():
         count = sum(
@@ -127,6 +129,40 @@ def test_per_proc_rollup_refines_per_kind(seed):
             if kind in kinds
         )
         assert count == row["count"]
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_per_kind_rollup_matches_the_forest(seed, procs):
+    # The flat rollup bills each span the same self time as the
+    # reconstructed tree: its wall minus its direct children's.
+    events = random_trace(seed, procs=procs)
+    forest = build_forest(events)
+    by_kind = profile_events(events)
+    assert set(by_kind) == {n.event["kind"] for n in forest.nodes.values()}
+    for kind, row in by_kind.items():
+        nodes = [
+            n for n in forest.nodes.values() if n.event["kind"] == kind
+        ]
+        assert row["count"] == len(nodes)
+        assert row["wall"] == pytest.approx(sum(n.dur for n in nodes))
+        assert row["cpu"] == pytest.approx(
+            sum(n.event["cpu"] for n in nodes)
+        )
+        assert row["self_wall"] == pytest.approx(
+            sum(n.self_wall() for n in nodes)
+        )
+
+
+def test_golden_trace_report_text(capsys):
+    """``repro trace report`` renders the committed trace exactly as
+    the committed text."""
+    from repro.cli import main
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    assert main(["trace", "report", str(golden / "small_trace.jsonl")]) == 0
+    out = capsys.readouterr().out
+    assert out == (golden / "small_trace.report.txt").read_text()
 
 
 def test_top_spans_sorted_and_bounded():

@@ -6,7 +6,12 @@ import math
 import pytest
 
 from repro.core.config import BASIC, DivisionConfig
-from repro.resilience.budget import BudgetExhausted, RunBudget
+from repro.resilience.budget import (
+    BudgetExhausted,
+    BudgetReport,
+    RunBudget,
+    check_limits,
+)
 
 
 class FakeClock:
@@ -61,24 +66,9 @@ class TestCounters:
             budget.check()
         assert exc.value.reason == "divide_calls"
 
-    def test_backtrack_cap_and_remaining(self):
-        budget = RunBudget(max_backtracks=100)
-        assert budget.backtracks_remaining() == 100
-        budget.charge_backtracks(60)
-        assert budget.backtracks_remaining() == 40
-        budget.charge_backtracks(60)
-        assert budget.backtracks_remaining() == 0
-        with pytest.raises(BudgetExhausted) as exc:
-            budget.check()
-        assert exc.value.reason == "backtracks"
-
-    def test_uncapped_backtracks_remaining_is_none(self):
-        assert RunBudget().backtracks_remaining() is None
-
     def test_unlimited_budget_never_trips(self):
         budget = RunBudget()
         budget.charge_divide_calls(10**6)
-        budget.charge_backtracks(10**6)
         budget.check()
         assert not budget.exhausted()
 
@@ -95,15 +85,17 @@ class TestLimits:
         with pytest.raises(ValueError, match="max_divide_calls"):
             RunBudget(max_divide_calls=-1)
 
-    def test_rejects_negative_backtracks(self):
-        with pytest.raises(ValueError, match="backtracks"):
-            RunBudget(max_backtracks=-1)
-
     def test_accepts_zero_limits(self):
-        budget = RunBudget(
-            deadline_seconds=0.0, max_divide_calls=0, max_backtracks=0
-        )
+        budget = RunBudget(deadline_seconds=0.0, max_divide_calls=0)
         assert budget.exhausted()
+
+    def test_check_limits_names_the_config_fields(self):
+        check_limits(None, None)
+        check_limits(0.0, 0)
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            check_limits(-1.0, None)
+        with pytest.raises(ValueError, match="max_divide_calls"):
+            check_limits(None, -1)
 
 
 class TestReason:
@@ -128,23 +120,29 @@ class TestReport:
         budget = RunBudget(
             deadline_seconds=50.0,
             max_divide_calls=10,
-            max_backtracks=500,
             clock=clock,
         )
         budget.charge_divide_calls(3)
-        budget.charge_backtracks(7)
-        budget.note_atpg_incomplete()
         clock.advance(1.5)
         report = budget.report()
         assert report.stopped is False
         assert report.reason is None
         assert report.elapsed_seconds == pytest.approx(1.5)
         assert report.divide_calls == 3
-        assert report.backtracks == 7
-        assert report.atpg_incomplete == 1
         assert report.deadline_seconds == 50.0
         assert report.max_divide_calls == 10
-        assert report.max_backtracks == 500
+
+    def test_report_covers_exactly_the_two_limits(self):
+        # A deadline and a divide-call cap are the only limits, so the
+        # report carries their spend and nothing else.
+        assert [field.name for field in dataclasses.fields(BudgetReport)] == [
+            "stopped",
+            "reason",
+            "elapsed_seconds",
+            "divide_calls",
+            "deadline_seconds",
+            "max_divide_calls",
+        ]
 
     def test_report_is_json_ready(self):
         import json
@@ -158,24 +156,17 @@ class TestFromConfig:
         assert RunBudget.from_config(BASIC) is None
 
     def test_limits_build_a_budget(self):
-        config = DivisionConfig(
-            deadline_seconds=2.0,
-            max_divide_calls=10,
-            max_run_backtracks=100,
-        )
+        config = DivisionConfig(deadline_seconds=2.0, max_divide_calls=10)
         budget = RunBudget.from_config(config)
         assert budget is not None
         assert budget.deadline_seconds == 2.0
         assert budget.max_divide_calls == 10
-        assert budget.max_backtracks == 100
 
     def test_config_validates_limits(self):
         with pytest.raises(ValueError):
             DivisionConfig(deadline_seconds=-1.0)
         with pytest.raises(ValueError):
             DivisionConfig(max_divide_calls=-1)
-        with pytest.raises(ValueError):
-            DivisionConfig(max_run_backtracks=-2)
         with pytest.raises(ValueError):
             DivisionConfig(verify_full_every=0)
 

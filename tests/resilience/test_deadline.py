@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.generators import planted_network
 from repro.cli import main
-from repro.core.config import BASIC, DivisionConfig
+from repro.core.config import BASIC
 from repro.core.substitution import substitute_network
 from repro.network.blif import read_blif, to_blif_str
 from repro.network.factor import network_literals
@@ -98,18 +98,20 @@ class TestDivideCallCap:
         assert stats.budget_report.stopped
         assert to_blif_str(second) == to_blif_str(ref)
 
-    def test_atpg_incomplete_surfaces_as_run_delta(self):
-        # Only incompletes incurred *during* the run land in its
-        # stats; spend a shared budget carried in from earlier runs
-        # stays on the (cumulative) budget report.  Folding the whole
-        # ledger in would double-count when several runs accumulate
-        # into one stats object.
+    def test_report_is_cumulative_and_stats_are_the_run_delta(self):
+        # Spend a shared budget carried in from earlier runs stays on
+        # the (cumulative) budget report; only the calls made during
+        # the run land in its stats.
         budget = RunBudget(deadline_seconds=1000.0)
-        budget.note_atpg_incomplete()
-        network = _network(seed=3)
-        stats = substitute_network(network, BASIC, budget=budget)
-        assert stats.atpg_incomplete == budget.atpg_incomplete - 1
-        assert stats.budget_report.atpg_incomplete == budget.atpg_incomplete
+        first = substitute_network(_network(seed=3), BASIC, budget=budget)
+        second = substitute_network(_network(seed=4), BASIC, budget=budget)
+        assert first.divide_calls > 0 and second.divide_calls > 0
+        assert first.budget_report.divide_calls == first.divide_calls
+        assert second.budget_report.divide_calls == (
+            first.divide_calls + second.divide_calls
+        )
+        assert second.budget_report.divide_calls == budget.divide_calls
+        assert not second.budget_report.stopped
 
 
 class TestCliDeadline:

@@ -30,8 +30,8 @@ def _network(seed=4242):
     )
 
 
-#: Every commit gets an exact check, so the corrupt one is caught at
-#: its own commit.
+#: Every commit is proven, so the corrupt one is caught at its own
+#: commit.
 TRANSACTIONAL = dataclasses.replace(
     BASIC, verify_commits=True, verify_full_every=1
 )
@@ -62,10 +62,10 @@ def corrupt_first_result(monkeypatch):
 @pytest.mark.fault_injection
 @pytest.mark.usefixtures("corrupt_first_result")
 class TestRollback:
-    def _corrupted_run(self):
+    def _corrupted_run(self, config=TRANSACTIONAL):
         network = _network()
         reference = network.copy(network.name)
-        stats = substitute_network(network, TRANSACTIONAL)
+        stats = substitute_network(network, config)
         return network, reference, stats
 
     def test_corrupt_commit_is_rolled_back_and_quarantined(self):
@@ -82,11 +82,23 @@ class TestRollback:
         assert incident["kind"] == "rolled_back_commit"
         assert isinstance(incident["dividend"], str)
         assert isinstance(incident["divisor"], str)
-        assert incident["check"] in ("exact", "simulation")
+        assert incident["check"] == "exact"
         assert incident["verdict"] == "different"
         import json
 
         json.dumps(stats.incidents)  # JSON-ready for --stats-json
+
+    def test_default_cadence_proves_the_corrupt_commit(self):
+        # verify_full_every keeps its default (16) and has no effect:
+        # the first commit, the corrupt one, is proven different.
+        network, reference, stats = self._corrupted_run(
+            dataclasses.replace(BASIC, verify_commits=True)
+        )
+        assert [
+            (incident["check"], incident["verdict"])
+            for incident in stats.incidents
+        ] == [("exact", "different")]
+        assert networks_equivalent(reference, network)
 
     def test_quarantined_pair_stays_out(self):
         # The quarantined pair is the one the corrupt result named; it
@@ -194,17 +206,21 @@ class TestAdvancingReference:
         _restate(network, 1)
         assert to_blif_str(ledger.reference) == proven
 
-    def test_reference_moves_only_at_exact_checks(self):
+    def test_reference_moves_at_every_commit(self):
+        # verify_full_every has no effect: both commits are proven,
+        # and each proof advances the reference.
         network = _network()
         reference, ledger = self._ledger(network, every=2)
         _restate(network, 0)
         assert ledger.verify_commit(network, "f", "d", NULL_TRACER)
-        assert ledger.reference is reference  # a screen proves nothing
+        assert ledger.reference is not reference
+        first = ledger.reference
+        assert to_blif_str(first) == to_blif_str(network)
         _restate(network, 1)
         assert ledger.verify_commit(network, "f", "d", NULL_TRACER)
+        assert ledger.reference is not first
         assert to_blif_str(ledger.reference) == to_blif_str(network)
-        # The exact check covered both commits: one solve, two edits.
-        assert ledger.stats.sat_solves == 1
+        assert ledger.stats.sat_solves == 2
 
     @pytest.mark.parametrize("status", ["different", "unknown"])
     def test_failed_check_keeps_the_last_proven_state(self, status):
@@ -229,6 +245,13 @@ class TestAdvancingReference:
 
 def _spans(tracer, kind):
     return [event for event in tracer.events if event["kind"] == kind]
+
+
+def _counters(stats):
+    """Every field of *stats* except the timing."""
+    fields = dataclasses.asdict(stats)
+    del fields["cpu_seconds"]
+    return fields
 
 
 class TestLedgerTracing:
@@ -260,23 +283,56 @@ class TestLedgerTracing:
             # network is shared and only the changed cone is encoded.
             assert solve["attrs"]["shared"] >= 1
 
-    def test_simguided_ledger_checks_are_spans(self):
-        network = build_benchmark("rnd8")
-        config = dataclasses.replace(
-            SIMGUIDED, verify_commits=True, verify_full_every=2
-        )
-        tracer = Tracer()
-        stats = substitute_network(network, config, tracer=tracer)
-        verify = _spans(tracer, "verify")
-        assert stats.commits_verified > 0
-        assert len(verify) == stats.commits_verified
-        assert {event["attrs"]["backend"] for event in verify} == {
-            "exhaustive", "simulation"
-        }
-        # A passing screen is not a proof: its status is unknown.
-        for event in verify:
-            expected = (
-                "unknown" if event["attrs"]["backend"] == "simulation"
-                else "equal"
+    def test_every_ledger_check_is_a_proof_at_any_cadence(self):
+        # verify_full_every has no effect: at 1 and at the default 16
+        # the run is the same, and every ledger check is a proof.
+        runs = []
+        for every in (1, 16):
+            network = build_benchmark("rnd8")
+            script_a(network)
+            config = dataclasses.replace(
+                EXTENDED, verify_commits=True, verify_full_every=every
             )
-            assert event["attrs"]["status"] == expected
+            tracer = Tracer()
+            stats = substitute_network(network, config, tracer=tracer)
+            verify = _spans(tracer, "verify")
+            assert stats.commits_verified > 0
+            assert len(verify) == stats.commits_verified
+            for event in verify:
+                assert event["attrs"]["check"] == "ledger"
+                assert event["attrs"]["backend"] == "exhaustive"
+                assert event["attrs"]["status"] == "equal"
+                assert event["attrs"]["ok"] is True
+            runs.append((to_blif_str(network), _counters(stats)))
+        assert runs[0] == runs[1]
+
+    def test_simguided_builds_no_ledger(self):
+        runs = []
+        for verify_commits in (False, True):
+            network = build_benchmark("rnd8")
+            tracer = Tracer()
+            stats = substitute_network(
+                network,
+                dataclasses.replace(SIMGUIDED, verify_commits=verify_commits),
+                tracer=tracer,
+            )
+            runs.append((to_blif_str(network), _counters(stats)))
+        assert runs[0] == runs[1]
+        assert stats.resub_accepted > 0
+        assert stats.commits_verified == 0
+        assert not [
+            event for event in _spans(tracer, "verify")
+            if event["attrs"].get("check") == "ledger"
+        ]
+        # Every accepted commit was proven by its own validation.
+        validations = {
+            event["parent"]: event
+            for event in _spans(tracer, "resub_validate")
+        }
+        accepted = [
+            event for event in _spans(tracer, "commit")
+            if event["attrs"]["accepted"]
+        ]
+        assert len(accepted) == stats.resub_accepted
+        for commit in accepted:
+            assert validations[commit["id"]]["attrs"]["status"] == "equal"

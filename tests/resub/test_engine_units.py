@@ -3,9 +3,10 @@
 The differential suite (`test_resub_vs_division.py`) checks the
 end-to-end contract; these tests pin the pieces individually —
 windowing legality, the ATPG cover cleaner's removal branches, the
-reject-on-unknown and quarantine paths (forced through a zero SAT
-conflict budget or monkeypatching, since a correct engine never hits
-them naturally), budget clean stops, and config validation.
+reject-on-unknown and reject-on-difference paths (forced through a
+zero SAT conflict budget or monkeypatching, since a correct engine
+never hits them naturally), budget clean stops, and config
+validation.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import pytest
 
 from repro.core.config import SIMGUIDED, DivisionConfig
 from repro.core.substitution import substitute_network
+from repro.network.blif import to_blif_str
 from repro.network.dontcares import DontCareComputer
 from repro.network.network import Network
 from repro.network.verify import networks_equivalent
+from repro.obs.tracer import Tracer
 from repro.resilience.budget import RunBudget
-from repro.resilience.checkpoint import CommitLedger
+from repro.resub import engine
 from repro.resub.engine import (
     _care_mask,
     _clean_cover,
@@ -29,6 +32,7 @@ from repro.resub.engine import (
     simguided_substitute,
 )
 from repro.resub.window import build_window, pi_supports
+from repro.sat.check import Verdict
 from repro.sim.signature import SignatureSimulator
 from repro.twolevel.cover import Cover
 
@@ -203,69 +207,56 @@ class TestForcedPaths:
         assert stats.literals_after == stats.literals_before
         assert networks_equivalent(reference, net)
 
-    def test_failed_ledger_verification_quarantines(self, monkeypatch):
-        # With verify_commits on, a failing ledger check must roll the
-        # commit back and bar the (target, divisor-set) pair.
+    def test_different_verdict_rejects_candidate(self, monkeypatch):
+        # A validation that proves the candidate different keeps the
+        # old node, as an unknown does, but is not counted as one;
+        # with verify_commits on there is still no ledger to roll
+        # back or quarantine anything.
         monkeypatch.setattr(
-            CommitLedger,
-            "verify_commit",
-            lambda self, n, f, d, tracer: False,
+            engine,
+            "_validate_exact",
+            lambda *args: Verdict(False, "exhaustive", counterexample={}),
         )
         config = dataclasses.replace(SIMGUIDED, verify_commits=True)
         net = _accepting_network()
-        reference = _accepting_network()
         stats = substitute_network(net, config)
+        assert stats.resub_validated >= 1
         assert stats.resub_accepted == 0
-        assert stats.commits_rolled_back >= 1
-        assert stats.pairs_quarantined >= 1
-        assert any(
-            incident["kind"] == "rolled_back_commit"
-            and incident["divisor"].startswith("resub(")
-            for incident in stats.incidents
-        )
-        assert networks_equivalent(reference, net)
+        assert stats.resub_rejected_unknown == 0
+        assert stats.commits_verified == 0
+        assert stats.commits_rolled_back == 0
+        assert stats.incidents == []
+        assert to_blif_str(net) == to_blif_str(_accepting_network())
 
-    def test_quarantined_subset_is_skipped(self):
-        # The quarantine label must match what the enumeration checks,
-        # or a barred subset would be retried.  Normally f commits via
-        # the empty subset (its ODCs make it constant-0 on the care
-        # set); with that subset quarantined up-front, the engine must
-        # fall through to a different (still equivalent) subset.
-        import types
+    def test_rejected_subset_falls_through_to_the_next(self, monkeypatch):
+        # Normally f commits via the empty subset (its ODCs make it
+        # constant-0 on the care set).  With that candidate refuted,
+        # the walk must go on to a later subset that validates.
+        validate = engine._validate_exact
+        calls = []
 
-        from repro.core.substitution import SubstitutionStats
-        from repro.obs.tracer import as_tracer
-        from repro.resub.engine import _resub_pass
+        def refute_first(reference, network, config, stats, tracer):
+            calls.append(None)
+            if len(calls) == 1:
+                return Verdict(False, "exhaustive", counterexample={})
+            return validate(reference, network, config, stats, tracer)
 
-        config = dataclasses.replace(SIMGUIDED, verify_commits=True)
-        baseline = _accepting_network()
-        base_sim = SignatureSimulator(
-            baseline, patterns=config.sim_patterns, seed=config.sim_seed
-        )
-        _resub_pass(
-            baseline, baseline.copy("ref0"), SIMGUIDED,
-            SubstitutionStats(), base_sim, None, None, as_tracer(None),
-        )
-        assert baseline.nodes["f"].fanins == []
-        baseline_label = "resub()"
-
+        monkeypatch.setattr(engine, "_validate_exact", refute_first)
         net = _accepting_network()
-        reference = net.copy("reference")
-        sim = SignatureSimulator(
-            net, patterns=config.sim_patterns, seed=config.sim_seed
-        )
-        stats = SubstitutionStats()
-        ledger = CommitLedger(
-            reference, config, stats, types.SimpleNamespace(sim=sim)
-        )
-        ledger.quarantined.add(("f", baseline_label))
-        _resub_pass(
-            net, reference, config, stats, sim, None, ledger,
-            as_tracer(None),
-        )
+        tracer = Tracer()
+        stats = substitute_network(net, SIMGUIDED, tracer=tracer)
+        commits = [
+            (event["attrs"]["f"], event["attrs"]["d"],
+             event["attrs"]["accepted"])
+            for event in tracer.events
+            if event["kind"] == "commit"
+        ]
+        assert commits[0] == ("f", _divisor_label(()), False)
+        assert commits[1][0] == "f"
+        assert commits[1][1] != _divisor_label(())
+        assert commits[1][2] is True
         assert stats.resub_accepted >= 1
-        assert net.nodes["f"].fanins != []
-        assert networks_equivalent(reference, net)
+        assert networks_equivalent(_accepting_network(), net)
 
     def test_budget_deadline_stops_cleanly(self):
         ticks = itertools.count()

@@ -76,7 +76,8 @@ def test_verify_commits_keeps_quarantine_empty_and_exports_counters(
     sub = report["substitution"]
     assert sub["commits_rolled_back"] == 0
     assert sub["pairs_quarantined"] == 0
-    assert sub["commits_verified"] > 0
+    # Simguided proves every candidate itself and builds no ledger.
+    assert sub["commits_verified"] == 0
     assert sub["resub_accepted"] > 0
     assert sub["resub_targets"] > 0
     assert sub["resub_candidates"] > 0

@@ -182,8 +182,9 @@ def test_subset_walk_yields_exactly_the_resynthesized_subsets(window):
 @given(subset_window_st(), st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_skipping_yielded_subsets_changes_no_later_subset(window, seed):
-    """A caller that skips some subsets (the engine's quarantine) and
-    resynthesizes the rest gets what a full walk yields."""
+    """A caller that skips some subsets (as the engine passes over a
+    candidate it rejects) and resynthesizes the rest gets what a full
+    walk yields."""
     target_sig, divisor_sigs, mask, care_mask = window
     top = min(4, len(divisor_sigs))
     walk = list(

@@ -5,8 +5,8 @@ fault of seeded random circuits) the CNF/CDCL untestability oracle
 and :func:`repro.atpg.dalg.prove_redundant` must return identical
 verdicts whenever both complete, every SAT test vector must actually
 expose its fault, and a budget-exhausted SAT proof must be treated
-conservatively — NOT redundant — exactly like an out-of-budget
-D-algorithm run (the ``atpg_incomplete`` contract).
+conservatively — NOT redundant — exactly like a D-algorithm run
+that exceeds its backtrack limit (``wire_is_redundant_exact``).
 """
 
 import pytest
@@ -81,7 +81,8 @@ def test_corpus_exercises_both_verdicts():
 def test_budget_exhaustion_is_conservative():
     """With a zero conflict budget, any proof that needs at least one
     conflict comes back incomplete — and the redundancy wrapper maps
-    that to False (keep the wire), mirroring ``atpg_incomplete``."""
+    that to False (keep the wire), mirroring an incomplete D-alg
+    search in ``wire_is_redundant_exact``."""
     exercised = False
     for seed in SEEDS:
         circuit, faults = _fault_corpus(seed)

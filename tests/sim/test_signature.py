@@ -122,6 +122,33 @@ def test_refresh_drops_removed_nodes():
     assert_sims_equal(sim, SignatureSimulator(network, patterns=256, seed=1))
 
 
+def test_refresh_tracks_po_function_changes():
+    network = build_benchmark("cmp6")
+    sim = SignatureSimulator(network, patterns=256, seed=1)
+    before = {po: sim.signatures[po] for po in network.pos}
+
+    # A sound rewrite keeps every PO signature.
+    result = _first_division(network, BASIC)
+    apply_division(network, result)
+    sim.refresh([result.f_name])
+    assert {po: sim.signatures[po] for po in network.pos} == before
+
+    # Setting a PO that is not constant zero on the sampled patterns
+    # to zero changes its signature, as a fresh simulation sees it.
+    from repro.twolevel.cover import Cover
+
+    for node in network.internal_nodes():
+        if node.name in network.pos and sim.signatures[node.name] != 0:
+            node.set_function([], Cover.zero(0))
+            sim.refresh([node.name])
+            assert sim.signatures[node.name] == 0
+            assert_sims_equal(
+                sim, SignatureSimulator(network, patterns=256, seed=1)
+            )
+            return
+    pytest.skip("no suitable PO in fixture")
+
+
 def test_refresh_stops_when_values_stabilize():
     network = build_benchmark("cmp6")
     sim = SignatureSimulator(network, patterns=256, seed=1)
@@ -131,27 +158,3 @@ def test_refresh_stops_when_values_stabilize():
     )
     count = sim.refresh([root])
     assert count == 1
-
-
-def test_po_signatures_clean_tracks_function_changes():
-    network = build_benchmark("cmp6")
-    sim = SignatureSimulator(network, patterns=256, seed=1)
-    assert sim.po_signatures_clean()
-
-    # A sound rewrite keeps the POs clean.
-    result = _first_division(network, BASIC)
-    apply_division(network, result)
-    sim.refresh([result.f_name])
-    assert sim.po_signatures_clean()
-
-    # Deliberately corrupt a PO whose signature is not constant zero on
-    # the sampled patterns; its baseline must break.
-    from repro.twolevel.cover import Cover
-
-    for node in network.internal_nodes():
-        if node.name in network.pos and sim.signatures[node.name] != 0:
-            node.set_function([], Cover.zero(0))
-            sim.refresh([node.name])
-            assert not sim.po_signatures_clean()
-            return
-    pytest.skip("no suitable PO in fixture")
