@@ -19,11 +19,7 @@ replaced by a constant — i.e. removed.
 from repro.atpg.implication import Conflict, imply
 from repro.atpg.fault import StuckAtFault, mandatory_assignments
 from repro.atpg.redundancy import wire_is_redundant, redundancy_removal
-from repro.atpg.simulate import (
-    fault_coverage,
-    faulty_evaluate,
-    find_test_exhaustive,
-)
+from repro.atpg.simulate import faulty_evaluate, find_test_exhaustive
 from repro.atpg.dalg import generate_test, prove_redundant, build_miter
 
 __all__ = [
@@ -33,7 +29,6 @@ __all__ = [
     "mandatory_assignments",
     "wire_is_redundant",
     "redundancy_removal",
-    "fault_coverage",
     "faulty_evaluate",
     "find_test_exhaustive",
     "generate_test",

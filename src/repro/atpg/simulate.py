@@ -11,7 +11,7 @@ one-sided guarantee everything else relies on).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import GateKind
@@ -74,30 +74,3 @@ def find_test_exhaustive(
         if any(good[o] != bad[o] for o in observables):
             return assignment
     return None
-
-
-def fault_coverage(
-    circuit: Circuit,
-    faults: Iterable[StuckAtFault],
-    patterns: Iterable[Dict[str, bool]],
-    observables: Optional[Set[str]] = None,
-) -> float:
-    """Fraction of *faults* detected by the given test *patterns*."""
-    if observables is None:
-        fanouts = circuit.fanouts()
-        observables = {
-            name for name, outs in fanouts.items() if not outs
-        }
-    fault_list = list(faults)
-    if not fault_list:
-        return 1.0
-    pattern_list = list(patterns)
-    detected = 0
-    for fault in fault_list:
-        for assignment in pattern_list:
-            good = circuit.evaluate(assignment)
-            bad = faulty_evaluate(circuit, fault, assignment)
-            if any(good[o] != bad[o] for o in observables):
-                detected += 1
-                break
-    return detected / len(fault_list)

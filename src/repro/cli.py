@@ -99,18 +99,6 @@ def _optimize_main(argv: List[str]) -> int:
         help="skip the equivalence check",
     )
     parser.add_argument(
-        "--no-sim-filter",
-        action="store_true",
-        help="disable the signature-based divisor pre-filter",
-    )
-    parser.add_argument(
-        "--sim-patterns",
-        type=int,
-        default=None,
-        metavar="N",
-        help="random patterns per simulation signature (default: 256)",
-    )
-    parser.add_argument(
         "--stats-json",
         metavar="PATH",
         help="write the full run statistics and the final check's "
@@ -182,12 +170,6 @@ def _optimize_main(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
     overrides = {}
-    if args.no_sim_filter:
-        overrides["enable_sim_filter"] = False
-    if args.sim_patterns is not None:
-        if args.sim_patterns < 1:
-            parser.error("--sim-patterns must be >= 1")
-        overrides["sim_patterns"] = args.sim_patterns
     if args.deadline is not None:
         if not (math.isfinite(args.deadline) and args.deadline >= 0):
             parser.error("--deadline must be a finite number >= 0")
@@ -200,9 +182,8 @@ def _optimize_main(argv: List[str]) -> int:
         overrides or args.trace or args.profile or args.profile_json
     ) and args.method == "sis":
         parser.error(
-            "--no-sim-filter/--sim-patterns/--deadline/"
-            "--verify-commits/--verify-backend/--trace/--profile/"
-            "--profile-json do not apply to sis"
+            "--deadline/--verify-commits/--verify-backend/--trace/"
+            "--profile/--profile-json do not apply to sis"
         )
     # The outputs are written only after the final proof; check their
     # directories now, so a mistyped path costs no run.
@@ -212,7 +193,7 @@ def _optimize_main(argv: List[str]) -> int:
 
     from repro.network.blif import BlifParseError, read_blif, to_blif_str
     from repro.network.factor import network_literals
-    from repro.network.verify import exact_equivalent
+    from repro.network.verify import checked_equivalent
     from repro.scripts.flows import SCRIPTS, run_method
 
     try:
@@ -272,22 +253,13 @@ def _optimize_main(argv: List[str]) -> int:
             )
 
         if not args.no_verify:
-            from repro.obs.tracer import as_tracer
-
-            with as_tracer(tracer).span(
-                "verify", check="final-equivalence"
-            ) as verify_span:
-                verdict = exact_equivalent(
-                    reference,
-                    network,
-                    backend=args.verify_backend or "auto",
-                    tracer=tracer,
-                )
-                verify_span.annotate(
-                    backend=verdict.backend,
-                    status=verdict.status,
-                    ok=bool(verdict),
-                )
+            verdict = checked_equivalent(
+                reference,
+                network,
+                tracer,
+                backend=args.verify_backend or "auto",
+                check="final-equivalence",
+            )
             if not verdict.complete:
                 print(
                     "ERROR: equivalence unknown: the SAT proof ran out "

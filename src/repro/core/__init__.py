@@ -6,9 +6,12 @@
   addition and removal (Section III-B),
 * :mod:`repro.core.extended` — extended division: the vote table and
   maximal-clique core-divisor selection (Section IV),
-* :mod:`repro.core.substitution` — network-level substitution passes in
-  the paper's three experimental configurations,
-* :mod:`repro.core.config` — the knobs tying it together.
+* :mod:`repro.core.substitution` — the run loop of both engines and
+  the division passes in the paper's three experimental
+  configurations,
+* :mod:`repro.core.config` — the configuration: the options a
+  workload, a table, an ablation or a test sets (the engine's fixed
+  sizes are module constants next to the code that reads them).
 """
 
 from repro.core.config import (

@@ -11,6 +11,11 @@ The paper evaluates three configurations (Section V):
 
 The module-level constants :data:`BASIC`, :data:`EXTENDED` and
 :data:`EXTENDED_GDC` are those three setups.
+
+Only what a workload, a table, an ablation or a test sets is a field.
+The engine's fixed sizes (passes per run, candidate divisors, region
+cubes, signature patterns, cache capacities, simguided's window and
+subset sizes) are module constants next to the code that reads them.
 """
 
 from __future__ import annotations
@@ -57,17 +62,6 @@ class DivisionConfig:
     #: negative-phase literal of the divisor node).
     try_complement: bool = True
 
-    #: Maximum number of substitution sweeps over the network.
-    max_passes: int = 3
-
-    #: Candidate divisors considered per dividend (closest supports
-    #: first); keeps the pass near-linear on large networks.
-    max_divisors: int = 25
-
-    #: Upper bound on dividend cubes for a division attempt (guards
-    #: the wire-by-wire removal loop).
-    max_region_cubes: int = 64
-
     #: Exact maximum-clique search is used up to this many vertices in
     #: the vote graph; larger graphs fall back to a greedy clique.
     exact_clique_limit: int = 30
@@ -98,31 +92,20 @@ class DivisionConfig:
     #: *unknown* verdict, never treated as equal: the commit ledger
     #: rolls the commit back and quarantines the pair, simguided
     #: rejects the candidate, and the ``oracle_dc`` oracle keeps the
-    #: wire (same contract as the D-alg backtrack budget).
+    #: wire (same contract as the D-alg backtrack budget).  No
+    #: workload lowers it; it stays as the seam through which the
+    #: tests inject an unknown verdict (a budget of 0).
     sat_conflict_budget: int = 100_000
 
     #: Prune division candidates with bit-parallel simulation
     #: signatures (see :mod:`repro.sim`).  The filter is sound — it
     #: only skips (divisor, variant) attempts that provably return no
     #: division — so results are identical with it on or off; it is a
-    #: pure fast path.
+    #: pure fast path.  No workload or CLI flag turns it off; it stays
+    #: as the unfiltered reference path the tests compare against.
+    #: Off, the division engine keeps no signatures, so its witness
+    #: screen is off too; the simguided engine always keeps its own.
     enable_sim_filter: bool = True
-
-    #: Number of random input patterns packed into each signature
-    #: (one Python int per signal).  More patterns refute more
-    #: hopeless candidates at linear extra cost per bitwise op.
-    sim_patterns: int = 256
-
-    #: Seed for the per-PI signature stimulus (deterministic per PI
-    #: name, so incremental and from-scratch simulation agree).
-    sim_seed: int = 1
-
-    #: Capacity of the per-node cube-signature LRU cache.
-    sim_cache_size: int = 2048
-
-    #: Capacity of the (dividend, divisor) containment-verdict LRU
-    #: cache.
-    containment_cache_size: int = 8192
 
     #: Has no effect: every run takes the serial loop.  Still checked
     #: (``>= 1``) because the ``planted-ext-j2`` benchmark workload sets
@@ -138,7 +121,8 @@ class DivisionConfig:
 
     #: Total :func:`boolean_divide` invocations allowed per run
     #: (``None`` = unlimited); same clean-stop semantics as the
-    #: deadline.
+    #: deadline.  Unlike the deadline it trips at the same point on
+    #: every run, which makes it the budget's deterministic cap.
     max_divide_calls: Optional[int] = None
 
     #: Transactional commits: the division engine proves every
@@ -155,48 +139,13 @@ class DivisionConfig:
     #: workload sets it; it retires together with that override.
     verify_full_every: int = 16
 
-    #: ``method="simguided"``: divisor candidates collected into each
-    #: target node's window (closest supports first; the truth-table
-    #: core enumerates subsets of this pool).
-    resub_window_size: int = 12
-
-    #: ``method="simguided"``: maximum divisors per resynthesized
-    #: replacement function (subset enumeration is size-ascending, so
-    #: the engine prefers the smallest support that works).
-    resub_max_divisors: int = 4
-
-    #: ``method="simguided"``: intersect the simulated care set with
-    #: the complement of the target's observability don't cares
-    #: (computed exactly with :class:`~repro.network.dontcares.
-    #: DontCareComputer` when the network is small enough).  SDCs need
-    #: no explicit handling — unreachable fanin combinations never
-    #: appear in simulation, so the sampled care set is SDC-free by
-    #: construction.
-    resub_use_dontcares: bool = True
-
-    #: ``method="simguided"``: PI count up to which the exact ODC
-    #: computation is attempted (the BDD-based computer is global and
-    #: rebuilt after every commit; beyond this it costs more than the
-    #: don't cares buy).
-    resub_odc_max_pis: int = 12
-
     def __post_init__(self):
         if self.mode not in ("basic", "extended"):
             raise ValueError("mode must be 'basic' or 'extended'")
         if self.method not in ("division", "simguided"):
             raise ValueError("method must be 'division' or 'simguided'")
-        if self.resub_window_size < 1:
-            raise ValueError("resub_window_size must be >= 1")
-        if not 1 <= self.resub_max_divisors <= 6:
-            raise ValueError("resub_max_divisors must be in 1..6")
-        if self.resub_odc_max_pis < 0:
-            raise ValueError("resub_odc_max_pis must be >= 0")
         if self.learn_depth < 0:
             raise ValueError("learn_depth must be >= 0")
-        if self.sim_patterns < 1:
-            raise ValueError("sim_patterns must be >= 1")
-        if self.sim_cache_size < 1 or self.containment_cache_size < 1:
-            raise ValueError("cache sizes must be >= 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         check_limits(self.deadline_seconds, self.max_divide_calls)

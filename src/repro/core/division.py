@@ -60,6 +60,12 @@ ALL_ATTEMPTS: Tuple[Tuple[bool, str], ...] = (
     (False, "pos"),
 )
 
+#: Upper bound on the cubes of a division's dividend (in the form's
+#: space) and of a cover simguided cleans: guards the wire-by-wire
+#: removal loop.  Extended division's POS guard caps the dual cover
+#: with it too.
+MAX_REGION_CUBES = 64
+
 
 def enabled_attempts(config: DivisionConfig) -> List[Tuple[bool, str]]:
     """The (phase, form) variants *config* allows, in canonical order."""
@@ -475,7 +481,7 @@ def _boolean_divide_impl(
     dividend = f_node.cover if form == "sop" else complement(f_node.cover)
     if dividend.is_zero() or dividend.is_one_cube():
         return None
-    if dividend.num_cubes() > config.max_region_cubes:
+    if dividend.num_cubes() > MAX_REGION_CUBES:
         return None
     f_map = [index[name] for name in f_node.fanins]
     dividend_s = dividend.remap(f_map, n)
@@ -535,7 +541,7 @@ def _boolean_divide_impl(
 
         removal_oracle = None
         if config.oracle_dc and len(network.pis) <= 20:
-            from repro.network.verify import exact_equivalent
+            from repro.network.verify import checked_equivalent
 
             reference = network.copy("oracle-reference")
 
@@ -548,23 +554,17 @@ def _boolean_divide_impl(
                 saved = (list(f_node.fanins), f_node.cover)
                 try:
                     f_node.set_function(new_fanins, cover)
-                    with tracer.span(
-                        "verify", check="oracle", f=f_name, d=divisor_name
-                    ) as span:
-                        verdict = exact_equivalent(
-                            reference,
-                            network,
-                            backend=config.verify_backend,
-                            conflict_budget=config.sat_conflict_budget,
-                            tracer=tracer,
-                        )
-                        if stats is not None:
-                            stats.add_solver_work(verdict)
-                        span.annotate(
-                            backend=verdict.backend,
-                            status=verdict.status,
-                            ok=bool(verdict),
-                        )
+                    verdict = checked_equivalent(
+                        reference,
+                        network,
+                        tracer,
+                        backend=config.verify_backend,
+                        conflict_budget=config.sat_conflict_budget,
+                        stats=stats,
+                        check="oracle",
+                        f=f_name,
+                        d=divisor_name,
+                    )
                     # Only a proof of equality removes the wire; an
                     # unknown keeps it.
                     return bool(verdict)

@@ -1,15 +1,24 @@
-"""Network-level Boolean substitution passes.
+"""Network-level Boolean substitution: the run loop of both engines.
 
-Drives the division machinery over a whole network, in the paper's
-three experimental configurations (basic / ext / ext GDC).  Matching
-the paper's implementation, acceptance is *locally greedy*: the first
-division with a positive factored-literal gain is taken (Section V
-notes this is why ext-GDC can occasionally lose to ext).
+:func:`substitute_network` runs passes to a fixpoint (the paper's "one
+run", Section V).  Each pass is one sweep of the engine that
+``config.method`` picks: the division passes (:func:`substitute_pass`)
+in the paper's three experimental configurations (basic / ext / ext
+GDC), or simulation-guided resubstitution
+(:func:`repro.resub.engine.resub_pass`).  Matching the paper's
+implementation, acceptance is *locally greedy*: the first division
+with a positive factored-literal gain is taken (Section V notes this
+is why ext-GDC can occasionally lose to ext).
+
+Both engines share the stats, the budget, the run's signatures, the
+spans, and one undo of a rewrite (:class:`_Snapshot`), which keeps the
+signatures current.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,6 +26,7 @@ from repro.network.factor import factored_literals, network_literals
 from repro.network.network import Network
 from repro.core.config import DivisionConfig
 from repro.core.division import (
+    MAX_REGION_CUBES,
     apply_division,
     boolean_divide,
     build_analysis_circuit,
@@ -33,6 +43,20 @@ from repro.core.extended import (
 from repro.obs.tracer import NULL_TRACER, as_tracer
 from repro.resilience.budget import BudgetExhausted, BudgetReport, RunBudget
 from repro.resilience.checkpoint import CommitLedger
+
+#: Substitution sweeps per run at most; a run stops earlier at the
+#: first sweep that commits nothing.
+MAX_PASSES = 3
+
+#: Division candidates considered per dividend (closest supports
+#: first); keeps the pass near-linear on large networks.
+MAX_CANDIDATE_DIVISORS = 25
+
+#: The run's signatures: random input patterns packed per signal, and
+#: the seed of the per-PI stimulus (deterministic per PI name, so
+#: incremental and from-scratch simulation agree).
+SIM_PATTERNS = 256
+SIM_SEED = 1
 
 
 @dataclasses.dataclass
@@ -134,9 +158,7 @@ class SubstitutionStats:
         ) / self.literals_before
 
 
-def _candidate_divisors(
-    network: Network, f_name: str, config: DivisionConfig
-) -> List[str]:
+def _candidate_divisors(network: Network, f_name: str) -> List[str]:
     """Divisor candidates for *f*, closest supports first.
 
     A divisor must be an internal, non-constant node that does not
@@ -169,14 +191,23 @@ def _candidate_divisors(
         # cleanups that should not pre-empt genuine substitutions.
         scored.append((int(is_fanin), -overlap, position, node.name))
     scored.sort()
-    return [name for _, _, _, name in scored[: config.max_divisors]]
+    return [name for _, _, _, name in scored[:MAX_CANDIDATE_DIVISORS]]
 
 
 class _Snapshot:
-    """Undo buffer for a handful of nodes (used on rejected rewrites)."""
+    """The undo of one rewrite of a handful of nodes, which keeps the
+    run's signatures current.
 
-    def __init__(self, network: Network, names: Sequence[str]):
+    *sim* is the run's
+    :class:`~repro.sim.signature.SignatureSimulator`, or ``None`` when
+    the run keeps no signatures.  :meth:`refresh` re-simulates the
+    snapshotted and the created nodes after the rewrite, and
+    :meth:`restore` undoes the rewrite and refreshes them again.
+    """
+
+    def __init__(self, network: Network, names: Sequence[str], sim):
         self.network = network
+        self.sim = sim
         self.saved = {
             name: (
                 list(network.nodes[name].fanins),
@@ -190,6 +221,10 @@ class _Snapshot:
     def note_created(self, name: str) -> None:
         self.created.append(name)
 
+    def refresh(self) -> None:
+        if self.sim is not None:
+            self.sim.refresh([*self.saved, *self.created])
+
     def restore(self) -> None:
         for name, (fanins, cover) in self.saved.items():
             self.network.nodes[name].set_function(fanins, cover)
@@ -198,12 +233,24 @@ class _Snapshot:
                 fanouts = self.network.fanouts()[name]
                 if not fanouts and name not in self.network.pos:
                     self.network.remove_node(name)
+        self.refresh()
 
 
-def _note_mutation(sim_filter, names: Sequence[str]) -> None:
-    """Refresh maintained signatures after rewriting *names* (if any)."""
-    if sim_filter is not None:
-        sim_filter.note_mutation(names)
+def _keep(
+    snapshot: _Snapshot, ledger, f_name: str, d_name: str, tracer
+) -> bool:
+    """Whether the rewrite just applied under *snapshot* stays.
+
+    Without a *ledger* it does.  With one, it stays only when the
+    ledger proves it; otherwise it is undone and the pair quarantined.
+    """
+    if ledger is None or ledger.verify_commit(
+        snapshot.network, f_name, d_name, tracer
+    ):
+        return True
+    snapshot.restore()
+    ledger.quarantine(f_name, d_name)
+    return False
 
 
 #: A node's division-relevant state: its fanin names plus its
@@ -333,7 +380,7 @@ def _try_extended(
         f_cover = network.nodes[f_name].cover
         dual = _complement(f_cover)
         if dual.num_cubes() > min(
-            config.max_region_cubes, 2 * f_cover.num_cubes() + 4
+            MAX_REGION_CUBES, 2 * f_cover.num_cubes() + 4
         ):
             return False
         divisors = [
@@ -346,6 +393,7 @@ def _try_extended(
     key = memo.extended_key(form, f_name, divisors)
     if memo.skip(key):
         return False
+    sim = None if sim_filter is None else sim_filter.sim
     screen = None if sim_filter is None else sim_filter.screen
     with tracer.span("vote", f=f_name, form=form) as vote_span:
         table = build_vote_table(
@@ -386,15 +434,10 @@ def _try_extended(
         with tracer.span(
             "commit", f=f_name, d=d_name, via="extended-whole"
         ) as commit_span:
-            snapshot = _Snapshot(network, [f_name])
+            snapshot = _Snapshot(network, [f_name], sim)
             apply_division(network, result)
-            _note_mutation(sim_filter, [f_name])
-            if ledger is not None and not ledger.verify_commit(
-                network, f_name, d_name, tracer
-            ):
-                snapshot.restore()
-                _note_mutation(sim_filter, [f_name])
-                ledger.quarantine(f_name, d_name)
+            snapshot.refresh()
+            if not _keep(snapshot, ledger, f_name, d_name, tracer):
                 commit_span.annotate(accepted=False)
                 return False
             stats.accepted += 1
@@ -407,7 +450,7 @@ def _try_extended(
     # exposed core node; accept only if the *total* factored literal
     # count (dividend + divisor + new core node) actually drops, and
     # undo the decomposition otherwise.
-    snapshot = _Snapshot(network, [f_name, d_name])
+    snapshot = _Snapshot(network, [f_name, d_name], sim)
     before_total = (
         factored_literals(network.nodes[f_name].cover)
         + factored_literals(d_node.cover)
@@ -431,18 +474,16 @@ def _try_extended(
         # The divisor is already decomposed; undo before unwinding so
         # the budget stop leaves the network in a committed state.
         snapshot.restore()
-        _note_mutation(sim_filter, [f_name, d_name, core_name])
         raise
     if result is None:
         snapshot.restore()
-        _note_mutation(sim_filter, [f_name, d_name, core_name])
         memo.record(key, core_prefix(d_name))
         return False
     with tracer.span(
         "commit", f=f_name, d=d_name, via="extended-core"
     ) as commit_span:
         apply_division(network, result)
-        _note_mutation(sim_filter, [f_name, d_name, core_name])
+        snapshot.refresh()
         after_total = (
             factored_literals(network.nodes[f_name].cover)
             + factored_literals(network.nodes[d_name].cover)
@@ -450,16 +491,10 @@ def _try_extended(
         )
         if after_total >= before_total:
             snapshot.restore()
-            _note_mutation(sim_filter, [f_name, d_name, core_name])
             memo.record(key, core_prefix(d_name))
             commit_span.annotate(accepted=False)
             return False
-        if ledger is not None and not ledger.verify_commit(
-            network, f_name, d_name, tracer
-        ):
-            snapshot.restore()
-            _note_mutation(sim_filter, [f_name, d_name, core_name])
-            ledger.quarantine(f_name, d_name)
+        if not _keep(snapshot, ledger, f_name, d_name, tracer):
             commit_span.annotate(accepted=False)
             return False
         stats.accepted += 1
@@ -549,6 +584,7 @@ def _run_pass(
     recorded as failed.
     """
     n_enabled = len(enabled_attempts(config))
+    sim = None if sim_filter is None else sim_filter.sim
     screen = None if sim_filter is None else sim_filter.screen
     names = [node.name for node in network.internal_nodes()]
     for f_name in names:
@@ -558,7 +594,7 @@ def _run_pass(
         if node.is_pi or node.is_constant() or node.cover is None:
             continue
         with tracer.span("enumerate", f=f_name) as enum_span:
-            divisors = _candidate_divisors(network, f_name, config)
+            divisors = _candidate_divisors(network, f_name)
             enum_span.annotate(divisors=len(divisors))
         if not divisors:
             continue
@@ -640,15 +676,10 @@ def _run_pass(
                 with tracer.span(
                     "commit", f=f_name, d=d_name, via="basic"
                 ) as commit_span:
-                    snapshot = _Snapshot(network, [f_name])
+                    snapshot = _Snapshot(network, [f_name], sim)
                     apply_division(network, result)
-                    _note_mutation(sim_filter, [f_name])
-                    if ledger is not None and not ledger.verify_commit(
-                        network, f_name, d_name, tracer
-                    ):
-                        snapshot.restore()
-                        _note_mutation(sim_filter, [f_name])
-                        ledger.quarantine(f_name, d_name)
+                    snapshot.refresh()
+                    if not _keep(snapshot, ledger, f_name, d_name, tracer):
                         commit_span.annotate(accepted=False)
                         continue
                     stats.accepted += 1
@@ -668,7 +699,7 @@ def _run_pass(
             for _ in range(4):
                 if budget is not None:
                     budget.check()
-                divisors = _candidate_divisors(network, f_name, config)
+                divisors = _candidate_divisors(network, f_name)
                 if not divisors or not _try_extended(
                     network,
                     f_name,
@@ -697,7 +728,7 @@ def _run_pass(
             for _ in range(2):
                 if budget is not None:
                     budget.check()
-                divisors = _candidate_divisors(network, f_name, config)
+                divisors = _candidate_divisors(network, f_name)
                 if not divisors or not _try_extended(
                     network,
                     f_name,
@@ -717,19 +748,21 @@ def _run_pass(
 def substitute_network(
     network: Network,
     config: DivisionConfig,
-    reference: Optional[Network] = None,
     stats: Optional[SubstitutionStats] = None,
     budget=None,
     tracer=None,
 ) -> SubstitutionStats:
     """Run substitution passes to a fixpoint (the paper's "one run").
 
-    Returns the statistics, including factored-literal counts before
-    and after and the wall-clock time spent.  Passing an existing
-    *stats* object accumulates into it — every counter (including the
-    sim-filter cache/resim counters and the literal totals) is *added*,
-    never overwritten, so multi-run flows can aggregate one ledger
-    across calls.
+    Each pass is one sweep of the engine ``config.method`` picks:
+    :func:`substitute_pass` for division, or
+    :func:`~repro.resub.engine.resub_pass` for simguided.  Returns the
+    statistics, including factored-literal counts before and after and
+    the wall-clock time spent.  Passing an existing *stats* object
+    accumulates into it — every counter (including the sim-filter
+    cache/resim counters and the literal totals) is *added*, never
+    overwritten, so multi-run flows can aggregate one ledger across
+    calls.
 
     *budget* is an optional
     :class:`~repro.resilience.budget.RunBudget` shared with the caller
@@ -738,11 +771,14 @@ def substitute_network(
     ``max_divide_calls``), if any.  A tripped budget stops the run
     cleanly with the best-so-far network and a
     :class:`~repro.resilience.budget.BudgetReport` in
-    ``stats.budget_report``.  With ``config.verify_commits`` every
-    accepted rewrite is proven against the last proven state (at
-    first a pre-run copy, or *reference*, which is never mutated),
-    rolled back unless proven, and the offending pair quarantined
-    (incidents land in ``stats.incidents``).
+    ``stats.budget_report``.
+
+    A run that proves its rewrites keeps a pre-run copy of the
+    network: simguided proves every candidate against it.  With
+    ``config.verify_commits`` the division engine proves every
+    accepted rewrite against the last proven state (at first that
+    copy), rolls it back unless proven, and quarantines the offending
+    pair (incidents land in ``stats.incidents``).
 
     *tracer* is an optional :class:`~repro.obs.tracer.Tracer`; the run
     records a ``run`` span with one ``pass`` span per sweep and the
@@ -750,76 +786,80 @@ def substitute_network(
     (near) nothing, and the optimized network is byte-identical either
     way — tracing never influences control flow.
 
-    One :class:`AttemptMemo` lives for the run: every pass skips the
-    attempts that already failed on the node states they read.
-    Nothing persists across runs.
+    The memos live for one run: the division engine's
+    :class:`AttemptMemo` (every pass skips the attempts that already
+    failed on the node states they read) and simguided's cleaned
+    covers.  Nothing persists across runs.
     """
     tracer = as_tracer(tracer)
-    if config.method == "simguided":
-        # The simulation-guided engine (same outer contract, opposite
-        # candidate-finding strategy).  Imported lazily — repro.resub
-        # imports this module for the stats/undo machinery.
-        from repro.resub.engine import simguided_substitute
-
-        return simguided_substitute(
-            network,
-            config,
-            reference=reference,
-            stats=stats,
-            budget=budget,
-            tracer=tracer,
-        )
     if stats is None:
         stats = SubstitutionStats()
     if budget is None:
         budget = RunBudget.from_config(config)
     stats.literals_before += network_literals(network)
-    if config.verify_commits and reference is None:
-        reference = network.copy("reference")
     start = time.perf_counter()
-    sim_filter = None
-    if config.enable_sim_filter:
+    simguided = config.method == "simguided"
+    reference = None
+    if simguided or config.verify_commits:
+        reference = network.copy("reference")
+    sim = screen = sim_filter = None
+    if simguided or config.enable_sim_filter:
         # Imported lazily: repro.sim.filter imports repro.core.division,
         # so a top-level import here would be circular via
         # repro.core.__init__.
         from repro.sim.filter import DivisorFilter
+        from repro.sim.signature import SignatureSimulator
+        from repro.sim.witness import WitnessScreen
 
-        sim_filter = DivisorFilter(network, config)
-    ledger = None
-    if config.verify_commits:
-        ledger = CommitLedger(reference, config, stats)
-    memo = AttemptMemo(network, config, stats)
+        sim = SignatureSimulator(
+            network, patterns=SIM_PATTERNS, seed=SIM_SEED
+        )
+        if simguided:
+            screen = WitnessScreen(sim)
+        else:
+            sim_filter = DivisorFilter(sim, config)
+            screen = sim_filter.screen
+    if simguided:
+        # Imported lazily: repro.resub imports this module.
+        from repro.resub.engine import resub_pass
+
+        sweep = functools.partial(
+            resub_pass, network, reference, config, stats,
+            sim=sim, screen=screen, clean_memo={}, budget=budget,
+            tracer=tracer,
+        )
+        run_attrs = {"method": "simguided"}
+    else:
+        ledger = None
+        if config.verify_commits:
+            ledger = CommitLedger(reference, config, stats)
+        sweep = functools.partial(
+            substitute_pass, network, config, stats,
+            sim_filter=sim_filter, budget=budget, ledger=ledger,
+            tracer=tracer, memo=AttemptMemo(network, config, stats),
+        )
+        run_attrs = {}
     with tracer.span(
-        "run", circuit=network.name, mode=config.mode
+        "run", circuit=network.name, mode=config.mode, **run_attrs
     ) as run_span:
-        for index in range(config.max_passes):
+        for index in range(MAX_PASSES):
             if budget is not None and budget.exhausted():
                 break
             with tracer.span("pass", index=index) as pass_span:
-                accepted = substitute_pass(
-                    network,
-                    config,
-                    stats,
-                    sim_filter=sim_filter,
-                    budget=budget,
-                    ledger=ledger,
-                    tracer=tracer,
-                    memo=memo,
-                )
+                accepted = sweep()
                 pass_span.annotate(accepted=accepted)
             if accepted == 0:
                 break
         network.sweep_dangling()
         run_span.annotate(accepted=stats.accepted)
+    # Fold the signature counters into the run statistics.  Accumulate
+    # — *stats* may already carry counts from a previous run.
+    if sim is not None:
+        stats.resim_nodes += sim.nodes_resimulated
+        stats.tests_witnessed += screen.tests_witnessed
     if sim_filter is not None:
-        # Pick up nodes dropped by the sweep, then fold the filter's
-        # counters into the run statistics.  Accumulate — *stats* may
-        # already carry counts from a previous run.
-        sim_filter.note_mutation([])
         stats.sim_cache_hits += sim_filter.cache_hits
         stats.sim_cache_misses += sim_filter.cache_misses
-        stats.resim_nodes += sim_filter.sim.nodes_resimulated
-        stats.tests_witnessed += sim_filter.screen.tests_witnessed
     if budget is not None:
         stats.budget_report = budget.report()
     stats.cpu_seconds += time.perf_counter() - start

@@ -10,8 +10,9 @@ Two mechanisms:
   up to :data:`EXHAUSTIVE_PI_LIMIT` primary inputs it simulates every
   input pattern (:func:`exhaustive_equivalent`), above that it solves
   the SAT miter (:mod:`repro.sat`).  It returns a three-valued
-  :class:`~repro.sat.check.Verdict` that records its backend.  Every
-  exact check in the program goes through it.
+  :class:`~repro.sat.check.Verdict` that records its backend.
+* :func:`checked_equivalent` — that verdict under one traced span:
+  every exact check of a run and the CLI's final check go through it.
 
 Both exact backends leave out the logic the two networks share by
 structure, under one rule (:func:`shared_nodes`).
@@ -23,6 +24,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.bdd import BddManager
 from repro.network.network import Network, eval_cover_packed
+from repro.obs.tracer import as_tracer
 from repro.twolevel.cube import _var_truth_mask
 
 if TYPE_CHECKING:
@@ -277,3 +279,38 @@ def exact_equivalent(
     return check.sat_equivalent(
         a, b, conflict_budget=conflict_budget, tracer=tracer
     )
+
+
+def checked_equivalent(
+    a: Network,
+    b: Network,
+    tracer,
+    kind: str = "verify",
+    backend: str = "auto",
+    conflict_budget: Optional[int] = None,
+    stats=None,
+    **attrs,
+) -> "Verdict":
+    """:func:`exact_equivalent` under one *kind* span.
+
+    The span opens with the caller's *attrs* and is annotated with the
+    verdict's ``backend``, ``status`` and ``ok``; a SAT solve nests its
+    ``sat_solve`` span beneath it.  *stats* (a
+    :class:`~repro.core.substitution.SubstitutionStats`), when given,
+    counts the solver work.
+    """
+    tracer = as_tracer(tracer)
+    with tracer.span(kind, **attrs) as span:
+        verdict = exact_equivalent(
+            a,
+            b,
+            backend=backend,
+            conflict_budget=conflict_budget,
+            tracer=tracer,
+        )
+        if stats is not None:
+            stats.add_solver_work(verdict)
+        span.annotate(
+            backend=verdict.backend, status=verdict.status, ok=bool(verdict)
+        )
+    return verdict

@@ -42,7 +42,6 @@ from repro.obs.profile import (
     PROFILE_PHASES,
     format_profile,
     profile_events,
-    profile_tracer,
 )
 from repro.obs.analyze import (
     analyze_trace,
@@ -70,7 +69,6 @@ __all__ = [
     "PROFILE_PHASES",
     "format_profile",
     "profile_events",
-    "profile_tracer",
     "analyze_trace",
     "build_forest",
     "critical_path",

@@ -62,11 +62,6 @@ def profile_events(events: Iterable[dict]) -> Dict[str, Dict[str, object]]:
     return rollup
 
 
-def profile_tracer(tracer) -> Dict[str, Dict[str, object]]:
-    """Rollup of everything *tracer* has recorded."""
-    return profile_events(tracer.events)
-
-
 def _phase_order(kind: str) -> tuple:
     try:
         return (0, PROFILE_PHASES.index(kind))

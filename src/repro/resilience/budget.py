@@ -148,8 +148,12 @@ class RunBudget:
     # Reporting
     # ------------------------------------------------------------------
     def report(self) -> BudgetReport:
+        """The budget's state now.  ``stopped`` reports only a stop
+        that happened: every stop latches :attr:`stop_reason`, and a
+        limit that passes after the run's last check stopped nothing.
+        """
         return BudgetReport(
-            stopped=self.exhausted(),
+            stopped=self.stop_reason is not None,
             reason=self.stop_reason,
             elapsed_seconds=self.elapsed(),
             divide_calls=self.divide_calls,

@@ -4,7 +4,7 @@ With ``DivisionConfig.verify_commits`` the substitution loop treats
 every accepted rewrite as a transaction: the touched nodes are
 snapshotted (the loop's existing undo buffer), the rewrite is applied,
 and the :class:`CommitLedger` proves the whole network equivalent to
-its reference through :func:`~repro.network.verify.exact_equivalent`
+its reference through :func:`~repro.network.verify.checked_equivalent`
 (``verify_backend``) before the commit is kept.  A commit is kept only
 when the verdict proves equality: a difference and an unknown
 (exhausted SAT budget) both roll it back.
@@ -31,7 +31,7 @@ import logging
 from typing import Dict, Set, Tuple
 
 from repro.network.network import Network
-from repro.network.verify import exact_equivalent
+from repro.network.verify import checked_equivalent
 
 logger = logging.getLogger("repro.resilience")
 
@@ -80,26 +80,22 @@ class CommitLedger:
         """
         self.commits += 1
         self.stats.commits_verified += 1
-        with tracer.span(
-            "verify", check="ledger", f=f_name, d=d_name
-        ) as span:
-            verdict = exact_equivalent(
-                self.reference,
-                network,
-                backend=self.config.verify_backend,
-                conflict_budget=self.config.sat_conflict_budget,
-                tracer=tracer,
-            )
-            self.stats.add_solver_work(verdict)
-            ok = bool(verdict)
-            self._last_status = verdict.status
-            if ok:
-                # A copy, because the loop goes on mutating *network*.
-                self.reference = network.copy()
-            span.annotate(
-                backend=verdict.backend, status=verdict.status, ok=ok
-            )
-        return ok
+        verdict = checked_equivalent(
+            self.reference,
+            network,
+            tracer,
+            backend=self.config.verify_backend,
+            conflict_budget=self.config.sat_conflict_budget,
+            stats=self.stats,
+            check="ledger",
+            f=f_name,
+            d=d_name,
+        )
+        self._last_status = verdict.status
+        if verdict:
+            # A copy, because the loop goes on mutating *network*.
+            self.reference = network.copy()
+        return bool(verdict)
 
     # ------------------------------------------------------------------
     # Rollback bookkeeping

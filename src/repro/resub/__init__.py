@@ -13,18 +13,21 @@ the few survivors exactly.
 * :mod:`repro.resub.resyn` — the truth-table resynthesis core: build
   a cover over ≤k divisor signatures that matches the target signature
   on every care pattern (don't-care-aware),
-* :mod:`repro.resub.engine` — the run loop: windowing → resynthesis →
+* :mod:`repro.resub.engine` — the pass: windowing → resynthesis →
   ATPG literal cleanup → exact validation against the input
   (``verify_backend`` dispatch) → commit of the proven candidate.
+
+The run loop around the pass is the division engine's,
+:func:`~repro.core.substitution.substitute_network`.
 """
 
 from repro.resub.resyn import resynthesize_window
 from repro.resub.window import Window, build_window
-from repro.resub.engine import simguided_substitute
+from repro.resub.engine import resub_pass
 
 __all__ = [
     "Window",
     "build_window",
     "resynthesize_window",
-    "simguided_substitute",
+    "resub_pass",
 ]

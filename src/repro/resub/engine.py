@@ -1,11 +1,12 @@
-"""The simulation-guided resubstitution run loop.
+"""The simulation-guided resubstitution pass.
 
-``DivisionConfig.method = "simguided"`` routes
-:func:`~repro.core.substitution.substitute_network` here.  The engine
-keeps the division pipeline's outer contract — greedy first-win
-acceptance, ``max_passes`` sweeps to a fixpoint, `RunBudget` clean
-stops, tracer spans, one
-:class:`~repro.core.substitution.SubstitutionStats` — but finds its
+With ``DivisionConfig.method = "simguided"``, each pass of
+:func:`~repro.core.substitution.substitute_network`'s run loop is one
+:func:`resub_pass`.  The loop is the division engine's: greedy
+first-win acceptance, sweeps to a fixpoint, `RunBudget` clean stops,
+tracer spans, one
+:class:`~repro.core.substitution.SubstitutionStats`, the run's
+signatures and the snapshot undo of a rewrite.  The pass finds its
 rewrites the opposite way.  Division *searches* for a divisor
 whose implication structure proves a rewrite; simulation-guided
 resubstitution *constructs* a candidate function for each target
@@ -28,7 +29,7 @@ directly from signatures and then proves it:
 4. **Validate** (``resub_validate`` span): the candidate only agreed
    with the target on sampled patterns, which proves nothing, so every
    survivor is checked *exactly* against the pre-run reference through
-   :func:`~repro.network.verify.exact_equivalent` (``verify_backend``).
+   :func:`~repro.network.verify.checked_equivalent` (``verify_backend``).
    A SAT don't-know (exhausted conflict budget) **rejects** the
    candidate: a simguided candidate has no proof behind it except
    this check, so an unknown keeps the old node.
@@ -36,12 +37,12 @@ directly from signatures and then proves it:
 Because every accepted commit is exactly equivalent to the pre-run
 reference, the final network is exactly equivalent to the input by
 construction — the property the cross-engine differential suite
-(``tests/resub/``) locks in.  The engine therefore builds no
-:class:`~repro.resilience.checkpoint.CommitLedger`: every commit is
-already proven, and ``DivisionConfig.verify_commits`` changes nothing
-here.
+(``tests/resub/``) locks in.  The run loop therefore builds no
+:class:`~repro.resilience.checkpoint.CommitLedger` for this engine:
+every commit is already proven, and ``DivisionConfig.verify_commits``
+changes nothing here.
 
-The loop revisits the same small problems constantly (every pass,
+The pass revisits the same small problems constantly (every pass,
 every target with a similar window), so four results are reused
 rather than recomputed, each keyed on everything it reads and hence
 byte-identical to a fresh computation: espresso covers by truth table
@@ -60,23 +61,36 @@ packed values without building the remover
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import DivisionConfig
-from repro.core.division import RegionRemover, build_analysis_circuit
+from repro.core.division import (
+    MAX_REGION_CUBES,
+    RegionRemover,
+    build_analysis_circuit,
+)
 from repro.core.substitution import SubstitutionStats, _Snapshot
 from repro.network.dontcares import DontCareComputer
-from repro.network.factor import factored_literals, network_literals
+from repro.network.factor import factored_literals
 from repro.network.network import Network
-from repro.network.verify import exact_equivalent
-from repro.obs.tracer import as_tracer
-from repro.resilience.budget import BudgetExhausted, RunBudget
+from repro.network.verify import checked_equivalent
+from repro.resilience.budget import BudgetExhausted
 from repro.resub.resyn import conflict_free_subsets, resynthesize_window
 from repro.resub.window import build_window, pi_supports
 from repro.sim.signature import SignatureSimulator
 from repro.sim.witness import WitnessScreen
 from repro.twolevel.cover import Cover
+
+#: Divisors per resynthesized replacement function at most: subsets of
+#: the window are walked smallest first, so the engine prefers the
+#: smallest support that works.
+MAX_SUBSET_DIVISORS = 4
+
+#: PI count up to which the care mask leaves out the patterns under
+#: which the target is exactly unobservable (the BDD-based computer is
+#: global and rebuilt after every commit; beyond this it costs more
+#: than the don't cares buy).
+ODC_MAX_PIS = 12
 
 
 def _divisor_label(divisors: Sequence[str]) -> str:
@@ -126,7 +140,7 @@ def _clean_cover(
     """
     if not divisors or cover.is_zero():
         return cover, 0
-    if cover.num_cubes() > config.max_region_cubes:
+    if cover.num_cubes() > MAX_REGION_CUBES:
         return cover, 0
     if all(network.nodes[d].is_pi for d in divisors):
         # Over free PIs a test conflicts only where the cover itself is
@@ -179,32 +193,6 @@ def _clean_cover(
     return result
 
 
-def _validate_exact(
-    reference: Network,
-    network: Network,
-    config: DivisionConfig,
-    stats: SubstitutionStats,
-    tracer,
-):
-    """Exact whole-network check of the just-applied candidate,
-    recorded as one ``resub_validate`` span; the engine commits only
-    on a truthy (proven-equal) verdict."""
-    n_pis = len(set(reference.pis) | set(network.pis))
-    with tracer.span("resub_validate", pis=n_pis) as span:
-        verdict = exact_equivalent(
-            reference,
-            network,
-            backend=config.verify_backend,
-            conflict_budget=config.sat_conflict_budget,
-            tracer=tracer,
-        )
-        stats.add_solver_work(verdict)
-        span.annotate(
-            backend=verdict.backend, status=verdict.status, ok=bool(verdict)
-        )
-    return verdict
-
-
 def _care_mask(
     sim: SignatureSimulator, node, dc_computer: Optional[DontCareComputer]
 ) -> int:
@@ -218,21 +206,27 @@ def _care_mask(
     )
 
 
-def _resub_pass(
+def resub_pass(
     network: Network,
     reference: Network,
     config: DivisionConfig,
     stats: SubstitutionStats,
     sim: SignatureSimulator,
+    screen: WitnessScreen,
+    clean_memo: Dict[tuple, Tuple[Cover, int]],
     budget,
     tracer,
-    clean_memo: Optional[Dict[tuple, Tuple[Cover, int]]] = None,
-    screen: Optional[WitnessScreen] = None,
-) -> None:
-    use_dc = (
-        config.resub_use_dontcares
-        and len(network.pis) <= config.resub_odc_max_pis
-    )
+) -> int:
+    """One simguided sweep over all nodes; returns the commits.
+
+    *reference* is the pre-run network every candidate is proven
+    against.  *sim* holds the run's signatures and *screen* the witness
+    screen over them; *clean_memo* is the run's memo of cleaned covers
+    (see :func:`_clean_cover`).  A tripped *budget* stops the sweep
+    cleanly between commits.
+    """
+    accepted_before = stats.accepted
+    use_dc = len(network.pis) <= ODC_MAX_PIS
     # Per-pass ranking maps; recomputed after every commit (a rewrite
     # changes supports downstream).  The correctness-critical exclusion
     # (no divisor from TFO(f)) is computed fresh inside build_window.
@@ -242,176 +236,113 @@ def _resub_pass(
     # network: built lazily, dropped on every commit.
     dc_computer: Optional[DontCareComputer] = None
     names = [node.name for node in network.internal_nodes()]
-    for f_name in names:
-        if f_name not in network.nodes:
-            continue
-        node = network.nodes[f_name]
-        if node.is_pi or node.is_constant() or node.cover is None:
-            continue
-        if budget is not None:
-            budget.check()
-        stats.resub_targets += 1
-        with tracer.span("resub_window", f=f_name) as win_span:
-            window = build_window(
-                network,
-                f_name,
-                config,
-                topo_index=topo_index,
-                supports=supports,
-            )
-            win_span.annotate(divisors=len(window.divisors))
-        if window.divisors:
-            stats.resub_windows += 1
-        care = sim.mask
-        if use_dc:
-            with tracer.span("resub_care", f=f_name):
-                if dc_computer is None:
-                    dc_computer = DontCareComputer(
-                        network, max_pis=config.resub_odc_max_pis
-                    )
-                care = _care_mask(sim, node, dc_computer)
-        target_sig = sim.signatures[f_name]
-        old_lits = factored_literals(node.cover)
-        committed = False
-        with tracer.span("resub_resyn", f=f_name) as resyn_span:
-            top = min(config.resub_max_divisors, len(window.divisors))
-            # The walk's length, or the commit's position in it.
-            subsets_tried = sum(
-                math.comb(len(window.divisors), size)
-                for size in range(top + 1)
-            )
-            candidates = 0
-            divisor_sigs = [sim.signatures[d] for d in window.divisors]
-            # Smallest support first: the constant functions (empty
-            # subset), then single divisors, and so on — the first
-            # strict literal win is taken greedily.  Only the subsets
-            # resynthesis does not reject come out of the walk.
-            for position, indices in conflict_free_subsets(
-                target_sig, divisor_sigs, sim.mask, care, top
-            ):
-                if budget is not None:
-                    budget.check_deadline()
-                subset = tuple(window.divisors[i] for i in indices)
-                cover = resynthesize_window(
-                    target_sig,
-                    [divisor_sigs[i] for i in indices],
-                    sim.mask,
-                    care,
+    try:
+        for f_name in names:
+            if f_name not in network.nodes:
+                continue
+            node = network.nodes[f_name]
+            if node.is_pi or node.is_constant() or node.cover is None:
+                continue
+            if budget is not None:
+                budget.check()
+            stats.resub_targets += 1
+            with tracer.span("resub_window", f=f_name) as win_span:
+                window = build_window(
+                    network, f_name, topo_index=topo_index, supports=supports
                 )
-                candidates += 1
-                stats.resub_candidates += 1
-                if factored_literals(cover) > old_lits:
-                    # The ATPG cleanup below only ever shrinks the
-                    # cover a literal at a time; a candidate already
-                    # above the target is not worth cleaning.
-                    continue
-                cleaned, removed = _clean_cover(
-                    network, f_name, subset, cover, config, budget,
-                    clean_memo, screen,
+                win_span.annotate(divisors=len(window.divisors))
+            if window.divisors:
+                stats.resub_windows += 1
+            care = sim.mask
+            if use_dc:
+                with tracer.span("resub_care", f=f_name):
+                    if dc_computer is None:
+                        dc_computer = DontCareComputer(
+                            network, max_pis=ODC_MAX_PIS
+                        )
+                    care = _care_mask(sim, node, dc_computer)
+            target_sig = sim.signatures[f_name]
+            old_lits = factored_literals(node.cover)
+            committed = False
+            with tracer.span("resub_resyn", f=f_name) as resyn_span:
+                top = min(MAX_SUBSET_DIVISORS, len(window.divisors))
+                # The walk's length, or the commit's position in it.
+                subsets_tried = sum(
+                    math.comb(len(window.divisors), size)
+                    for size in range(top + 1)
                 )
-                stats.resub_wires_cleaned += removed
-                if factored_literals(cleaned) >= old_lits:
-                    continue
-                with tracer.span(
-                    "commit", f=f_name, d=_divisor_label(subset),
-                    via="resub",
-                ) as commit_span:
-                    snapshot = _Snapshot(network, [f_name])
-                    node.set_function(list(subset), cleaned)
-                    sim.refresh([f_name])
-                    verdict = _validate_exact(
-                        reference, network, config, stats, tracer
+                candidates = 0
+                divisor_sigs = [sim.signatures[d] for d in window.divisors]
+                # Smallest support first: the constant functions (empty
+                # subset), then single divisors, and so on — the first
+                # strict literal win is taken greedily.  Only the subsets
+                # resynthesis does not reject come out of the walk.
+                for position, indices in conflict_free_subsets(
+                    target_sig, divisor_sigs, sim.mask, care, top
+                ):
+                    if budget is not None:
+                        budget.check_deadline()
+                    subset = tuple(window.divisors[i] for i in indices)
+                    cover = resynthesize_window(
+                        target_sig,
+                        [divisor_sigs[i] for i in indices],
+                        sim.mask,
+                        care,
                     )
-                    stats.resub_validated += 1
-                    if not verdict.complete:
-                        stats.resub_rejected_unknown += 1
-                    if not verdict:
-                        snapshot.restore()
-                        sim.refresh([f_name])
-                        commit_span.annotate(accepted=False)
+                    candidates += 1
+                    stats.resub_candidates += 1
+                    if factored_literals(cover) > old_lits:
+                        # The ATPG cleanup below only ever shrinks the
+                        # cover a literal at a time; a candidate already
+                        # above the target is not worth cleaning.
                         continue
-                    stats.accepted += 1
-                    stats.resub_accepted += 1
-                    commit_span.annotate(accepted=True)
-                committed = True
-                subsets_tried = position
-                break
-            resyn_span.annotate(
-                subsets=subsets_tried,
-                candidates=candidates,
-                accepted=committed,
-            )
-        if committed:
-            dc_computer = None
-            topo_index = {n: i for i, n in enumerate(network.topo_order())}
-            supports = pi_supports(network)
-
-
-def simguided_substitute(
-    network: Network,
-    config: DivisionConfig,
-    reference: Optional[Network] = None,
-    stats: Optional[SubstitutionStats] = None,
-    budget=None,
-    tracer=None,
-) -> SubstitutionStats:
-    """Run simulation-guided resubstitution passes to a fixpoint.
-
-    The drop-in counterpart of the division path of
-    :func:`~repro.core.substitution.substitute_network` (which
-    delegates here for ``config.method == "simguided"``): same stats
-    accumulation contract, same budget clean-stop semantics.  Every
-    commit is proven against the input by :func:`_validate_exact`, so
-    no :class:`~repro.resilience.checkpoint.CommitLedger` is built and
-    ``config.verify_commits`` changes nothing.
-    """
-    tracer = as_tracer(tracer)
-    if stats is None:
-        stats = SubstitutionStats()
-    if budget is None:
-        budget = RunBudget.from_config(config)
-    stats.literals_before += network_literals(network)
-    start = time.perf_counter()
-    # Exact validation always needs the pre-run network, not just in
-    # verify modes: the reference *is* the correctness anchor here.
-    if reference is None:
-        reference = network.copy("reference")
-    sim = SignatureSimulator(
-        network, patterns=config.sim_patterns, seed=config.sim_seed
-    )
-    clean_memo: Dict[tuple, Tuple[Cover, int]] = {}
-    screen = WitnessScreen(sim)
-    with tracer.span(
-        "run", circuit=network.name, mode=config.mode, method="simguided"
-    ) as run_span:
-        for index in range(config.max_passes):
-            if budget is not None and budget.exhausted():
-                break
-            accepted_before = stats.accepted
-            with tracer.span("pass", index=index) as pass_span:
-                try:
-                    _resub_pass(
-                        network, reference, config, stats, sim,
-                        budget, tracer, clean_memo, screen,
+                    cleaned, removed = _clean_cover(
+                        network, f_name, subset, cover, config, budget,
+                        clean_memo, screen,
                     )
-                except BudgetExhausted:
-                    # Clean stop between commits; everything applied so
-                    # far is validated and stays.
-                    pass_span.annotate(
-                        accepted=stats.accepted - accepted_before
-                    )
+                    stats.resub_wires_cleaned += removed
+                    if factored_literals(cleaned) >= old_lits:
+                        continue
+                    with tracer.span(
+                        "commit", f=f_name, d=_divisor_label(subset),
+                        via="resub",
+                    ) as commit_span:
+                        snapshot = _Snapshot(network, [f_name], sim)
+                        node.set_function(list(subset), cleaned)
+                        snapshot.refresh()
+                        verdict = checked_equivalent(
+                            reference,
+                            network,
+                            tracer,
+                            kind="resub_validate",
+                            backend=config.verify_backend,
+                            conflict_budget=config.sat_conflict_budget,
+                            stats=stats,
+                            pis=len(set(reference.pis) | set(network.pis)),
+                        )
+                        stats.resub_validated += 1
+                        if not verdict.complete:
+                            stats.resub_rejected_unknown += 1
+                        if not verdict:
+                            snapshot.restore()
+                            commit_span.annotate(accepted=False)
+                            continue
+                        stats.accepted += 1
+                        stats.resub_accepted += 1
+                        commit_span.annotate(accepted=True)
+                    committed = True
+                    subsets_tried = position
                     break
-                pass_span.annotate(
-                    accepted=stats.accepted - accepted_before
+                resyn_span.annotate(
+                    subsets=subsets_tried,
+                    candidates=candidates,
+                    accepted=committed,
                 )
-            if stats.accepted == accepted_before:
-                break
-        network.sweep_dangling()
-        run_span.annotate(accepted=stats.accepted)
-    stats.resim_nodes += sim.nodes_resimulated
-    stats.tests_witnessed += screen.tests_witnessed
-    if budget is not None:
-        stats.budget_report = budget.report()
-    stats.cpu_seconds += time.perf_counter() - start
-    stats.literals_after += network_literals(network)
-    return stats
+            if committed:
+                dc_computer = None
+                topo_index = {n: i for i, n in enumerate(network.topo_order())}
+                supports = pi_supports(network)
+    except BudgetExhausted:
+        # Clean stop: everything applied so far is proven and stays.
+        pass
+    return stats.accepted - accepted_before

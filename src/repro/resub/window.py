@@ -26,8 +26,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Set, Tuple
 
-from repro.core.config import DivisionConfig
 from repro.network.network import Network
+
+#: Divisor candidates collected into each target's window, best-ranked
+#: first; the resynthesis core enumerates subsets of this pool.
+WINDOW_SIZE = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,7 +39,7 @@ class Window:
 
     target: str
     #: Candidate divisor names, best-ranked first, already truncated
-    #: to ``config.resub_window_size``.
+    #: to :data:`WINDOW_SIZE`.
     divisors: Tuple[str, ...]
 
 
@@ -58,7 +61,6 @@ def pi_supports(network: Network) -> Dict[str, Set[str]]:
 def build_window(
     network: Network,
     f_name: str,
-    config: DivisionConfig,
     *,
     topo_index: Optional[Dict[str, int]] = None,
     supports: Optional[Dict[str, Set[str]]] = None,
@@ -102,5 +104,5 @@ def build_window(
         )
         ranked.append((rank, name))
     ranked.sort()
-    pool = tuple(name for _, name in ranked[: config.resub_window_size])
+    pool = tuple(name for _, name in ranked[:WINDOW_SIZE])
     return Window(target=f_name, divisors=pool)

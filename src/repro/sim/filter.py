@@ -39,13 +39,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.network.network import Network, eval_cube_packed
+from repro.network.network import eval_cube_packed
 from repro.twolevel.complement import complement
 from repro.core.config import DivisionConfig
 from repro.core.division import ALL_ATTEMPTS, enabled_attempts
 from repro.sim.cache import LRUCache
 from repro.sim.signature import SignatureSimulator
 from repro.sim.witness import WitnessScreen
+
+#: Capacity of the per-node cube-signature LRU cache.
+SIM_CACHE_SIZE = 2048
+
+#: Capacity of the (dividend, divisor) containment-verdict LRU cache.
+CONTAINMENT_CACHE_SIZE = 8192
 
 
 class DivisorFilter:
@@ -60,21 +66,20 @@ class DivisorFilter:
       surviving attempt variants for a dividend/divisor pair.
 
     Both keys embed the owning nodes' mutation generations, so a
-    :meth:`note_mutation` call (which re-simulates the fanout cone)
-    makes every stale entry unreachable; nothing is purged explicitly.
+    :meth:`SignatureSimulator.refresh` after a rewrite (which
+    re-simulates the fanout cone) makes every stale entry unreachable;
+    nothing is purged explicitly.
     """
 
-    def __init__(self, network: Network, config: DivisionConfig):
-        self.network = network
+    def __init__(self, sim: SignatureSimulator, config: DivisionConfig):
+        self.network = sim.network
         self.config = config
-        self.sim = SignatureSimulator(
-            network, patterns=config.sim_patterns, seed=config.sim_seed
-        )
+        self.sim = sim
         #: The witness screen the division engine puts in front of its
         #: implication tests, over the same signatures.
-        self.screen = WitnessScreen(self.sim)
-        self._sig_cache = LRUCache(config.sim_cache_size)
-        self._verdict_cache = LRUCache(config.containment_cache_size)
+        self.screen = WitnessScreen(sim)
+        self._sig_cache = LRUCache(SIM_CACHE_SIZE)
+        self._verdict_cache = LRUCache(CONTAINMENT_CACHE_SIZE)
         self._enabled = tuple(enabled_attempts(config))
 
     # ------------------------------------------------------------------
@@ -87,15 +92,6 @@ class DivisorFilter:
     @property
     def cache_misses(self) -> int:
         return self._sig_cache.misses + self._verdict_cache.misses
-
-    def note_mutation(self, roots: Sequence[str]) -> int:
-        """Declare the *roots* nodes rewritten; re-simulate their cones.
-
-        Must be called after every network mutation while the filter is
-        live (generation bumps invalidate the caches for the affected
-        nodes).  Returns the number of nodes re-simulated.
-        """
-        return self.sim.refresh(roots)
 
     # ------------------------------------------------------------------
     # Signatures

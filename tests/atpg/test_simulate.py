@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from repro.atpg.fault import StuckAtFault, all_wire_faults
 from repro.atpg.redundancy import wire_is_redundant
-from repro.atpg.simulate import (
-    fault_coverage,
-    faulty_evaluate,
-    find_test_exhaustive,
-)
+from repro.atpg.simulate import faulty_evaluate, find_test_exhaustive
 from repro.circuit.circuit import Circuit
 
 
@@ -92,28 +88,6 @@ class TestFindTest:
         c.add_and("g", [(f"x{i}", True) for i in range(13)])
         with pytest.raises(ValueError):
             find_test_exhaustive(c, StuckAtFault("g", 0, True))
-
-
-class TestCoverage:
-    def test_full_coverage_with_all_patterns(self):
-        c = demo()
-        import itertools
-
-        patterns = [
-            dict(zip("abc", bits))
-            for bits in itertools.product([False, True], repeat=3)
-        ]
-        testable = [
-            f
-            for f in all_wire_faults(c)
-            if find_test_exhaustive(c, f, {"out"}) is not None
-        ]
-        assert fault_coverage(c, testable, patterns, {"out"}) == 1.0
-
-    def test_zero_patterns_zero_coverage(self):
-        c = demo()
-        testable = [StuckAtFault("g1", 0, True)]
-        assert fault_coverage(c, testable, [], {"out"}) == 0.0
 
 
 class TestSoundnessCrossValidation:

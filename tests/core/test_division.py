@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.core import division
 from repro.core.config import BASIC, EXTENDED_GDC, DivisionConfig
 from repro.core.division import (
     apply_division,
@@ -107,10 +108,10 @@ class TestBasicSop:
         with pytest.raises(ValueError):
             boolean_divide(net, "f", "g", BASIC, form="nonsense")
 
-    def test_region_size_guard(self):
-        config = DivisionConfig(max_region_cubes=2)
+    def test_region_size_guard(self, monkeypatch):
+        monkeypatch.setattr(division, "MAX_REGION_CUBES", 2)
         net = paper()
-        assert boolean_divide(net, "f", "g", config) is None
+        assert boolean_divide(net, "f", "g", BASIC) is None
 
 
 class TestPos:

@@ -19,17 +19,19 @@ import dataclasses
 import pytest
 
 from repro.bench.suite import QUICK_NAMES, build_benchmark
-from repro.core.config import BASIC, EXTENDED, DivisionConfig
+from repro.core import substitution
+from repro.core.config import BASIC, EXTENDED
 from repro.core.division import boolean_divide, enabled_attempts
 from repro.core.substitution import substitute_network
 from repro.sim.filter import DivisorFilter
+from repro.sim.signature import SignatureSimulator
 
 
 @pytest.mark.parametrize("name", ["rnd1", "rnd3", "cmp6", "pos2"])
 def test_pruned_variants_fail_exact_division(name):
     network = build_benchmark(name)
     config = BASIC
-    filt = DivisorFilter(network, config)
+    filt = DivisorFilter(SignatureSimulator(network), config)
     internal = [n.name for n in network.internal_nodes()]
     checked_pruned = 0
     for f in internal:
@@ -59,7 +61,7 @@ def test_pruned_sop_variants_have_empty_region(name):
 
     network = build_benchmark(name)
     config = BASIC
-    filt = DivisorFilter(network, config)
+    filt = DivisorFilter(SignatureSimulator(network), config)
     internal = [n.name for n in network.internal_nodes()]
     checked = 0
     for f in internal:
@@ -148,21 +150,12 @@ def test_filter_stats_populated():
         assert stats.resim_nodes > 0
 
 
-def test_small_pattern_count_still_sound():
-    config = dataclasses.replace(BASIC, sim_patterns=8)
+def test_small_pattern_count_still_sound(monkeypatch):
+    monkeypatch.setattr(substitution, "SIM_PATTERNS", 8)
     net_off = build_benchmark("rnd1")
     net_on = build_benchmark("rnd1")
     substitute_network(
-        net_off, dataclasses.replace(config, enable_sim_filter=False)
+        net_off, dataclasses.replace(BASIC, enable_sim_filter=False)
     )
-    substitute_network(net_on, config)
+    substitute_network(net_on, BASIC)
     assert net_off.to_str() == net_on.to_str()
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DivisionConfig(sim_patterns=0)
-    with pytest.raises(ValueError):
-        DivisionConfig(sim_cache_size=0)
-    with pytest.raises(ValueError):
-        DivisionConfig(containment_cache_size=0)

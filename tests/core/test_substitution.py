@@ -28,7 +28,7 @@ class TestCandidates:
     def test_excludes_fanout_cone_and_self(self, paper_network):
         paper_network.parse_node("h", "f", ["f"])
         paper_network.add_po("h")
-        candidates = _candidate_divisors(paper_network, "f", BASIC)
+        candidates = _candidate_divisors(paper_network, "f")
         assert "f" not in candidates
         assert "h" not in candidates  # depends on f
 
@@ -37,15 +37,15 @@ class TestCandidates:
         paper_network.add_pi("z2")
         paper_network.parse_node("far", "z1 z2", ["z1", "z2"])
         paper_network.add_po("far")
-        assert "far" not in _candidate_divisors(paper_network, "f", BASIC)
+        assert "far" not in _candidate_divisors(paper_network, "f")
 
     def test_ranked_by_overlap(self, paper_network):
-        candidates = _candidate_divisors(paper_network, "f", BASIC)
+        candidates = _candidate_divisors(paper_network, "f")
         assert candidates[0] == "g"
 
-    def test_limit_respected(self, paper_network):
-        config = DivisionConfig(max_divisors=0)
-        assert _candidate_divisors(paper_network, "f", config) == []
+    def test_limit_respected(self, paper_network, monkeypatch):
+        monkeypatch.setattr(substitution, "MAX_CANDIDATE_DIVISORS", 0)
+        assert _candidate_divisors(paper_network, "f") == []
 
 
 class TestBasicPass:
@@ -289,3 +289,26 @@ class TestInertJobs:
     def test_n_jobs_is_still_checked(self):
         with pytest.raises(ValueError):
             DivisionConfig(n_jobs=0)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "max_passes",
+        "max_divisors",
+        "max_region_cubes",
+        "sim_patterns",
+        "sim_seed",
+        "sim_cache_size",
+        "containment_cache_size",
+        "resub_window_size",
+        "resub_max_divisors",
+        "resub_use_dontcares",
+        "resub_odc_max_pis",
+    ],
+)
+def test_fixed_sizes_are_constants_not_config_fields(field):
+    """The engine's fixed sizes are module constants; the config
+    rejects their old field names."""
+    with pytest.raises(TypeError):
+        DivisionConfig(**{field: 1})

@@ -6,9 +6,8 @@ from repro.obs.profile import (
     PROFILE_PHASES,
     format_profile,
     profile_events,
-    profile_tracer,
 )
-from repro.obs.tracer import TRACE_SCHEMA_VERSION, Tracer
+from repro.obs.tracer import TRACE_SCHEMA_VERSION
 
 
 def _event(kind, id, parent, dur, cpu=0.0, proc="main", start=0.0):
@@ -74,16 +73,6 @@ def test_self_wall_respects_proc_clock_domains():
     ]
     rollup = profile_events(events)
     assert rollup["pass"]["self_wall"] == 10.0
-
-
-def test_profile_tracer_rolls_up_recorded_events():
-    tracer = Tracer(clock=iter(range(100)).__next__, cpu_clock=lambda: 0.0)
-    with tracer.span("run"):
-        with tracer.span("pass"):
-            pass
-    rollup = profile_tracer(tracer)
-    assert set(rollup) == {"run", "pass"}
-    assert rollup["run"]["self_wall"] == 2.0
 
 
 def test_format_profile_orders_known_phases_first():

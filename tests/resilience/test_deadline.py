@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro.bench.generators import planted_network
+from repro.bench.suite import build_benchmark
 from repro.cli import main
-from repro.core.config import BASIC
+from repro.core.config import BASIC, SIMGUIDED
 from repro.core.substitution import substitute_network
 from repro.network.blif import read_blif, to_blif_str
 from repro.network.factor import network_literals
@@ -29,6 +30,17 @@ def _network(seed=1234):
     # the input too so "run did nothing" means byte-identical BLIF.
     network.sweep_dangling()
     return network
+
+
+class _TickClock:
+    """A clock whose successive reads are 0, 1, 2, ..."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return float(self.reads - 1)
 
 
 class TestDeadlineStops:
@@ -55,6 +67,37 @@ class TestDeadlineStops:
         assert networks_equivalent(reference, network)
         assert network_literals(network) <= network_literals(reference)
         assert stats.budget_report is not None
+
+    @pytest.mark.parametrize(
+        "config", [BASIC, SIMGUIDED], ids=["basic", "simguided"]
+    )
+    def test_deadline_passing_after_the_last_check_stops_nothing(
+        self, config
+    ):
+        # A first run finds the tick of the report's first clock read.
+        clock = _TickClock()
+        budget = RunBudget(deadline_seconds=1e9, clock=clock)
+        report = budget.report
+        report_ticks = []
+
+        def marked_report():
+            report_ticks.append(clock.reads)
+            return report()
+
+        budget.report = marked_report
+        finished = substitute_network(
+            build_benchmark("rnd3"), config, budget=budget
+        )
+        # With the deadline at that tick, every check of the run reads
+        # an earlier tick, and only the report sees the deadline pass.
+        deadline = report_ticks[0]
+        budget = RunBudget(deadline_seconds=deadline, clock=_TickClock())
+        network = build_benchmark("rnd3")
+        stats = substitute_network(network, config, budget=budget)
+        assert stats.budget_report.elapsed_seconds >= deadline
+        assert not stats.budget_report.stopped
+        assert stats.budget_report.reason is None
+        assert stats.accepted == finished.accepted > 0
 
     def test_unbudgeted_run_reports_none(self):
         network = _network(seed=9)

@@ -25,12 +25,8 @@ from repro.network.verify import networks_equivalent
 from repro.obs.tracer import Tracer
 from repro.resilience.budget import RunBudget
 from repro.resub import engine
-from repro.resub.engine import (
-    _care_mask,
-    _clean_cover,
-    _divisor_label,
-    simguided_substitute,
-)
+from repro.resub import window as window_module
+from repro.resub.engine import _care_mask, _clean_cover, _divisor_label
 from repro.resub.window import build_window, pi_supports
 from repro.sat.check import Verdict
 from repro.sim.signature import SignatureSimulator
@@ -124,16 +120,18 @@ class TestCoverCleaner:
         assert removed == 0
         assert cleaned is cover
 
-    def test_zero_cover_and_oversize_region_skip_cleaning(self):
+    def test_zero_cover_and_oversize_region_skip_cleaning(
+        self, monkeypatch
+    ):
         net = _implied_divisors()
         zero = Cover.zero(2)
         assert _clean_cover(
             net, "f", ("d1", "d2"), zero, SIMGUIDED, None
         ) == (zero, 0)
-        small = dataclasses.replace(SIMGUIDED, max_region_cubes=1)
+        monkeypatch.setattr(engine, "MAX_REGION_CUBES", 1)
         cover = Cover.parse("d1 + d2", ["d1", "d2"])
         cleaned, removed = _clean_cover(
-            net, "f", ("d1", "d2"), cover, small, None
+            net, "f", ("d1", "d2"), cover, SIMGUIDED, None
         )
         assert removed == 0
         assert cleaned is cover
@@ -155,25 +153,25 @@ class TestWindow:
         return net
 
     def test_target_and_tfo_are_excluded(self):
-        window = build_window(self._net(), "f", SIMGUIDED)
+        window = build_window(self._net(), "f")
         assert "f" not in window.divisors
         assert "t" not in window.divisors
 
     def test_disjoint_support_non_fanins_are_excluded(self):
         # c shares no PI support with f and is not a fanin: useless as
         # a divisor under simulation (its signature is uncorrelated).
-        window = build_window(self._net(), "f", SIMGUIDED)
+        window = build_window(self._net(), "f")
         assert "c" not in window.divisors
 
     def test_fanins_rank_first_then_overlap(self):
-        window = build_window(self._net(), "f", SIMGUIDED)
+        window = build_window(self._net(), "f")
         assert window.target == "f"
         assert list(window.divisors[:2]) == ["a", "b"]
         assert "d1" in window.divisors
 
-    def test_window_size_truncates(self):
-        tight = dataclasses.replace(SIMGUIDED, resub_window_size=2)
-        window = build_window(self._net(), "f", tight)
+    def test_window_size_truncates(self, monkeypatch):
+        monkeypatch.setattr(window_module, "WINDOW_SIZE", 2)
+        window = build_window(self._net(), "f")
         assert list(window.divisors) == ["a", "b"]
 
 
@@ -214,8 +212,10 @@ class TestForcedPaths:
         # back or quarantine anything.
         monkeypatch.setattr(
             engine,
-            "_validate_exact",
-            lambda *args: Verdict(False, "exhaustive", counterexample={}),
+            "checked_equivalent",
+            lambda *args, **kwargs: Verdict(
+                False, "exhaustive", counterexample={}
+            ),
         )
         config = dataclasses.replace(SIMGUIDED, verify_commits=True)
         net = _accepting_network()
@@ -232,16 +232,16 @@ class TestForcedPaths:
         # Normally f commits via the empty subset (its ODCs make it
         # constant-0 on the care set).  With that candidate refuted,
         # the walk must go on to a later subset that validates.
-        validate = engine._validate_exact
+        validate = engine.checked_equivalent
         calls = []
 
-        def refute_first(reference, network, config, stats, tracer):
+        def refute_first(*args, **kwargs):
             calls.append(None)
             if len(calls) == 1:
                 return Verdict(False, "exhaustive", counterexample={})
-            return validate(reference, network, config, stats, tracer)
+            return validate(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_validate_exact", refute_first)
+        monkeypatch.setattr(engine, "checked_equivalent", refute_first)
         net = _accepting_network()
         tracer = Tracer()
         stats = substitute_network(net, SIMGUIDED, tracer=tracer)
@@ -265,7 +265,7 @@ class TestForcedPaths:
         )
         net = _accepting_network()
         reference = _accepting_network()
-        stats = simguided_substitute(net, SIMGUIDED, budget=budget)
+        stats = substitute_network(net, SIMGUIDED, budget=budget)
         assert stats.budget_report is not None
         assert stats.budget_report.stopped
         assert stats.budget_report.reason == "deadline"
@@ -290,14 +290,13 @@ class TestCareMask:
             care = _care_mask(sim, node, dc)
             assert care & ~sim.mask == 0
 
-    def test_dontcares_do_not_break_equivalence(self):
-        for use_dc in (False, True):
-            config = dataclasses.replace(
-                SIMGUIDED, resub_use_dontcares=use_dc
-            )
+    def test_dontcares_do_not_break_equivalence(self, monkeypatch):
+        # The fixture has 3 PIs: a limit of 0 leaves the ODCs out.
+        for odc_max_pis in (0, 12):
+            monkeypatch.setattr(engine, "ODC_MAX_PIS", odc_max_pis)
             net = _accepting_network()
             reference = _accepting_network()
-            stats = substitute_network(net, config)
+            stats = substitute_network(net, SIMGUIDED)
             assert networks_equivalent(reference, net)
             assert stats.resub_accepted >= 1
 
@@ -331,7 +330,7 @@ def test_resyn_span_counts_every_subset_up_to_the_commit(monkeypatch):
 
     monkeypatch.setattr(engine, "conflict_free_subsets", recording)
     tracer = Tracer()
-    simguided_substitute(build_benchmark("rnd1"), SIMGUIDED, tracer=tracer)
+    substitute_network(build_benchmark("rnd1"), SIMGUIDED, tracer=tracer)
     windows = [e for e in tracer.events if e["kind"] == "resub_window"]
     resyns = [e for e in tracer.events if e["kind"] == "resub_resyn"]
     assert len(windows) == len(resyns) == len(last_yielded)
@@ -339,7 +338,7 @@ def test_resyn_span_counts_every_subset_up_to_the_commit(monkeypatch):
     for window, resyn, position in zip(windows, resyns, last_yielded):
         assert window["attrs"]["f"] == resyn["attrs"]["f"]
         n = window["attrs"]["divisors"]
-        top = min(SIMGUIDED.resub_max_divisors, n)
+        top = min(engine.MAX_SUBSET_DIVISORS, n)
         attrs = resyn["attrs"]
         if attrs["accepted"]:
             accepted += 1
@@ -359,16 +358,7 @@ def test_pi_supports_matches_transitive_reachability():
     assert supports["a"] == {"a"}
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"method": "bogus"},
-        {"resub_window_size": 0},
-        {"resub_max_divisors": 0},
-        {"resub_max_divisors": 7},
-        {"resub_odc_max_pis": -1},
-    ],
-)
+@pytest.mark.parametrize("kwargs", [{"method": "bogus"}])
 def test_config_validation_rejects_bad_knobs(kwargs):
     with pytest.raises(ValueError):
         DivisionConfig(**kwargs)

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 
 from repro.resub.resyn import conflict_free_subsets, resynthesize_window
 from repro.resub.window import build_window
-from repro.core.config import SIMGUIDED
 from repro.twolevel.cover import Cover
 
 from tests.conftest import random_network
@@ -249,7 +248,7 @@ def test_resynthesis_is_exact_under_exhaustive_signatures():
             if not n.is_constant()
         ]
         for f_name in targets[:3]:
-            window = build_window(network, f_name, SIMGUIDED)
+            window = build_window(network, f_name)
             for subset in itertools.combinations(window.divisors[:5], 2):
                 cover = resynthesize_window(
                     sigs[f_name],

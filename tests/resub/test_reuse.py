@@ -17,9 +17,10 @@ import dataclasses
 from hypothesis import given, settings
 
 from repro.core.config import SIMGUIDED
+from repro.core.substitution import substitute_network
 from repro.obs.tracer import Tracer
-from repro.resub import resyn
-from repro.resub.engine import _clean_cover, simguided_substitute
+from repro.resub import engine, resyn
+from repro.resub.engine import _clean_cover
 from repro.twolevel.cover import Cover
 from repro.twolevel.minimize import espresso
 
@@ -104,13 +105,13 @@ def test_clean_memo_is_off_under_global_dc():
     assert memo == {}
 
 
-def _traced_kinds(config):
+def _traced_kinds():
     tracer = Tracer()
-    simguided_substitute(_accepting_network(), config, tracer=tracer)
+    substitute_network(_accepting_network(), SIMGUIDED, tracer=tracer)
     return {event["kind"] for event in tracer.events}
 
 
-def test_care_mask_is_traced_when_odcs_are_computed():
-    assert "resub_care" in _traced_kinds(SIMGUIDED)  # 3 PIs <= 12
-    no_odc = dataclasses.replace(SIMGUIDED, resub_odc_max_pis=2)
-    assert "resub_care" not in _traced_kinds(no_odc)
+def test_care_mask_is_traced_when_odcs_are_computed(monkeypatch):
+    assert "resub_care" in _traced_kinds()  # 3 PIs <= 12
+    monkeypatch.setattr(engine, "ODC_MAX_PIS", 2)
+    assert "resub_care" not in _traced_kinds()

@@ -138,7 +138,8 @@ class TestTraceUnwritableOutput:
 class TestRemovedCommands:
     """``repro compare``, ``repro tail``, the optimize flags
     ``--history``, ``--live``, ``--sample-resources``,
-    ``--heartbeat-dir``, ``-j/--jobs`` and ``--stall-timeout``, and
+    ``--heartbeat-dir``, ``-j/--jobs``, ``--stall-timeout``,
+    ``--no-sim-filter`` and ``--sim-patterns``, and
     ``--verify-backend bdd`` no longer exist; argparse rejects each
     with its usage error."""
 
@@ -178,6 +179,18 @@ class TestRemovedCommands:
     def test_parallel_flag_rejected(self, extra, no_run, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["optimize", "bench:dec3", *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--no-sim-filter"], ["--sim-patterns", "8"]],
+        ids=["no-sim-filter", "sim-patterns"],
+    )
+    def test_signature_flag_rejected(self, extra, no_run, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optimize", "bench:rnd1", *extra])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(extra)}" in err
