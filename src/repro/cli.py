@@ -126,21 +126,6 @@ def _optimize_main(argv: List[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--verify-backend",
-        default=None,
-        choices=["auto", "sat"],
-        help=(
-            "exact-equivalence backend for the final check and every "
-            "exact check of the run (--verify-commits proofs, "
-            "simguided validation): auto (default) simulates every "
-            "input pattern up to 20 inputs and solves a budgeted CNF "
-            "miter with the CDCL engine above; sat always solves the "
-            "miter.  A SAT proof that cannot complete counts as not "
-            "equal, so the choice can change the output (a commit "
-            "rolls back) or fail the final check"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         metavar="FILE.jsonl",
         help=(
@@ -176,14 +161,12 @@ def _optimize_main(argv: List[str]) -> int:
         overrides["deadline_seconds"] = args.deadline
     if args.verify_commits:
         overrides["verify_commits"] = True
-    if args.verify_backend is not None:
-        overrides["verify_backend"] = args.verify_backend
     if (
         overrides or args.trace or args.profile or args.profile_json
     ) and args.method == "sis":
         parser.error(
-            "--deadline/--verify-commits/--verify-backend/--trace/"
-            "--profile/--profile-json do not apply to sis"
+            "--deadline/--verify-commits/--trace/--profile/"
+            "--profile-json do not apply to sis"
         )
     # The outputs are written only after the final proof; check their
     # directories now, so a mistyped path costs no run.
@@ -242,7 +225,7 @@ def _optimize_main(argv: List[str]) -> int:
             print(
                 f"# budget stop: {budget_report['reason']} after "
                 f"{budget_report['elapsed_seconds']:.2f}s "
-                f"({budget_report['divide_calls']} divide calls)",
+                f"({substats['divide_calls']} divide calls)",
                 file=sys.stderr,
             )
         if substats.get("commits_rolled_back"):
@@ -257,7 +240,6 @@ def _optimize_main(argv: List[str]) -> int:
                 reference,
                 network,
                 tracer,
-                backend=args.verify_backend or "auto",
                 check="final-equivalence",
             )
             if not verdict.complete:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.resilience.budget import check_limits
+from repro.resilience.budget import validate_deadline
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,10 +39,10 @@ class DivisionConfig:
     #: simulation-guided resubstitution engine (:mod:`repro.resub`),
     #: which *constructs* candidate replacement functions from the
     #: bit-parallel signatures (truth-table windowing over small
-    #: divisor sets, ODC-aware) and validates the few survivors
-    #: exactly through ``verify_backend``.  Both engines share the
-    #: budget / tracing machinery and the equivalence contract; they
-    #: differ in how candidates are found.
+    #: divisor sets, ODC-aware) and proves the few survivors exactly
+    #: (:func:`~repro.network.verify.exact_equivalent`).  Both engines
+    #: share the budget / tracing machinery and the equivalence
+    #: contract; they differ in how candidates are found.
     method: str = "division"
 
     #: Extend implications through the whole circuit (global internal
@@ -68,34 +68,12 @@ class DivisionConfig:
 
     #: Oracle mode: when the implication test fails to prove a wire
     #: removable, additionally check with the exact equivalence
-    #: verdict (``verify_backend``) whether removing it preserves every
-    #: primary output (i.e. use the *complete* internal don't-care
-    #: set, SDCs and ODCs); an unknown verdict keeps the wire.  Quality
-    #: upper bound for the implication dial; very slow, used by the
-    #: ablation benches only.
+    #: verdict (:func:`~repro.network.verify.exact_equivalent`) whether
+    #: removing it preserves every primary output (i.e. use the
+    #: *complete* internal don't-care set, SDCs and ODCs); an unknown
+    #: verdict keeps the wire.  Quality upper bound for the implication
+    #: dial; very slow, used by the ablation benches only.
     oracle_dc: bool = False
-
-    #: Backend of every exact equivalence check in a run — the
-    #: ``verify_commits`` commit proofs, simguided validation and the
-    #: ``oracle_dc`` oracle (see
-    #: :func:`~repro.network.verify.exact_equivalent`): "auto"
-    #: simulates every input pattern up to
-    #: :data:`~repro.network.verify.EXHAUSTIVE_PI_LIMIT` (20) inputs
-    #: and solves a CNF miter with the CDCL engine (:mod:`repro.sat`)
-    #: above; "sat" always solves the miter.  Both backends prove;
-    #: only a SAT solve can end unknown (see ``sat_conflict_budget``),
-    #: so the choice can change the output when a proof does not
-    #: complete.
-    verify_backend: str = "auto"
-
-    #: Conflict budget per SAT solve.  An exhausted search is an
-    #: *unknown* verdict, never treated as equal: the commit ledger
-    #: rolls the commit back and quarantines the pair, simguided
-    #: rejects the candidate, and the ``oracle_dc`` oracle keeps the
-    #: wire (same contract as the D-alg backtrack budget).  No
-    #: workload lowers it; it stays as the seam through which the
-    #: tests inject an unknown verdict (a budget of 0).
-    sat_conflict_budget: int = 100_000
 
     #: Prune division candidates with bit-parallel simulation
     #: signatures (see :mod:`repro.sim`).  The filter is sound — it
@@ -118,12 +96,6 @@ class DivisionConfig:
     #: best-so-far network, and records a
     #: :class:`~repro.resilience.budget.BudgetReport` in the stats.
     deadline_seconds: Optional[float] = None
-
-    #: Total :func:`boolean_divide` invocations allowed per run
-    #: (``None`` = unlimited); same clean-stop semantics as the
-    #: deadline.  Unlike the deadline it trips at the same point on
-    #: every run, which makes it the budget's deterministic cap.
-    max_divide_calls: Optional[int] = None
 
     #: Transactional commits: the division engine proves every
     #: accepted substitution equivalent to the last proven state of
@@ -148,13 +120,9 @@ class DivisionConfig:
             raise ValueError("learn_depth must be >= 0")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        check_limits(self.deadline_seconds, self.max_divide_calls)
+        validate_deadline(self.deadline_seconds)
         if self.verify_full_every < 1:
             raise ValueError("verify_full_every must be >= 1")
-        if self.verify_backend not in ("auto", "sat"):
-            raise ValueError("verify_backend must be 'auto' or 'sat'")
-        if self.sat_conflict_budget < 0:
-            raise ValueError("sat_conflict_budget must be >= 0")
 
 
 #: Configuration 1 of the paper's experiments.

@@ -341,7 +341,7 @@ class RegionRemover:
     def _literal_removable(self, index: int, var: int, phase: bool) -> bool:
         """Stuck-at-1 test of one literal wire of a region cube."""
         if self.budget is not None:
-            self.budget.check_deadline()
+            self.budget.check()
         cube = self.region[index]
         assignments = self._base_assignments(index)
         assignments.append((self.shared[var], not phase))
@@ -359,7 +359,7 @@ class RegionRemover:
     def _cube_removable(self, index: int) -> bool:
         """Stuck-at-0 test of a region cube's OR input."""
         if self.budget is not None:
-            self.budget.check_deadline()
+            self.budget.check()
         cube = self.region[index]
         assignments = self._base_assignments(index)
         for v, p in cube.literals():
@@ -558,8 +558,6 @@ def _boolean_divide_impl(
                         reference,
                         network,
                         tracer,
-                        backend=config.verify_backend,
-                        conflict_budget=config.sat_conflict_budget,
                         stats=stats,
                         check="oracle",
                         f=f_name,

@@ -67,8 +67,8 @@ class SubstitutionStats:
     #: Division attempts skipped because the run's
     #: :class:`AttemptMemo` holds a failure on exactly what they read
     #: (basic pairs and extended votes alike).  A skip counts here and
-    #: not in ``attempts``; it makes no divide call and charges no
-    #: budget.  Deterministic, like ``attempts``.
+    #: not in ``attempts``; it makes no divide call.  Deterministic,
+    #: like ``attempts``.
     attempts_memoized: int = 0
     accepted: int = 0
     wires_removed: int = 0
@@ -526,9 +526,9 @@ def substitute_pass(
 
     *budget* is an optional
     :class:`~repro.resilience.budget.RunBudget`, checked before every
-    candidate pair (and, for the deadline, inside the removal loop);
-    when it trips the pass stops cleanly between commits and returns
-    what it accepted so far.  *ledger* is an optional
+    candidate pair and inside the removal loop; when it trips the pass
+    stops cleanly between commits and returns what it accepted so far.
+    *ledger* is an optional
     :class:`~repro.resilience.checkpoint.CommitLedger`: every accepted
     rewrite is proven against the last proven state of the network,
     rolled back unless proven, and the pair quarantined for the rest
@@ -649,8 +649,6 @@ def _run_pass(
                     continue
                 stats.attempts += 1
                 stats.divide_calls += calls
-                if budget is not None:
-                    budget.charge_divide_calls(calls)
                 result = divide_node_pair(
                     network,
                     f_name,
@@ -767,9 +765,8 @@ def substitute_network(
     *budget* is an optional
     :class:`~repro.resilience.budget.RunBudget` shared with the caller
     (e.g. across a multi-network flow); when it is ``None`` one is
-    built from the config's limits (``deadline_seconds``,
-    ``max_divide_calls``), if any.  A tripped budget stops the run
-    cleanly with the best-so-far network and a
+    built from ``config.deadline_seconds``, if set.  A tripped budget
+    stops the run cleanly with the best-so-far network and a
     :class:`~repro.resilience.budget.BudgetReport` in
     ``stats.budget_report``.
 

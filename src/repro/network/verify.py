@@ -88,8 +88,8 @@ def networks_equivalent(a: Network, b: Network) -> bool:
     return all(bdds_a[po] == bdds_b[po] for po in a.pos)
 
 
-#: PI count up to which ``backend="auto"`` proves by enumerating every
-#: input pattern; above it the SAT miter decides.  The measured
+#: PI count up to which :func:`exact_equivalent` proves by enumerating
+#: every input pattern; above it the SAT miter decides.  The measured
 #: crossover (DESIGN.md §18): enumeration is about 5x faster than SAT
 #: at 20 inputs, ties at 22 and loses from 23 on.
 EXHAUSTIVE_PI_LIMIT = 20
@@ -242,21 +242,14 @@ def exhaustive_equivalent(a: Network, b: Network) -> "Verdict":
     return Verdict(verdict=True, backend="exhaustive")
 
 
-def exact_equivalent(
-    a: Network,
-    b: Network,
-    backend: str = "auto",
-    conflict_budget: Optional[int] = None,
-    tracer=None,
-) -> "Verdict":
-    """Exact combinational equivalence through the selected backend.
+def exact_equivalent(a: Network, b: Network, tracer=None) -> "Verdict":
+    """Exact combinational equivalence; the PI count picks the backend.
 
-    ``"auto"`` runs :func:`exhaustive_equivalent` up to
-    :data:`EXHAUSTIVE_PI_LIMIT` primary inputs of the two networks
-    together, and the SAT miter above; ``backend="sat"`` always solves
-    the miter.  A solve runs under *conflict_budget* (``None``:
-    :data:`repro.sat.check.DEFAULT_CONFLICT_BUDGET`); the enumeration
-    has no budget and always completes.
+    Up to :data:`EXHAUSTIVE_PI_LIMIT` primary inputs of the two
+    networks together it runs :func:`exhaustive_equivalent`, which has
+    no budget and always completes; above that it solves the SAT miter
+    under :data:`repro.sat.check.DEFAULT_CONFLICT_BUDGET`.  Both
+    module globals are read at the call.
 
     The returned verdict is truthy only for a completed proof of
     equality.  A SAT solve that exhausts its budget returns an
@@ -265,20 +258,20 @@ def exact_equivalent(
     No span is opened here: a SAT solve records its own ``sat_solve``
     span directly under the caller's span.
     """
-    if backend not in ("auto", "sat"):
-        raise ValueError(f"unknown verify backend {backend!r}")
-    if (
-        backend == "auto"
-        and len(set(a.pis) | set(b.pis)) <= EXHAUSTIVE_PI_LIMIT
-    ):
+    if len(set(a.pis) | set(b.pis)) <= EXHAUSTIVE_PI_LIMIT:
         return exhaustive_equivalent(a, b)
     from repro.sat import check  # lazy: repro.sat imports repro.network
 
-    if conflict_budget is None:
-        conflict_budget = check.DEFAULT_CONFLICT_BUDGET
     return check.sat_equivalent(
-        a, b, conflict_budget=conflict_budget, tracer=tracer
+        a, b, conflict_budget=check.DEFAULT_CONFLICT_BUDGET, tracer=tracer
     )
+
+
+#: Names :func:`checked_equivalent` refuses as span attributes: the
+#: check picks its backend and conflict budget itself and writes the
+#: verdict's ``backend``, ``status`` and ``ok``, so a caller's value
+#: under any of them would misreport the check.
+CHECK_OWNED_ATTRS = frozenset({"backend", "conflict_budget", "status", "ok"})
 
 
 def checked_equivalent(
@@ -286,8 +279,6 @@ def checked_equivalent(
     b: Network,
     tracer,
     kind: str = "verify",
-    backend: str = "auto",
-    conflict_budget: Optional[int] = None,
     stats=None,
     **attrs,
 ) -> "Verdict":
@@ -297,17 +288,18 @@ def checked_equivalent(
     verdict's ``backend``, ``status`` and ``ok``; a SAT solve nests its
     ``sat_solve`` span beneath it.  *stats* (a
     :class:`~repro.core.substitution.SubstitutionStats`), when given,
-    counts the solver work.
+    counts the solver work.  An attribute named in
+    :data:`CHECK_OWNED_ATTRS` raises ``TypeError``.
     """
+    owned = CHECK_OWNED_ATTRS.intersection(attrs)
+    if owned:
+        raise TypeError(
+            "checked_equivalent() sets these itself: "
+            + ", ".join(sorted(owned))
+        )
     tracer = as_tracer(tracer)
     with tracer.span(kind, **attrs) as span:
-        verdict = exact_equivalent(
-            a,
-            b,
-            backend=backend,
-            conflict_budget=conflict_budget,
-            tracer=tracer,
-        )
+        verdict = exact_equivalent(a, b, tracer=tracer)
         if stats is not None:
             stats.add_solver_work(verdict)
         span.annotate(

@@ -38,11 +38,7 @@ from repro.obs.tracer import (
     read_jsonl,
     validate_trace_event,
 )
-from repro.obs.profile import (
-    PROFILE_PHASES,
-    format_profile,
-    profile_events,
-)
+from repro.obs.profile import format_profile, profile_events
 from repro.obs.analyze import (
     analyze_trace,
     build_forest,
@@ -66,7 +62,6 @@ __all__ = [
     "as_tracer",
     "read_jsonl",
     "validate_trace_event",
-    "PROFILE_PHASES",
     "format_profile",
     "profile_events",
     "analyze_trace",

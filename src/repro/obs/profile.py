@@ -14,24 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-#: Presentation order for the rollup table; kinds outside this list
-#: (or future additions) sort after, alphabetically.
-PROFILE_PHASES = (
-    "run",
-    "pass",
-    "enumerate",
-    "pair",
-    "vote",
-    "divide",
-    "atpg",
-    "sat_solve",
-    "commit",
-    "verify",
-    "resub_window",
-    "resub_care",
-    "resub_resyn",
-    "resub_validate",
-)
+from repro.obs.tracer import SPAN_KINDS
 
 
 def profile_events(events: Iterable[dict]) -> Dict[str, Dict[str, object]]:
@@ -63,8 +46,10 @@ def profile_events(events: Iterable[dict]) -> Dict[str, Dict[str, object]]:
 
 
 def _phase_order(kind: str) -> tuple:
+    """Rows in :data:`~repro.obs.tracer.SPAN_KINDS` order; other kinds
+    sort after, alphabetically."""
     try:
-        return (0, PROFILE_PHASES.index(kind))
+        return (0, SPAN_KINDS.index(kind))
     except ValueError:
         return (1, kind)
 

@@ -42,26 +42,25 @@ from typing import Callable, Dict, IO, List, Optional, Union
 #: Bumped when an event's required fields change.
 TRACE_SCHEMA_VERSION = 1
 
-#: Span kinds the pipeline emits.  ``validate_trace_event`` accepts
-#: unknown kinds (forward compatibility) but the profile rollup and
-#: the schema tests key off this set.
-SPAN_KINDS = frozenset(
-    {
-        "run",        # one substitute_network call
-        "pass",       # one sweep over the network
-        "enumerate",  # candidate-divisor enumeration for one dividend
-        "pair",       # one (dividend, divisor) candidate
-        "vote",       # extended division: vote table + core choice
-        "divide",     # one boolean_divide invocation
-        "atpg",       # one redundancy-removal loop (region or generic)
-        "commit",     # apply + accept bookkeeping of one rewrite
-        "verify",     # an equivalence check (ledger, oracle or final)
-        "sat_solve",  # one CDCL solve (equivalence or fault miter)
-        "resub_window",    # simguided: divisor window for one target
-        "resub_care",      # simguided: ODC care mask for one target
-        "resub_resyn",     # simguided: subset enumeration + resynthesis
-        "resub_validate",  # simguided: exact check of one candidate
-    }
+#: Span kinds the pipeline emits, in the profile table's row order.
+#: ``validate_trace_event`` accepts unknown kinds (forward
+#: compatibility) but the profile rollup and the schema tests key off
+#: this tuple.
+SPAN_KINDS = (
+    "run",             # one substitute_network call
+    "pass",            # one sweep over the network
+    "enumerate",       # candidate-divisor enumeration for one dividend
+    "pair",            # one (dividend, divisor) candidate
+    "vote",            # extended division: vote table + core choice
+    "divide",          # one boolean_divide invocation
+    "atpg",            # one redundancy-removal loop (region or generic)
+    "sat_solve",       # one CDCL solve (equivalence or fault miter)
+    "commit",          # apply + accept bookkeeping of one rewrite
+    "verify",          # an equivalence check (ledger, oracle or final)
+    "resub_window",    # simguided: divisor window for one target
+    "resub_care",      # simguided: ODC care mask for one target
+    "resub_resyn",     # simguided: subset enumeration + resynthesis
+    "resub_validate",  # simguided: exact check of one candidate
 )
 
 _REQUIRED_FIELDS = ("v", "kind", "id", "parent", "proc", "start", "end",

@@ -5,10 +5,10 @@ silently corrupting the network (the contract ABC-style resub engines
 enforce with verify-after-optimize spot checks).  This package holds
 its two pillars:
 
-* :mod:`repro.resilience.budget` — :class:`RunBudget`: wall-clock
-  deadline plus a total divide-call cap, checked at pass, pair and
-  removal-test granularity so any run stops cleanly with its
-  best-so-far network and a :class:`BudgetReport` in the statistics.
+* :mod:`repro.resilience.budget` — :class:`RunBudget`: a wall-clock
+  deadline, checked at pass, pair, removal-test and subset
+  granularity so any run stops cleanly with its best-so-far network
+  and a :class:`BudgetReport` in the statistics.
 * :mod:`repro.resilience.checkpoint` — :class:`CommitLedger`: opt-in
   transactional commits for the division engine; every accepted
   substitution is proven equivalent to the last proven state (each

@@ -5,9 +5,9 @@ every accepted rewrite as a transaction: the touched nodes are
 snapshotted (the loop's existing undo buffer), the rewrite is applied,
 and the :class:`CommitLedger` proves the whole network equivalent to
 its reference through :func:`~repro.network.verify.checked_equivalent`
-(``verify_backend``) before the commit is kept.  A commit is kept only
-when the verdict proves equality: a difference and an unknown
-(exhausted SAT budget) both roll it back.
+before the commit is kept.  A commit is kept only when the verdict
+proves equality: a difference and an unknown (exhausted SAT budget)
+both roll it back.
 
 The reference starts as the pre-optimization network and advances to
 a copy of the network after every proof.  Equivalence is transitive,
@@ -84,8 +84,6 @@ class CommitLedger:
             self.reference,
             network,
             tracer,
-            backend=self.config.verify_backend,
-            conflict_budget=self.config.sat_conflict_budget,
             stats=self.stats,
             check="ledger",
             f=f_name,

@@ -14,8 +14,8 @@ the few survivors exactly.
   a cover over ≤k divisor signatures that matches the target signature
   on every care pattern (don't-care-aware),
 * :mod:`repro.resub.engine` — the pass: windowing → resynthesis →
-  ATPG literal cleanup → exact validation against the input
-  (``verify_backend`` dispatch) → commit of the proven candidate.
+  ATPG literal cleanup → exact validation against the input →
+  commit of the proven candidate.
 
 The run loop around the pass is the division engine's,
 :func:`~repro.core.substitution.substitute_network`.

@@ -29,7 +29,7 @@ directly from signatures and then proves it:
 4. **Validate** (``resub_validate`` span): the candidate only agreed
    with the target on sampled patterns, which proves nothing, so every
    survivor is checked *exactly* against the pre-run reference through
-   :func:`~repro.network.verify.checked_equivalent` (``verify_backend``).
+   :func:`~repro.network.verify.checked_equivalent`.
    A SAT don't-know (exhausted conflict budget) **rejects** the
    candidate: a simguided candidate has no proof behind it except
    this check, so an unknown keeps the old node.
@@ -281,7 +281,7 @@ def resub_pass(
                     target_sig, divisor_sigs, sim.mask, care, top
                 ):
                     if budget is not None:
-                        budget.check_deadline()
+                        budget.check()
                     subset = tuple(window.divisors[i] for i in indices)
                     cover = resynthesize_window(
                         target_sig,
@@ -315,8 +315,6 @@ def resub_pass(
                             network,
                             tracer,
                             kind="resub_validate",
-                            backend=config.verify_backend,
-                            conflict_budget=config.sat_conflict_budget,
                             stats=stats,
                             pis=len(set(reference.pis) | set(network.pis)),
                         )

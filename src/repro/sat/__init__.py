@@ -19,7 +19,6 @@ from repro.sat.check import (
     DEFAULT_CONFLICT_BUDGET,
     Verdict,
     sat_equivalent,
-    sat_wire_redundant_exact,
     sat_wire_untestable,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "DEFAULT_CONFLICT_BUDGET",
     "Verdict",
     "sat_equivalent",
-    "sat_wire_redundant_exact",
     "sat_wire_untestable",
 ]

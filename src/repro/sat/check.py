@@ -215,23 +215,3 @@ def sat_wire_untestable(
         return Verdict._from_solve(False, result, stats, test)
     return Verdict._from_solve(True, result, stats, None)
 
-
-def sat_wire_redundant_exact(
-    circuit,
-    fault,
-    observables: Optional[Set[str]] = None,
-    conflict_budget: Optional[int] = DEFAULT_CONFLICT_BUDGET,
-    tracer=None,
-) -> bool:
-    """Boolean convenience mirroring
-    :func:`repro.atpg.redundancy.wire_is_redundant_exact`: an
-    out-of-budget ``None`` verdict maps to False, so redundancy
-    removal never deletes a wire on an exhausted proof."""
-    verdict = sat_wire_untestable(
-        circuit,
-        fault,
-        observables,
-        conflict_budget=conflict_budget,
-        tracer=tracer,
-    )
-    return bool(verdict)

@@ -138,6 +138,23 @@ def screen_off(monkeypatch):
     return switch
 
 
+@pytest.fixture
+def force_sat(monkeypatch):
+    """``force_sat(budget=None)`` sends every exact check of the rest of
+    the test to the SAT miter, whatever its PI count; with a *budget*,
+    every solve also runs under that conflict budget (0 leaves each
+    proof that needs search unknown)."""
+    from repro.network import verify
+    from repro.sat import check
+
+    def switch(budget=None) -> None:
+        monkeypatch.setattr(verify, "EXHAUSTIVE_PI_LIMIT", -1)
+        if budget is not None:
+            monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", budget)
+
+    return switch
+
+
 def assert_equivalent(before: Network, after: Network) -> None:
     from repro.network.verify import networks_equivalent
 

@@ -221,24 +221,21 @@ class TestOracleDc:
             substitute_network(net, ORACLE)
             assert networks_equivalent(reference, net)
 
-    def test_unknown_oracle_verdict_keeps_the_wire(self):
+    def test_unknown_oracle_verdict_keeps_the_wire(self, force_sat):
         # On this network the oracle proves removals the implications
         # miss; with a zero SAT conflict budget every oracle verdict is
         # unknown, no wire goes on it, and the run is EXTENDED_GDC's.
-        import dataclasses
-
         from repro.bench.generators import planted_network
         from repro.core.config import ORACLE
         from repro.core.substitution import substitute_network
         from repro.network.blif import to_blif_str
 
-        starved = dataclasses.replace(
-            ORACLE, verify_backend="sat", sat_conflict_budget=0
-        )
         outputs = {}
         for label, config in (
-            ("gdc", EXTENDED_GDC), ("oracle", ORACLE), ("starved", starved)
+            ("gdc", EXTENDED_GDC), ("oracle", ORACLE), ("starved", ORACLE)
         ):
+            if label == "starved":
+                force_sat(0)
             net = planted_network(
                 "p", seed=3, n_pis=6, n_divisors=2, n_targets=3
             )
@@ -247,12 +244,10 @@ class TestOracleDc:
         assert outputs["oracle"] != outputs["gdc"]
         assert outputs["starved"] == outputs["gdc"]
 
-    def test_oracle_verdicts_reach_the_trace_and_the_stats(self):
+    def test_oracle_verdicts_reach_the_trace_and_the_stats(self, force_sat):
         # Every oracle check runs under a ``verify`` span, and its SAT
         # solves are counted in the run's stats; tracing changes no
         # output.
-        import dataclasses
-
         from repro.bench.suite import build_benchmark
         from repro.core.config import ORACLE
         from repro.core.substitution import substitute_network
@@ -260,17 +255,18 @@ class TestOracleDc:
         from repro.obs.tracer import Tracer
         from repro.scripts.flows import SCRIPTS
 
-        def run(backend, tracer=None):
+        def run(tracer=None):
             net = build_benchmark("rnd1")
             SCRIPTS["A"](net)
-            config = dataclasses.replace(ORACLE, verify_backend=backend)
-            stats = substitute_network(net, config, tracer=tracer)
+            stats = substitute_network(net, ORACLE, tracer=tracer)
             return to_blif_str(net), stats
 
-        plain, _ = run("sat")
-        for backend, kind in (("sat", "sat"), ("auto", "exhaustive")):
+        plain, _ = run()
+        for kind in ("exhaustive", "sat"):
+            if kind == "sat":
+                force_sat()
             tracer = Tracer()
-            blif, stats = run(backend, tracer)
+            blif, stats = run(tracer)
             assert blif == plain
             by_id = {event["id"]: event for event in tracer.events}
             checks = [
@@ -294,7 +290,7 @@ class TestOracleDc:
                 by_id[event["parent"]]["kind"] == "verify"
                 for event in solves
             )
-            if backend == "sat":
+            if kind == "sat":
                 assert stats.sat_solves == len(checks) > 0
 
 

@@ -8,10 +8,11 @@ ledger.  These tests pin that contract:
 
 * every numeric field is monotone non-decreasing across repeated runs
   into the same stats object (an overwrite would reset a counter and
-  break monotonicity whenever the second run is smaller);
-* a :class:`~repro.resilience.budget.RunBudget` shared across runs is
-  charged by each run's own divide calls — the stats see that delta,
-  never the budget's cumulative spend.
+  break monotonicity whenever the second run is smaller), and the
+  literal totals add up;
+* a :class:`~repro.resilience.budget.RunBudget` shared across runs
+  carries only its clock from run to run: the stats see each run's own
+  counts, exactly those of the same run without a budget.
 """
 
 from __future__ import annotations
@@ -81,28 +82,49 @@ def test_literals_accumulate_not_overwrite():
     assert stats.literals_after > first_after
 
 
-def test_shared_budget_charges_divide_call_delta_only():
+def _counts(stats: SubstitutionStats) -> dict:
+    """The numeric fields a rerun reproduces: all but the CPU time."""
+    counts = _snapshot(stats)
+    del counts["cpu_seconds"]
+    return counts
+
+
+def test_shared_budget_leaves_the_run_counters_alone():
     """A budget with prior spend must not leak into a fresh run.
 
-    The budget's ``divide_calls`` are cumulative across every run that
-    shares it; only the calls made *during* the run may land in the
-    run's stats, and the budget is charged exactly those.
+    The budget's elapsed time is cumulative across every run that
+    shares it; the run's counters are its own, equal to those of the
+    same run without a budget.
     """
-    budget = RunBudget(deadline_seconds=1000.0)
-    budget.charge_divide_calls(7)  # spend from a hypothetical earlier run
-    stats = SubstitutionStats()
-    network = random_network(3, n_pis=4, n_nodes=5)
-    substitute_network(network, BASIC, stats=stats, budget=budget)
+    now = [0.0]
+    budget = RunBudget(deadline_seconds=1000.0, clock=lambda: now[0])
+    now[0] = 400.0  # spend from a hypothetical earlier run
+    stats = substitute_network(
+        random_network(3, n_pis=4, n_nodes=5), BASIC, budget=budget
+    )
+    alone = substitute_network(random_network(3, n_pis=4, n_nodes=5), BASIC)
     assert stats.divide_calls > 0
-    assert stats.divide_calls == budget.divide_calls - 7
+    assert _counts(stats) == _counts(alone)
+    assert stats.budget_report.elapsed_seconds == 400.0
+    assert not stats.budget_report.stopped
 
 
 def test_shared_budget_two_runs_accumulate_deltas():
     """Across two runs on one budget the stats see each delta once."""
     budget = RunBudget(deadline_seconds=1000.0)
     stats = SubstitutionStats()
+    alone = []
     for seed in (21, 22):
         network = random_network(seed, n_pis=4, n_nodes=5)
         substitute_network(network, BASIC, stats=stats, budget=budget)
+        alone.append(
+            _counts(
+                substitute_network(
+                    random_network(seed, n_pis=4, n_nodes=5), BASIC
+                )
+            )
+        )
     assert stats.divide_calls > 0
-    assert stats.divide_calls == budget.divide_calls
+    assert _counts(stats) == {
+        name: alone[0][name] + alone[1][name] for name in alone[0]
+    }

@@ -305,10 +305,14 @@ class TestInertJobs:
         "resub_max_divisors",
         "resub_use_dontcares",
         "resub_odc_max_pis",
+        "verify_backend",
+        "sat_conflict_budget",
+        "max_divide_calls",
     ],
 )
 def test_fixed_sizes_are_constants_not_config_fields(field):
-    """The engine's fixed sizes are module constants; the config
-    rejects their old field names."""
+    """The engine's fixed sizes are module constants, the exact check
+    picks its own backend and conflict budget, and the run budget is
+    a deadline alone; the config rejects the old field names."""
     with pytest.raises(TypeError):
         DivisionConfig(**{field: 1})

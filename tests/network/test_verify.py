@@ -6,11 +6,13 @@ from repro.bdd import BddManager
 from repro.network.network import Network
 from repro.network import verify
 from repro.network.verify import (
+    checked_equivalent,
     exact_equivalent,
     exhaustive_equivalent,
     network_output_bdds,
     networks_equivalent,
 )
+from repro.obs.tracer import Tracer
 from repro.twolevel.cover import Cover
 
 
@@ -99,69 +101,102 @@ class TestExactEquivalent:
         assert verdict.backend == "sat"
         assert verdict and verdict.status == "equal"
 
-    @pytest.mark.parametrize(
-        "backend, expected", [("auto", "exhaustive"), ("sat", "sat")]
-    )
-    def test_difference_is_a_falsy_complete_verdict(self, backend, expected):
+    @pytest.mark.parametrize("expected", ["exhaustive", "sat"])
+    def test_difference_is_a_falsy_complete_verdict(self, expected, force_sat):
+        if expected == "sat":
+            force_sat()
         a, b = pair("ab", "a + b")
-        verdict = exact_equivalent(a, b, backend=backend)
+        verdict = exact_equivalent(a, b)
         assert verdict.backend == expected
         assert verdict.complete and not verdict
         assert verdict.status == "different"
         witness = verdict.counterexample
         assert a.evaluate(witness)["f"] != b.evaluate(witness)["f"]
 
-    def test_unknown_is_never_equal(self):
+    def test_unknown_is_never_equal(self, force_sat):
         # Budget 0 stops the solver at its first conflict: the verdict
         # is unknown, and an unknown is falsy.
+        force_sat(0)
         a, b = wide_pair(4)
-        verdict = exact_equivalent(a, b, backend="sat", conflict_budget=0)
+        verdict = exact_equivalent(a, b)
         assert verdict.status == "unknown"
         assert not verdict.complete
         assert bool(verdict) is False
 
+    def test_exhaustive_limit_is_read_at_call_time(self, monkeypatch):
+        a, b = wide_pair(4)
+        assert exact_equivalent(a, b).backend == "exhaustive"
+        monkeypatch.setattr(verify, "EXHAUSTIVE_PI_LIMIT", 3)
+        assert exact_equivalent(a, b).backend == "sat"
+
     def test_default_budget_is_read_at_call_time(self, monkeypatch):
         from repro.sat import check
 
-        monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", 0)
         a, b = wide_pair(4)
-        assert exact_equivalent(a, b, backend="sat").status == "unknown"
+        monkeypatch.setattr(verify, "EXHAUSTIVE_PI_LIMIT", 3)
+        assert exact_equivalent(a, b).status == "equal"
+        monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", 0)
+        assert exact_equivalent(a, b).status == "unknown"
 
-    @pytest.mark.parametrize("backend", ["auto", "sat"])
-    def test_different_output_names_are_different(self, backend):
+    @pytest.mark.parametrize(
+        "keyword", [{"backend": "sat"}, {"conflict_budget": 0}],
+        ids=["backend", "conflict_budget"],
+    )
+    def test_backend_and_budget_are_not_parameters(self, keyword):
+        # The PI count picks the backend, and a solve always runs under
+        # the module's default budget.
+        a, b = pair("a", "a")
+        with pytest.raises(TypeError):
+            exact_equivalent(a, b, **keyword)
+
+    @pytest.mark.parametrize("name", sorted(verify.CHECK_OWNED_ATTRS))
+    def test_checked_check_refuses_the_attributes_it_sets(self, name):
+        # A caller's backend or budget would be ignored, and its
+        # status or ok overwritten by the verdict's: the traced check
+        # refuses each before it opens a span or proves anything.
+        tracer = Tracer()
+        a, b = pair("a", "a")
+        with pytest.raises(TypeError, match=name):
+            checked_equivalent(a, b, tracer, check="ledger", **{name: 0})
+        assert tracer.events == []
+        verdict = checked_equivalent(a, b, tracer, check="ledger")
+        assert verdict.status == "equal"
+        assert [event["attrs"] for event in tracer.events] == [
+            {"check": "ledger", "backend": "exhaustive", "status": "equal",
+             "ok": True}
+        ]
+
+    @pytest.mark.parametrize("expected", ["exhaustive", "sat"])
+    def test_different_output_names_are_different(self, expected, force_sat):
+        if expected == "sat":
+            force_sat()
         a, b = pair("a", "a")
         b.pos = []
         b.parse_node("h", "a", ["a"])
         b.add_po("h")
-        verdict = exact_equivalent(a, b, backend=backend)
+        verdict = exact_equivalent(a, b)
         assert verdict.status == "different"
         assert verdict.counterexample is None
 
-    @pytest.mark.parametrize(
-        "backend, expected", [("auto", "exhaustive"), ("sat", "sat")]
-    )
-    def test_input_sets_that_differ(self, backend, expected):
+    @pytest.mark.parametrize("expected", ["exhaustive", "sat"])
+    def test_input_sets_that_differ(self, expected, force_sat):
         # An input only one side has is equal if unused, and a
         # difference the witness can replay if used.
+        if expected == "sat":
+            force_sat()
         a, b = pair("ab", "ab")
         b.add_pi("z")
-        assert exact_equivalent(a, b, backend=backend).status == "equal"
+        assert exact_equivalent(a, b).status == "equal"
         c = Network()
         for pi in "abz":
             c.add_pi(pi)
         c.parse_node("f", "a b z", ["a", "b", "z"])
         c.add_po("f")
-        verdict = exact_equivalent(a, c, backend=backend)
+        verdict = exact_equivalent(a, c)
         assert verdict.backend == expected
         assert verdict.status == "different"
         assert sorted(verdict.counterexample) == ["a", "b", "c", "z"]
         assert replays(a, c, verdict.counterexample)
-
-    @pytest.mark.parametrize("backend", ["simulation", "bdd"])
-    def test_unknown_backend_rejected(self, backend):
-        a, b = pair("a", "a")
-        with pytest.raises(ValueError):
-            exact_equivalent(a, b, backend=backend)
 
 
 def one_pattern_pair(n_pis: int, pattern: int, differ: bool = True):

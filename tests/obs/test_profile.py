@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from repro.obs.profile import (
-    PROFILE_PHASES,
-    format_profile,
-    profile_events,
-)
+from repro.obs.profile import format_profile, profile_events
 from repro.obs.tracer import TRACE_SCHEMA_VERSION
 
 
@@ -88,7 +84,13 @@ def test_format_profile_orders_known_phases_first():
     assert order == ["run", "verify", "zzz_custom"]
 
 
-def test_profile_phase_list_matches_span_kinds():
+def test_rows_follow_the_span_kind_order():
     from repro.obs.tracer import SPAN_KINDS
 
-    assert set(PROFILE_PHASES) == SPAN_KINDS
+    events = [
+        _event(kind, i, -1, 1.0)
+        for i, kind in enumerate(reversed(SPAN_KINDS))
+    ]
+    table = format_profile(profile_events(events))
+    order = [line.split()[0] for line in table.splitlines()[2:]]
+    assert order == list(SPAN_KINDS)

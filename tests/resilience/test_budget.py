@@ -10,7 +10,7 @@ from repro.resilience.budget import (
     BudgetExhausted,
     BudgetReport,
     RunBudget,
-    check_limits,
+    validate_deadline,
 )
 
 
@@ -19,8 +19,10 @@ class FakeClock:
 
     def __init__(self):
         self.now = 0.0
+        self.reads = 0
 
     def __call__(self) -> float:
+        self.reads += 1
         return self.now
 
     def advance(self, seconds: float) -> None:
@@ -39,109 +41,88 @@ class TestDeadline:
             budget.check()
         assert exc.value.reason == "deadline"
 
-    def test_check_deadline_is_deadline_only(self):
-        clock = FakeClock()
-        budget = RunBudget(max_divide_calls=1, clock=clock)
-        budget.charge_divide_calls(5)
-        # Over the divide-call cap, but check_deadline ignores it.
-        budget.check_deadline()
-        with pytest.raises(BudgetExhausted):
-            budget.check()
-
     def test_zero_deadline_trips_immediately(self):
         clock = FakeClock()
         budget = RunBudget(deadline_seconds=0.0, clock=clock)
-        assert budget.deadline_passed()
+        assert budget.exhausted()
         with pytest.raises(BudgetExhausted):
-            budget.check_deadline()
-
-
-class TestCounters:
-    def test_divide_call_cap(self):
-        budget = RunBudget(max_divide_calls=4)
-        budget.charge_divide_calls(3)
-        budget.check()
-        budget.charge_divide_calls(1)
-        with pytest.raises(BudgetExhausted) as exc:
             budget.check()
-        assert exc.value.reason == "divide_calls"
 
-    def test_unlimited_budget_never_trips(self):
+    def test_no_deadline_never_trips(self):
         budget = RunBudget()
-        budget.charge_divide_calls(10**6)
         budget.check()
         assert not budget.exhausted()
 
 
 class TestLimits:
-    """RunBudget rejects exactly the limits DivisionConfig rejects."""
+    """RunBudget rejects exactly the deadlines DivisionConfig rejects."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
     def test_rejects_unusable_deadline(self, value):
         with pytest.raises(ValueError, match="finite"):
             RunBudget(deadline_seconds=value)
 
-    def test_rejects_negative_divide_calls(self):
-        with pytest.raises(ValueError, match="max_divide_calls"):
-            RunBudget(max_divide_calls=-1)
-
-    def test_accepts_zero_limits(self):
-        budget = RunBudget(deadline_seconds=0.0, max_divide_calls=0)
-        assert budget.exhausted()
-
-    def test_check_limits_names_the_config_fields(self):
-        check_limits(None, None)
-        check_limits(0.0, 0)
+    def test_validate_deadline_names_the_config_field(self):
+        validate_deadline(None)
+        validate_deadline(0.0)
         with pytest.raises(ValueError, match="deadline_seconds"):
-            check_limits(-1.0, None)
-        with pytest.raises(ValueError, match="max_divide_calls"):
-            check_limits(None, -1)
+            validate_deadline(-1.0)
 
 
-class TestReason:
-    def test_first_reason_is_latched(self):
+class TestLatch:
+    def test_each_check_reads_the_clock_once_until_the_stop_latches(self):
         clock = FakeClock()
-        budget = RunBudget(
-            deadline_seconds=5.0, max_divide_calls=1, clock=clock
-        )
-        budget.charge_divide_calls(2)
+        budget = RunBudget(deadline_seconds=5.0, clock=clock)
+        assert clock.reads == 1  # the start
+        budget.check()
+        assert not budget.exhausted()
+        assert clock.reads == 3
+        clock.advance(5.0)
+        with pytest.raises(BudgetExhausted):
+            budget.check()
+        assert clock.reads == 4
+        # Latched: later checks raise without reading the clock.
+        with pytest.raises(BudgetExhausted):
+            budget.check()
         assert budget.exhausted()
-        assert budget.stop_reason == "divide_calls"
-        # Deadline trips later; the report keeps the original cause.
-        clock.advance(100.0)
-        assert budget.exhausted()
-        assert budget.stop_reason == "divide_calls"
-        assert budget.report().reason == "divide_calls"
+        assert clock.reads == 4
+        assert budget.stop_reason == "deadline"
 
 
 class TestReport:
     def test_report_fields(self):
         clock = FakeClock()
-        budget = RunBudget(
-            deadline_seconds=50.0,
-            max_divide_calls=10,
-            clock=clock,
-        )
-        budget.charge_divide_calls(3)
+        budget = RunBudget(deadline_seconds=50.0, clock=clock)
         clock.advance(1.5)
         report = budget.report()
         assert report.stopped is False
         assert report.reason is None
         assert report.elapsed_seconds == pytest.approx(1.5)
-        assert report.divide_calls == 3
         assert report.deadline_seconds == 50.0
-        assert report.max_divide_calls == 10
 
-    def test_report_covers_exactly_the_two_limits(self):
-        # A deadline and a divide-call cap are the only limits, so the
-        # report carries their spend and nothing else.
+    def test_report_names_only_a_stop_that_happened(self):
+        clock = FakeClock()
+        budget = RunBudget(deadline_seconds=5.0, clock=clock)
+        clock.advance(6.0)
+        # Past the deadline, but no check has stopped anything yet.
+        report = budget.report()
+        assert (report.stopped, report.reason) == (False, None)
+        assert report.elapsed_seconds == 6.0
+        with pytest.raises(BudgetExhausted):
+            budget.check()
+        clock.advance(1.0)
+        report = budget.report()
+        assert (report.stopped, report.reason) == (True, "deadline")
+        assert report.elapsed_seconds == 7.0
+
+    def test_report_covers_exactly_the_deadline(self):
+        # The deadline is the only limit, so the report carries its
+        # spend and nothing else.
         assert [field.name for field in dataclasses.fields(BudgetReport)] == [
             "stopped",
             "reason",
             "elapsed_seconds",
-            "divide_calls",
             "deadline_seconds",
-            "max_divide_calls",
         ]
 
     def test_report_is_json_ready(self):
@@ -155,25 +136,17 @@ class TestFromConfig:
     def test_no_limits_no_budget(self):
         assert RunBudget.from_config(BASIC) is None
 
-    def test_limits_build_a_budget(self):
-        config = DivisionConfig(deadline_seconds=2.0, max_divide_calls=10)
+    def test_deadline_builds_a_budget(self):
+        config = DivisionConfig(deadline_seconds=2.0)
         budget = RunBudget.from_config(config)
         assert budget is not None
         assert budget.deadline_seconds == 2.0
-        assert budget.max_divide_calls == 10
 
     def test_config_validates_limits(self):
         with pytest.raises(ValueError):
             DivisionConfig(deadline_seconds=-1.0)
         with pytest.raises(ValueError):
-            DivisionConfig(max_divide_calls=-1)
-        with pytest.raises(ValueError):
             DivisionConfig(verify_full_every=0)
-
-    @pytest.mark.parametrize("backend", ["bdd", "exhaustive", "nope"])
-    def test_config_rejects_unknown_verify_backend(self, backend):
-        with pytest.raises(ValueError, match="verify_backend"):
-            DivisionConfig(verify_backend=backend)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite_deadline(self, value):

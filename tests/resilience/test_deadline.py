@@ -105,60 +105,67 @@ class TestDeadlineStops:
         assert stats.budget_report is None
 
 
-class TestDivideCallCap:
-    def test_run_stops_on_divide_call_cap(self):
-        baseline = _network(seed=55)
-        full = substitute_network(baseline.copy("full"), BASIC)
-        assert full.divide_calls > 6  # the cap below actually binds
+class TestTickDeadline:
+    """Under a clock that ticks once per read, a deadline stops a run
+    at the same point every time."""
 
-        network = _network(seed=55)
-        reference = network.copy("ref")
-        config = dataclasses.replace(BASIC, max_divide_calls=6)
-        stats = substitute_network(network, config)
-        report = stats.budget_report
-        assert report is not None
-        assert report.stopped
-        assert report.reason == "divide_calls"
-        # The budget is checked per pair; one pair's variants may
-        # overshoot the cap, but never more than that.
-        assert report.divide_calls <= 6 + 4
-        assert networks_equivalent(reference, network)
-        assert network_literals(network) <= network_literals(reference)
+    def test_run_stops_mid_run_at_a_tick_deadline(self):
+        full = substitute_network(_network(seed=55), BASIC)
+        runs = []
+        for _ in range(2):
+            network = _network(seed=55)
+            reference = network.copy("ref")
+            budget = RunBudget(deadline_seconds=200, clock=_TickClock())
+            stats = substitute_network(network, BASIC, budget=budget)
+            report = stats.budget_report
+            assert report.stopped
+            assert report.reason == "deadline"
+            assert 0 < stats.accepted < full.accepted
+            assert networks_equivalent(reference, network)
+            assert network_literals(network) <= network_literals(reference)
+            runs.append((to_blif_str(network), stats.accepted))
+        assert runs[0] == runs[1]
 
-    def test_shared_budget_spans_runs(self):
-        # A multi-network flow shares one ledger: spend recorded by
-        # earlier runs counts against later ones, so a run handed an
-        # already-exhausted budget stops before doing anything.
-        budget = RunBudget(max_divide_calls=6)
-        first = _network(seed=21)
-        substitute_network(first, BASIC, budget=budget)
-        budget.charge_divide_calls(max(0, 6 - budget.divide_calls))
+    def test_shared_budget_stops_the_next_run_before_any_attempt(self):
+        # A multi-network flow shares one budget: a deadline that
+        # passed in an earlier run stops a later one before it starts.
+        budget = RunBudget(deadline_seconds=200, clock=_TickClock())
+        first = substitute_network(_network(seed=55), BASIC, budget=budget)
+        assert first.budget_report.stopped
         second = _network(seed=22)
         ref = second.copy(second.name)
         stats = substitute_network(second, BASIC, budget=budget)
-        assert budget.divide_calls >= 6
-        assert stats.budget_report is not None
+        assert stats.attempts == 0
+        assert stats.divide_calls == 0
         assert stats.budget_report.stopped
         assert to_blif_str(second) == to_blif_str(ref)
 
     def test_report_is_cumulative_and_stats_are_the_run_delta(self):
-        # Spend a shared budget carried in from earlier runs stays on
-        # the (cumulative) budget report; only the calls made during
-        # the run land in its stats.
-        budget = RunBudget(deadline_seconds=1000.0)
+        # Time a shared budget carried in from earlier runs stays on
+        # its (cumulative) report; the stats count only the run's own
+        # work.
+        budget = RunBudget(deadline_seconds=10**6, clock=_TickClock())
         first = substitute_network(_network(seed=3), BASIC, budget=budget)
         second = substitute_network(_network(seed=4), BASIC, budget=budget)
-        assert first.divide_calls > 0 and second.divide_calls > 0
-        assert first.budget_report.divide_calls == first.divide_calls
-        assert second.budget_report.divide_calls == (
-            first.divide_calls + second.divide_calls
+        alone = substitute_network(
+            _network(seed=4), BASIC,
+            budget=RunBudget(deadline_seconds=10**6, clock=_TickClock()),
         )
-        assert second.budget_report.divide_calls == budget.divide_calls
+        assert first.divide_calls > 0 and second.divide_calls > 0
+        assert second.divide_calls == alone.divide_calls
+        assert second.accepted == alone.accepted
+        # Each read ticks once, and the second run reads the clock as
+        # often as it does alone: its report counts from the budget's
+        # start, through the first run.
+        assert second.budget_report.elapsed_seconds == (
+            first.budget_report.elapsed_seconds
+            + alone.budget_report.elapsed_seconds
+        )
         assert not second.budget_report.stopped
 
 
 class TestCliDeadline:
-    def test_deadline_flag_records_budget_stop(self, tmp_path):
+    def test_deadline_flag_records_budget_stop(self, tmp_path, capsys):
         source = tmp_path / "in.blif"
         source.write_text(to_blif_str(_network(seed=5)))
         out = tmp_path / "out.blif"
@@ -186,8 +193,15 @@ class TestCliDeadline:
         )
         payload = json.loads(stats_path.read_text())
         report = payload["substitution"]["budget_report"]
+        assert sorted(report) == [
+            "deadline_seconds", "elapsed_seconds", "reason", "stopped"
+        ]
         assert report["stopped"] is True
         assert report["reason"] == "deadline"
+        # The stderr line counts the run's divide calls: none here.
+        err = capsys.readouterr().err
+        assert "# budget stop: deadline after " in err
+        assert "(0 divide calls)" in err
 
     def test_negative_deadline_rejected(self, tmp_path):
         source = tmp_path / "in.blif"

@@ -134,23 +134,16 @@ class TestTransactionalMode:
         assert to_blif_str(plain) == to_blif_str(checked)
 
 
-#: Every commit gets an exact SAT check that cannot finish: a zero
-#: conflict budget stops each non-trivial miter at its first conflict.
-UNKNOWN_EVERYWHERE = dataclasses.replace(
-    BASIC,
-    verify_commits=True,
-    verify_full_every=1,
-    verify_backend="sat",
-    sat_conflict_budget=0,
-)
-
-
 class TestUnknownVerdict:
-    def test_unknown_rolls_back_every_commit(self):
+    def test_unknown_rolls_back_every_commit(self, force_sat):
+        # Every commit gets an exact SAT check that cannot finish: a
+        # zero conflict budget stops each non-trivial miter at its
+        # first conflict.
+        force_sat(0)
         network = build_benchmark("rnd8")
         script_a(network)
         prepared = to_blif_str(network)
-        stats = substitute_network(network, UNKNOWN_EVERYWHERE)
+        stats = substitute_network(network, TRANSACTIONAL)
         assert stats.commits_verified > 0
         assert stats.accepted == 0
         assert stats.commits_rolled_back == stats.commits_verified
@@ -178,15 +171,17 @@ def _restate(network, index, complement=False):
 
 class TestAdvancingReference:
     """After an exact proof the ledger holds a copy of the proven
-    network as its reference; the caller's reference never changes."""
+    network as its reference; the caller's reference never changes.
+    Every proof here is a SAT solve."""
+
+    @pytest.fixture(autouse=True)
+    def _sat(self, force_sat):
+        force_sat()
 
     def _ledger(self, network, every=1):
         reference = network.copy(network.name)
         config = dataclasses.replace(
-            BASIC,
-            verify_commits=True,
-            verify_full_every=every,
-            verify_backend="sat",
+            BASIC, verify_commits=True, verify_full_every=every
         )
         ledger = CommitLedger(reference, config, SubstitutionStats())
         return reference, ledger
@@ -223,7 +218,9 @@ class TestAdvancingReference:
         assert ledger.stats.sat_solves == 2
 
     @pytest.mark.parametrize("status", ["different", "unknown"])
-    def test_failed_check_keeps_the_last_proven_state(self, status):
+    def test_failed_check_keeps_the_last_proven_state(
+        self, status, force_sat
+    ):
         network = _network()
         _, ledger = self._ledger(network)
         _restate(network, 0)
@@ -233,9 +230,7 @@ class TestAdvancingReference:
             _restate(network, 1, complement=True)
         else:
             # An equal pair the solver cannot finish without search.
-            ledger.config = dataclasses.replace(
-                ledger.config, sat_conflict_budget=0
-            )
+            force_sat(0)
             _restate(network, 1)
         assert not ledger.verify_commit(network, "f", "d", NULL_TRACER)
         ledger.quarantine("f", "d")
@@ -255,14 +250,12 @@ def _counters(stats):
 
 
 class TestLedgerTracing:
-    def test_every_ledger_solve_is_a_span(self):
+    def test_every_ledger_solve_is_a_span(self, force_sat):
+        force_sat()
         network = build_benchmark("rnd8")
         script_a(network)
         config = dataclasses.replace(
-            EXTENDED,
-            verify_commits=True,
-            verify_full_every=1,
-            verify_backend="sat",
+            EXTENDED, verify_commits=True, verify_full_every=1
         )
         tracer = Tracer()
         stats = substitute_network(network, config, tracer=tracer)

@@ -189,16 +189,14 @@ class TestForcedPaths:
         assert stats.literals_after < stats.literals_before
         assert networks_equivalent(reference, net)
 
-    def test_unknown_verdict_rejects_candidate(self):
+    def test_unknown_verdict_rejects_candidate(self, force_sat):
         # A SAT don't-know must keep the old node: a zero conflict
         # budget leaves every exact validation unknown, and nothing
         # may commit.
-        config = dataclasses.replace(
-            SIMGUIDED, verify_backend="sat", sat_conflict_budget=0
-        )
+        force_sat(0)
         net = _accepting_network()
         reference = _accepting_network()
-        stats = substitute_network(net, config)
+        stats = substitute_network(net, SIMGUIDED)
         assert stats.resub_accepted == 0
         assert stats.resub_rejected_unknown >= 1
         assert stats.resub_validated == stats.resub_rejected_unknown

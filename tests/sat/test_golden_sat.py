@@ -2,10 +2,10 @@
 
 The committed golden pair (``tests/golden``) pins the
 optimizer's exact output.  Verification must never perturb it:
-a run with ``--verify-backend sat`` — final equivalence proved by the
-CNF/CDCL miter instead of BDDs — must still reproduce
-``serial_ext.blif`` byte for byte, and ``--verify-commits`` under the
-SAT backend must leave the quarantine empty and roll nothing back.
+a run whose every exact check is forced onto the CNF/CDCL miter (the
+``force_sat`` fixture) must still reproduce ``serial_ext.blif`` byte
+for byte, and ``--verify-commits`` under the SAT backend must leave
+the quarantine empty and roll nothing back.
 """
 
 import dataclasses
@@ -21,8 +21,10 @@ from repro.scripts.flows import script_a
 GOLDEN = pathlib.Path(__file__).parents[1] / "golden"
 
 
-def test_sat_backend_matches_committed_golden(tmp_path):
+def test_sat_backend_matches_committed_golden(tmp_path, force_sat):
+    force_sat()
     out = tmp_path / "sat.blif"
+    stats_path = tmp_path / "stats.json"
     code = main(
         [
             "optimize",
@@ -31,17 +33,22 @@ def test_sat_backend_matches_committed_golden(tmp_path):
             "ext",
             "--script",
             "A",
-            "--verify-backend",
-            "sat",
+            "--stats-json",
+            str(stats_path),
             "-o",
             str(out),
         ]
     )
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "serial_ext.blif").read_bytes()
+    report = json.loads(stats_path.read_text())
+    assert report["verify"] == {"backend": "sat", "status": "equal"}
 
 
-def test_verify_commits_under_sat_keeps_quarantine_empty(tmp_path):
+def test_verify_commits_under_sat_keeps_quarantine_empty(
+    tmp_path, force_sat
+):
+    force_sat()
     out = tmp_path / "sat_verified.blif"
     stats_path = tmp_path / "stats.json"
     code = main(
@@ -53,8 +60,6 @@ def test_verify_commits_under_sat_keeps_quarantine_empty(tmp_path):
             "--script",
             "A",
             "--verify-commits",
-            "--verify-backend",
-            "sat",
             "--stats-json",
             str(stats_path),
             "-o",
@@ -69,7 +74,7 @@ def test_verify_commits_under_sat_keeps_quarantine_empty(tmp_path):
     assert sub["pairs_quarantined"] == 0
 
 
-def test_sat_full_checks_run_and_pass_on_golden():
+def test_sat_full_checks_run_and_pass_on_golden(force_sat):
     """API-level: force a full check on *every* commit with the SAT
     backend — the solver must actually run (``sat_solves > 0``) and
     agree with every commit (nothing rolled back or quarantined)."""
@@ -77,11 +82,9 @@ def test_sat_full_checks_run_and_pass_on_golden():
     reference = read_blif((GOLDEN / "input.blif").read_text())
     script_a(network)
     config = dataclasses.replace(
-        EXTENDED,
-        verify_commits=True,
-        verify_full_every=1,
-        verify_backend="sat",
+        EXTENDED, verify_commits=True, verify_full_every=1
     )
+    force_sat()
     stats = substitute_network(network, config)
     assert stats.accepted > 0
     assert stats.sat_solves > 0

@@ -14,10 +14,10 @@ The oracles must agree on equivalent-by-construction pairs (copy +
 ``eliminate`` / a full ``substitute_network`` run) and on
 mutation-injected pairs (a dropped cube or a flipped literal phase),
 and every SAT counterexample must replay to a real PO difference.
-The program's own verdict (``exact_equivalent``) joins them twice:
-on ``auto``, which enumerates every input pattern up to
-``verify.EXHAUSTIVE_PI_LIMIT`` PIs and solves the miter above, and
-forced onto ``sat``.  Its counterexamples must replay too.
+The program's own verdict (``exact_equivalent``), which enumerates
+every input pattern up to ``verify.EXHAUSTIVE_PI_LIMIT`` PIs and
+solves the miter above, joins them; the SAT oracle above already
+judges every pair on the miter.  Its counterexamples must replay too.
 """
 
 import pytest
@@ -134,17 +134,14 @@ def _cross_check(a, b):
             "exhaustive simulation disagrees with SAT/BDD"
         )
     auto = exact_equivalent(a, b)
-    forced = exact_equivalent(a, b, backend="sat")
-    enumerated = len(pis) <= verify.EXHAUSTIVE_PI_LIMIT
-    for verdict, backend in (
-        (auto, "exhaustive" if enumerated else "sat"),
-        (forced, "sat"),
-    ):
-        assert verdict.backend == backend
-        assert verdict.complete and bool(verdict) == bdd_verdict, (
-            f"exact_equivalent ({backend}) disagrees with the oracles"
-        )
-    for verdict in (sat_verdict, auto, forced):
+    backend = (
+        "exhaustive" if len(pis) <= verify.EXHAUSTIVE_PI_LIMIT else "sat"
+    )
+    assert auto.backend == backend
+    assert auto.complete and bool(auto) == bdd_verdict, (
+        f"exact_equivalent ({backend}) disagrees with the oracles"
+    )
+    for verdict in (sat_verdict, auto):
         if verdict.verdict is False:
             assert verdict.counterexample is not None
             _replay_counterexample(a, b, verdict.counterexample)

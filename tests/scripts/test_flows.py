@@ -125,23 +125,25 @@ class TestHarness:
         # add10 has 21 PIs, so the final check runs on SAT.  simguided
         # is the method that rewrites it (the others hand back the
         # prepared network, a pair the shared miter proves without a
-        # single conflict).  With a zero conflict budget its check
-        # cannot complete, and an unproven method must fail the table
-        # rather than pass it.
-        from repro.sat import check
+        # single conflict).  With a zero conflict budget the table's
+        # check cannot complete, and an unproven method must fail the
+        # table rather than pass it.  Only that check is starved:
+        # simguided's own validations keep the default budget, or it
+        # would reject every rewrite and hand back the prepared
+        # network.
+        from repro.sat.check import sat_equivalent
         from repro.scripts import flows
 
-        real, default = flows.exact_equivalent, check.DEFAULT_CONFLICT_BUDGET
+        real = flows.exact_equivalent
         full_budget = []
 
-        def exact_equivalent(a, b, **kwargs):
+        def exact_equivalent(a, b):
             # The same check at the default budget, kept for the
             # assertion below; the table gets the zero-budget verdict.
-            full_budget.append(real(a, b, conflict_budget=default))
-            return real(a, b, **kwargs)
+            full_budget.append(real(a, b))
+            return sat_equivalent(a, b, conflict_budget=0)
 
         monkeypatch.setattr(flows, "exact_equivalent", exact_equivalent)
-        monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", 0)
         suite = {"add10": build_benchmark("add10")}
         with pytest.raises(AssertionError, match="equivalence unknown"):
             if runner == "script_a":

@@ -63,7 +63,7 @@ class TestOptimizeErrors:
         out = capsys.readouterr().out
         assert ".model" in out and ".end" in out
 
-    def test_resilience_flags_rejected_for_sis(self, no_run):
+    def test_resilience_flags_rejected_for_sis(self, no_run, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(
                 [
@@ -80,6 +80,10 @@ class TestOptimizeErrors:
                 ["optimize", "bench:dec3", "--method", "sis", "--deadline", "5"]
             )
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro optimize: error: --deadline/--verify-commits/--trace/"
+            "--profile/--profile-json do not apply to sis"
+        )
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_deadline_must_be_finite_and_non_negative(
@@ -139,9 +143,8 @@ class TestRemovedCommands:
     """``repro compare``, ``repro tail``, the optimize flags
     ``--history``, ``--live``, ``--sample-resources``,
     ``--heartbeat-dir``, ``-j/--jobs``, ``--stall-timeout``,
-    ``--no-sim-filter`` and ``--sim-patterns``, and
-    ``--verify-backend bdd`` no longer exist; argparse rejects each
-    with its usage error."""
+    ``--no-sim-filter``, ``--sim-patterns`` and ``--verify-backend``
+    no longer exist; argparse rejects each with its usage error."""
 
     def test_compare_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -195,11 +198,14 @@ class TestRemovedCommands:
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(extra)}" in err
 
-    def test_bdd_verify_backend_rejected(self, no_run, capsys):
+    @pytest.mark.parametrize("backend", ["sat", "auto", "bdd"])
+    def test_verify_backend_flag_rejected(self, backend, no_run, capsys):
+        # The PI count picks the backend of every exact check.
         with pytest.raises(SystemExit) as excinfo:
-            main(["optimize", "bench:dec3", "--verify-backend", "bdd"])
+            main(["optimize", "bench:dec3", "--verify-backend", backend])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'bdd'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --verify-backend {backend}" in err
 
     def test_tail_verb_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

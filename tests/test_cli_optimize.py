@@ -83,13 +83,11 @@ class TestOptimize:
             main(["optimize", "bench:dec3", "--method", "nope"])
 
     def test_unknown_final_verdict_fails_without_output(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, force_sat
     ):
         # A final proof that cannot complete is not a pass: the run
         # exits non-zero, says why, and writes no BLIF.
-        from repro.sat import check
-
-        monkeypatch.setattr(check, "DEFAULT_CONFLICT_BUDGET", 0)
+        force_sat(0)
         out = tmp_path / "opt.blif"
         code = main(
             [
@@ -97,8 +95,6 @@ class TestOptimize:
                 "bench:rnd1",
                 "--method",
                 "basic",
-                "--verify-backend",
-                "sat",
                 "-o",
                 str(out),
             ]
@@ -163,8 +159,9 @@ class TestStatsJsonVerdict:
             "backend": "exhaustive", "status": "equal"
         }
 
-    def test_sat_backend_verdict(self, tmp_path):
-        report = self._report(tmp_path, "--verify-backend", "sat")
+    def test_sat_backend_verdict(self, tmp_path, force_sat):
+        force_sat()
+        report = self._report(tmp_path)
         assert report["verify"] == {"backend": "sat", "status": "equal"}
 
     def test_no_verify_records_null(self, tmp_path):
